@@ -1,73 +1,14 @@
 """Long-tailed classification lab: difficulty-driven loss weighting with a
 bilevel meta objective, classic re-weighting baselines, and a seeded
-experiment harness."""
+experiment harness.
 
-from .data import Dataset, FormatError, ImbalanceProfile, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
-from .difficulty import (
-    AbsDifficultyNet,
-    DifficultyNet,
-    SampleDifficultyNet,
-    abs_dnet_forward,
-    abs_dnet_init,
-    difficulty_entropy,
-    dnet_forward,
-    dnet_init,
-    driver_loss,
-    hidden_width_for,
-    normalized_accuracy,
-    sample_dnet_forward,
-    sample_dnet_init,
-    sample_driver_targets,
-    weights_from_difficulty,
-)
-from .nnet import (
-    AccuracyVector,
-    Classifier,
-    MLP,
-    OptimizerState,
-    backward,
-    cosine_head_forward,
-    forward,
-    init_mlp,
-    load_checkpoint,
-    make_optimizer,
-    optimizer_step,
-    per_class_accuracy,
-    per_sample_grad_dot,
-    per_sample_grad_dots,
-    save_checkpoint,
-    weighted_ce_loss,
-)
-from .metatrain import (
-    NumericError,
-    OptSpec,
-    RunMetrics,
-    SplitAccuracy,
-    TrainConfig,
-    evaluate_splits,
-    meta_gradient,
-    train,
-    train_weighted,
-    virtual_step,
-)
-from .baselines import (
-    cdb_weights,
-    class_balanced_batches,
-    crt_retrain,
-    effective_number_weights,
-    ensemble_predict,
-    focal_loss,
-    inverse_frequency_weights,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    build_datasets,
-    gen_data,
-    parse_config,
-    run,
-    summarize,
-    train_one,
-)
+The package level holds the harness entry points; the numerics, the
+difficulty heads, the bilevel loop and the baselines are importable from
+their submodules (ltlab.nnet, ltlab.difficulty, ltlab.metatrain,
+ltlab.baselines)."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from .harness import ConfigError, ExperimentConfig, build_datasets, parse_config, run, train_one
+from .metatrain import NumericError
+
+__all__ = ["ConfigError", "ExperimentConfig", "NumericError", "build_datasets", "parse_config",
+           "run", "train_one"]

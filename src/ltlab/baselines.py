@@ -10,6 +10,7 @@ from .nnet import (
     Classifier,
     Layer,
     MLP,
+    accuracy_array,
     backward,
     classifier_logits,
     log_softmax,
@@ -21,7 +22,7 @@ from .rng import consumer_rng
 
 def cdb_weights(acc, tau: float) -> np.ndarray:
     """Class-difficulty-balancing weights (1 - a_c)^tau, unnormalized."""
-    a = acc.per_class if hasattr(acc, "per_class") else np.asarray(acc, dtype=np.float64)
+    a = accuracy_array(acc)
     if tau < 0:
         raise ValueError("tau must be non-negative")
     return (1.0 - a) ** tau

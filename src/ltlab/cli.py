@@ -62,6 +62,11 @@ def _fmt_split(v) -> str:
     return "-" if v is None else f"{v:.4f}"
 
 
+def _splits(row, names=("overall", "many", "medium", "few")) -> str:
+    """name=value for each of a row's splits."""
+    return " ".join(f"{n}={_fmt_split(getattr(row, n))}" for n in names)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -77,30 +82,16 @@ def main(argv=None) -> int:
             train_path, meta_path = gen_data(cfg)
             print(f"wrote {train_path} and {meta_path}")
         elif args.command == "train":
-            rows = run(cfg)
-            for r in rows:
-                print(
-                    f"{r.method} seed={r.seed} overall={_fmt_split(r.overall)} "
-                    f"many={_fmt_split(r.many)} medium={_fmt_split(r.medium)} "
-                    f"few={_fmt_split(r.few)} ({r.wall_seconds:.1f}s)"
-                )
+            for r in run(cfg):
+                print(f"{r.method} seed={r.seed} {_splits(r)} ({r.wall_seconds:.1f}s)")
         elif args.command == "crt":
             for r in crt_existing(cfg):
-                print(
-                    f"{r.method}+crt seed={r.seed} overall={_fmt_split(r.overall)} "
-                    f"many={_fmt_split(r.many)} medium={_fmt_split(r.medium)} "
-                    f"few={_fmt_split(r.few)}"
-                )
+                print(f"{r.method}+crt seed={r.seed} {_splits(r)}")
         elif args.command == "ensemble":
             result = ensemble_existing(cfg)
             for entry in result["members"]:
-                s = entry["splits"]
-                print(f"{entry['name']}: overall={_fmt_split(s.overall)}")
-            s = result["ensemble"]
-            print(
-                f"ensemble: overall={_fmt_split(s.overall)} many={_fmt_split(s.many)} "
-                f"medium={_fmt_split(s.medium)} few={_fmt_split(s.few)}"
-            )
+                print(f"{entry['name']}: {_splits(entry['splits'], ('overall',))}")
+            print(f"ensemble: {_splits(result['ensemble'])}")
             print(f"wrote {result['csv_path']}")
         return 0
     except (ConfigError, FormatError) as e:

@@ -1,8 +1,8 @@
-"""Difficulty networks: map per-class accuracies (or per-sample losses) to
+"""Difficulty heads: map per-class accuracies (or per-sample losses) to
 difficulty scores in (0, 1) that weight the classifier's loss.
 
-The class-level net is an MLP with two hidden layers of width H, where H is
-the smallest power of two strictly above the class count: 2^(n-1) <= C < 2^n.
+A head's net is an MLP with two hidden layers of width H, where H is the
+smallest power of two strictly above the class count: 2^(n-1) <= C < 2^n.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnet import MLP, AccuracyVector, forward, init_mlp
+from .nnet import MLP, accuracy_array, forward, init_mlp
 from .rng import consumer_rng
 
 
@@ -22,97 +22,101 @@ def hidden_width_for(class_count: int) -> int:
     return 1 << int(class_count).bit_length()
 
 
-@dataclass
-class DifficultyNet:
-    """Accuracy vector in, difficulty vector out, sigmoid output head."""
-
-    net: MLP
-    class_count: int
+KINDS = ("class", "abs", "sample", "nometa")
 
 
 @dataclass
-class AbsDifficultyNet:
-    """Scalar accuracy in, scalar difficulty out, applied per class. Shares
-    the width rule with the class-level net so capacity stays comparable."""
+class DifficultyHead:
+    """A map from a signal to difficulties in (0, 1), in one of four kinds:
 
-    net: MLP
-    class_count: int
+    class   accuracy vector in, difficulty vector out, through one net
+    abs     a scalar net scores each class from its own accuracy, so the map
+            is permutation-equivariant by construction
+    sample  a batch's per-sample losses in, per-sample difficulties out; short
+            batches are padded with their own mean and the padding is dropped
+    nometa  no net: difficulties are the driver target, clipped above 0
+
+    width is the class count, or for sample the padded batch width.
+    """
+
+    kind: str
+    net: MLP | None
+    width: int
+
+    @property
+    def per_class(self) -> bool:
+        """Whether difficulties are one per class (weights then come from d[y])."""
+        return self.kind != "sample"
+
+    def embed(self, x: np.ndarray, pad: float | None = None) -> np.ndarray:
+        """A signal-length vector as the net's input rows (or, with pad=0, an
+        output cotangent in the net's output shape)."""
+        if self.kind == "abs":
+            return x[:, None]
+        if self.kind == "sample":
+            out = np.full(self.width, x.mean() if pad is None else pad)
+            out[: x.size] = x
+            x = out
+        return x[None, :]
+
+    def read(self, out: np.ndarray, n: int) -> np.ndarray:
+        """The net's output rows back as n difficulties."""
+        return out[:, 0] if self.kind == "abs" else out[0, :n]
+
+    def weights(self, d: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return weights_from_difficulty(d, labels) if self.per_class else d
+
+    def reduce(self, dots: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
+        """Per-sample values summed onto the difficulties they were weighted by."""
+        if not self.per_class:
+            return dots
+        v = np.zeros(size)
+        np.add.at(v, labels, dots)
+        return v
+
+    def target(self, x: np.ndarray) -> np.ndarray:
+        """Driver target: 1 - normalized accuracy, or its per-sample analogue."""
+        return 1.0 - normalized_accuracy(x) if self.per_class else sample_driver_targets(x)
 
 
-@dataclass
-class SampleDifficultyNet:
-    """Per-sample losses in, per-sample difficulties out, fixed input width."""
-
-    net: MLP
-    batch_width: int
-
-
-def dnet_init(class_count: int, seed: int) -> DifficultyNet:
-    h = hidden_width_for(class_count)
+def head_init(kind: str, width: int, seed: int) -> DifficultyHead:
+    """Two hidden layers of hidden_width_for(width); abs maps 1 -> 1."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if kind == "nometa":
+        return DifficultyHead(kind, None, width)
+    h = hidden_width_for(width)
+    io = 1 if kind == "abs" else width
     rng = consumer_rng(seed, "init", "dnet")
-    return DifficultyNet(init_mlp([class_count, h, h, class_count], "sigmoid", rng), class_count)
+    return DifficultyHead(kind, init_mlp([io, h, h, io], "sigmoid", rng), width)
 
 
-def abs_dnet_init(class_count: int, seed: int) -> AbsDifficultyNet:
-    h = hidden_width_for(class_count)
-    rng = consumer_rng(seed, "init", "dnet")
-    return AbsDifficultyNet(init_mlp([1, h, h, 1], "sigmoid", rng), class_count)
+def dnet_init(class_count: int, seed: int) -> DifficultyHead:
+    return head_init("class", class_count, seed)
 
 
-def sample_dnet_init(batch_width: int, seed: int) -> SampleDifficultyNet:
-    if batch_width < 1:
-        raise ValueError("batch_width must be positive")
-    h = hidden_width_for(batch_width)
-    rng = consumer_rng(seed, "init", "dnet")
-    return SampleDifficultyNet(init_mlp([batch_width, h, h, batch_width], "sigmoid", rng), batch_width)
+def dnet_forward(head: DifficultyHead, signal) -> np.ndarray:
+    """Difficulties for one signal: accuracies, or a batch's per-sample losses."""
+    x = head_signal(head, signal)
+    if head.net is None:
+        # clamp keeps the entropy log finite
+        return np.clip(head.target(x), 1e-12, None)
+    return head.read(forward(head.net, head.embed(x)), x.size)
 
 
-def _acc_array(acc) -> np.ndarray:
-    a = acc.per_class if isinstance(acc, AccuracyVector) else np.asarray(acc, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("accuracy must be a vector")
-    return a
-
-
-def dnet_forward(dnet: DifficultyNet, acc) -> np.ndarray:
-    """Difficulty vector d in (0,1)^C for one accuracy vector."""
-    a = _acc_array(acc)
-    if a.size != dnet.class_count:
-        raise ValueError(f"expected {dnet.class_count} accuracies, got {a.size}")
-    return forward(dnet.net, a[None, :])[0]
-
-
-def abs_dnet_forward(adnet: AbsDifficultyNet, acc) -> np.ndarray | float:
-    """Same contract as dnet_forward but each class is mapped independently,
-    so the map is permutation-equivariant by construction. Scalars pass
-    through as scalars."""
-    scalar = np.ndim(acc) == 0
-    a = np.atleast_1d(np.asarray(acc, dtype=np.float64))
-    out = forward(adnet.net, a.reshape(-1, 1))[:, 0]
-    return float(out[0]) if scalar else out
-
-
-def sample_dnet_forward(sdnet: SampleDifficultyNet, losses) -> np.ndarray:
-    """Difficulties for up to batch_width per-sample losses. Short batches are
-    padded with their own mean; outputs for the padding are dropped."""
-    l = np.asarray(losses, dtype=np.float64)
-    if l.ndim != 1 or l.size == 0:
-        raise ValueError("losses must be a non-empty vector")
-    if l.size > sdnet.batch_width:
-        raise ValueError(f"batch of {l.size} exceeds width {sdnet.batch_width}")
-    padded = pad_losses(sdnet.batch_width, l)
-    return forward(sdnet.net, padded[None, :])[0, : l.size]
-
-
-def pad_losses(width: int, losses: np.ndarray) -> np.ndarray:
-    out = np.full(width, losses.mean())
-    out[: losses.size] = losses
-    return out
+def head_signal(head: DifficultyHead, signal) -> np.ndarray:
+    """The signal as a checked float64 vector of a length the head accepts."""
+    x = accuracy_array(signal)
+    if head.kind == "class" and x.size != head.width:
+        raise ValueError(f"expected {head.width} accuracies, got {x.size}")
+    if head.kind == "sample" and not 0 < x.size <= head.width:
+        raise ValueError(f"batch of {x.size} must be non-empty and fit width {head.width}")
+    return x
 
 
 def normalized_accuracy(acc) -> np.ndarray:
     """a_c / sum_k a_k; the all-zero vector maps to the uniform 1/C."""
-    a = _acc_array(acc)
+    a = accuracy_array(acc)
     total = a.sum()
     if total == 0.0:
         return np.full(a.size, 1.0 / a.size)

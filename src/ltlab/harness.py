@@ -12,31 +12,26 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from .baselines import cdb_weights, crt_retrain, effective_number_weights, ensemble_predict, inverse_frequency_weights
 from .data import Dataset, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
-from .difficulty import (
-    abs_dnet_init,
-    abs_dnet_forward,
-    dnet_forward,
-    dnet_init,
-    normalized_accuracy,
-    sample_dnet_init,
-)
+from .difficulty import DifficultyHead, head_init
 from .metatrain import (
+    VARIANTS,
     EpochRecord,
     NumericError,
     OptSpec,
     RunMetrics,
     TrainConfig,
+    evaluate_epoch,
     evaluate_splits,
     train,
     train_weighted,
 )
-from .nnet import Classifier, init_mlp, load_checkpoint, per_class_accuracy, save_checkpoint
-from .difficulty import difficulty_entropy
+from .nnet import Classifier, init_mlp, load_checkpoint, per_class_accuracy, save_checkpoint, score_accuracy
 from .rng import consumer_rng
 
 
@@ -44,15 +39,39 @@ class ConfigError(ValueError):
     """Bad configuration; rejected before any run starts."""
 
 
-METHODS = (
-    "ce", "invfreq", "effnum", "cdb", "focal",
-    "dnet", "dnet-abs", "dnet-sample", "dnet-nodriver", "dnet-nometa",
-)
-# methods whose runs carry a class-difficulty vector (extended CSV schema)
-CLASS_DIFFICULTY_METHODS = ("dnet", "dnet-abs", "dnet-nodriver", "dnet-nometa")
-VARIANT_OF = {
-    "dnet": "dnet", "dnet-abs": "abs", "dnet-sample": "sample",
-    "dnet-nodriver": "nodriver", "dnet-nometa": "nometa",
+@dataclass(frozen=True)
+class Method:
+    """How a method trains: a bilevel variant of metatrain.train, or, with
+    variant None, train_weighted with the keyword arguments options(cfg)."""
+
+    variant: str | None = None
+    options: Callable[["ExperimentConfig"], dict] = lambda cfg: {}
+
+    @property
+    def kind(self) -> str | None:
+        """The kind of difficulty head the method trains, if any."""
+        return VARIANTS[self.variant] if self.variant else None
+
+    @property
+    def extended(self) -> bool:
+        """Whether runs carry a class-difficulty vector (extended CSV schema)."""
+        return self.kind is not None and self.kind != "sample"
+
+
+METHODS = {
+    "ce": Method(),
+    "invfreq": Method(options=lambda cfg: {
+        "class_weight_fn": lambda acc, n: inverse_frequency_weights(n)}),
+    "effnum": Method(options=lambda cfg: {
+        "class_weight_fn": lambda acc, n: effective_number_weights(n, cfg.effnum_beta)}),
+    "cdb": Method(options=lambda cfg: {
+        "class_weight_fn": lambda acc, n: cdb_weights(acc, cfg.cdb_tau)}),
+    "focal": Method(options=lambda cfg: {"focal_gamma": cfg.focal_gamma}),
+    "dnet": Method("dnet"),
+    "dnet-abs": Method("abs"),
+    "dnet-sample": Method("sample"),
+    "dnet-nodriver": Method("nodriver"),
+    "dnet-nometa": Method("nometa"),
 }
 
 
@@ -224,7 +243,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         if not cond:
             raise ConfigError(msg)
 
-    need(cfg.method in METHODS, f"method must be one of {METHODS}, got {cfg.method!r}")
+    need(cfg.method in METHODS, f"method must be one of {tuple(METHODS)}, got {cfg.method!r}")
     need(cfg.stage2 in ("none", "crt"), "stage2 must be 'none' or 'crt'")
     need(cfg.head in ("linear", "cosine"), "head must be 'linear' or 'cosine'")
     need(cfg.classifier_optimizer in ("sgd", "momentum", "adam"), "bad classifier_optimizer")
@@ -322,24 +341,26 @@ def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
     return tuple(cfg.trace_classes)
 
 
-def _train_config(cfg: ExperimentConfig, train_size: int, seed: int, class_count: int) -> TrainConfig:
-    spe = train_size // cfg.batch_size
+def _train_config(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> TrainConfig:
+    spe = train_set.size // cfg.batch_size
     if spe < 1:
         raise ConfigError("batch_size exceeds the train set")
-    variant = VARIANT_OF.get(cfg.method, "dnet")
+    if cfg.meta_batch_size > meta_set.size:
+        raise ConfigError(f"meta_batch_size {cfg.meta_batch_size} exceeds the meta set "
+                          f"of {meta_set.size}")
     return TrainConfig(
         T=cfg.epochs * spe,
         b=cfg.batch_size,
         m=cfg.meta_batch_size,
         alpha=cfg.alpha,
         lam=cfg.lam,
-        variant=variant,
+        variant=METHODS[cfg.method].variant or "dnet",
         seed=seed,
         classifier_opt=OptSpec(cfg.classifier_optimizer, cfg.alpha,
                                cfg.classifier_momentum, cfg.classifier_weight_decay),
         dnet_opt=OptSpec(cfg.dnet_optimizer, cfg.beta, 0.9, cfg.dnet_weight_decay),
         steps_per_epoch=spe,
-        trace_classes=_resolve_trace(cfg, class_count),
+        trace_classes=_resolve_trace(cfg, train_set.class_count),
         many_min=cfg.many_min,
         few_max=cfg.few_max,
         record_losses=cfg.record_losses,
@@ -352,19 +373,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _metrics_row(rec: EpochRecord, extended: bool) -> str:
+    row = [str(rec.epoch), _fmt(rec.overall), _fmt(rec.many), _fmt(rec.medium), _fmt(rec.few)]
+    if extended:
+        row.append(_fmt(rec.entropy))
+        row += [_fmt(v) for v in rec.difficulty]
+    return ",".join(row) + "\n"
+
+
 def _write_metrics_csv(path: str, records: list[EpochRecord], extended: bool, class_count: int) -> None:
     cols = ["epoch", "overall", "many", "medium", "few"]
     if extended:
         cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for rec in records:
-            row = [str(rec.epoch), _fmt(rec.overall), _fmt(rec.many),
-                   _fmt(rec.medium), _fmt(rec.few)]
-            if extended:
-                row.append(_fmt(rec.entropy))
-                row += [_fmt(v) for v in rec.difficulty]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_metrics_row(rec, extended) for rec in records)
 
 
 def _write_trace_csv(path: str, metrics: RunMetrics) -> None:
@@ -374,71 +397,60 @@ def _write_trace_csv(path: str, metrics: RunMetrics) -> None:
             fh.write(f"{step},{cls},{repr(float(w))}\n")
 
 
-def _class_difficulty(method: str, model, dnet, acc) -> np.ndarray | None:
-    if method in ("dnet", "dnet-nodriver"):
-        return dnet_forward(dnet, acc)
-    if method == "dnet-abs":
-        return abs_dnet_forward(dnet, acc.per_class)
-    if method == "dnet-nometa":
-        return np.clip(1.0 - normalized_accuracy(acc), 1e-12, None)
-    return None
-
-
-def _evaluate_record(cfg: ExperimentConfig, model, train_set, meta_set, dnet, epoch: int) -> EpochRecord:
-    acc = per_class_accuracy(model, meta_set, "meta")
-    splits = evaluate_splits(acc.per_class, train_set.per_class_counts,
-                             (cfg.many_min, cfg.few_max))
-    d = _class_difficulty(cfg.method, model, dnet, acc)
-    return EpochRecord(
-        epoch=epoch,
-        accuracy=acc.per_class,
-        overall=splits.overall,
-        many=splits.many,
-        medium=splits.medium,
-        few=splits.few,
-        entropy=difficulty_entropy(d) if d is not None else None,
-        difficulty=d,
-    )
-
-
 def _build_model(cfg: ExperimentConfig, dim: int, class_count: int, seed: int) -> Classifier:
     rng = consumer_rng(seed, "init", "classifier")
     net = init_mlp([dim, cfg.hidden, class_count], "identity", rng)
     return Classifier(net, cfg.head, cfg.cosine_scale)
 
 
-def _crt_spec(cfg: ExperimentConfig) -> OptSpec:
-    return OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay)
+def _difficulty_head(cfg: ExperimentConfig, class_count: int, seed: int,
+                     run_dir: str | None = None) -> DifficultyHead | None:
+    """The method's difficulty head, None for methods without one: freshly
+    initialized, or around the net saved in run_dir."""
+    kind = METHODS[cfg.method].kind
+    if kind is None:
+        return None
+    width = (cfg.sample_width or cfg.batch_size) if kind == "sample" else class_count
+    if run_dir is None or kind == "nometa":
+        return head_init(kind, width, seed)
+    path = os.path.join(run_dir, "dnet.ltnn")
+    if not os.path.exists(path):
+        raise ConfigError(f"no dnet.ltnn in {run_dir}")
+    return DifficultyHead(kind, load_checkpoint(path), width)
+
+
+def _load_run(run_dir: str, *checkpoints: str) -> tuple[ExperimentConfig, Classifier]:
+    """A run's recorded config and its classifier, loaded from the first of
+    checkpoints present and rebuilt with the head that run trained with."""
+    rc_path = os.path.join(run_dir, "run_config.txt")
+    found = [p for p in (os.path.join(run_dir, n) for n in checkpoints) if os.path.exists(p)]
+    if not found or not os.path.exists(rc_path):
+        raise ConfigError(f"{run_dir} needs run_config.txt and a checkpoint "
+                          f"({' or '.join(checkpoints)})")
+    rcfg = parse_config(rc_path)
+    return rcfg, Classifier(load_checkpoint(found[0]), rcfg.head, rcfg.cosine_scale)
 
 
 def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int):
     """Stage-1 training for one (method, seed); returns (model, dnet, metrics).
-    dnet is None for methods without a difficulty net."""
-    c = train_set.class_count
-    model = _build_model(cfg, train_set.dim, c, seed)
-    tc = _train_config(cfg, train_set.size, seed, c)
-    if cfg.method in VARIANT_OF:
-        variant = VARIANT_OF[cfg.method]
-        dnet = None
-        if variant in ("dnet", "nodriver"):
-            dnet = dnet_init(c, seed)
-        elif variant == "abs":
-            dnet = abs_dnet_init(c, seed)
-        elif variant == "sample":
-            dnet = sample_dnet_init(cfg.sample_width or cfg.batch_size, seed)
-        return train(tc, train_set, meta_set, model, dnet)
-    if cfg.method == "focal":
-        model, metrics = train_weighted(tc, train_set, meta_set, model,
-                                        focal_gamma=cfg.focal_gamma)
-        return model, None, metrics
-    weight_fn = {
-        "ce": None,
-        "invfreq": lambda acc, n: inverse_frequency_weights(n),
-        "effnum": lambda acc, n: effective_number_weights(n, cfg.effnum_beta),
-        "cdb": lambda acc, n: cdb_weights(acc, cfg.cdb_tau),
-    }[cfg.method]
-    model, metrics = train_weighted(tc, train_set, meta_set, model, weight_fn)
+    dnet is the method's DifficultyHead, None for methods without one."""
+    model = _build_model(cfg, train_set.dim, train_set.class_count, seed)
+    tc = _train_config(cfg, train_set, meta_set, seed)
+    method = METHODS[cfg.method]
+    if method.variant is not None:
+        return train(tc, train_set, meta_set, model,
+                     _difficulty_head(cfg, train_set.class_count, seed))
+    model, metrics = train_weighted(tc, train_set, meta_set, model, **method.options(cfg))
     return model, None, metrics
+
+
+def _stage2(cfg: ExperimentConfig, run_dir: str, model, head, train_set: Dataset,
+            meta_set: Dataset, seed: int, epoch: int) -> EpochRecord:
+    """Retrain the final layer, save it, and evaluate it as record epoch."""
+    model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
+                        OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
+    save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
+    return evaluate_epoch(epoch, model, head, train_set, meta_set, (cfg.many_min, cfg.few_max))[1]
 
 
 def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> ReportRow:
@@ -446,7 +458,7 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
     run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     c = train_set.class_count
-    extended = cfg.method in CLASS_DIFFICULTY_METHODS
+    extended = METHODS[cfg.method].extended
     try:
         model, dnet, metrics = train_one(cfg, train_set, meta_set, seed)
     except NumericError as e:
@@ -456,14 +468,10 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
 
     records = list(metrics.epochs)
     save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
-    if dnet is not None:
+    if dnet is not None and dnet.net is not None:
         save_checkpoint(dnet.net, os.path.join(run_dir, "dnet.ltnn"))
     if cfg.stage2 == "crt":
-        model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
-                            _crt_spec(cfg), seed)
-        save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
-        next_epoch = records[-1].epoch + 1 if records else 0
-        records.append(_evaluate_record(cfg, model, train_set, meta_set, dnet, next_epoch))
+        records.append(_stage2(cfg, run_dir, model, dnet, train_set, meta_set, seed, len(records)))
 
     _flush_run(cfg, run_dir, records, metrics, extended, c, seed, started)
     final = records[-1] if records else None
@@ -512,52 +520,25 @@ def run(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
     """Second stage over already-trained runs: load each seed's stage-1
-    checkpoint, retrain the head, save it, and append one metrics row."""
+    checkpoint as its run_config.txt describes it, retrain the head, save it,
+    and rewrite metrics.csv as the stage-1 rows plus one stage-2 row, so
+    running this again gives the same files."""
     train_set, meta_set = build_datasets(cfg)
     rows = []
     for seed in cfg.seeds:
         started = time.time()
         run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
-        ckpt = os.path.join(run_dir, "classifier.ltnn")
-        if not os.path.exists(ckpt):
-            raise ConfigError(f"no stage-1 checkpoint at {ckpt}")
-        model = Classifier(load_checkpoint(ckpt), cfg.head, cfg.cosine_scale)
-        dnet = None
-        dnet_path = os.path.join(run_dir, "dnet.ltnn")
-        if cfg.method in ("dnet", "dnet-nodriver", "dnet-abs") and os.path.exists(dnet_path):
-            holder = dnet_init(train_set.class_count, seed) if cfg.method != "dnet-abs" \
-                else abs_dnet_init(train_set.class_count, seed)
-            holder.net = load_checkpoint(dnet_path)
-            dnet = holder
-        model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
-                            _crt_spec(cfg), seed)
-        save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
-        epoch = _last_epoch(os.path.join(run_dir, "metrics.csv")) + 1
-        rec = _evaluate_record(cfg, model, train_set, meta_set, dnet, epoch)
-        extended = cfg.method in CLASS_DIFFICULTY_METHODS
-        _append_metrics_row(os.path.join(run_dir, "metrics.csv"), rec, extended)
-        rows.append(ReportRow(cfg.method, seed, rec.overall, rec.many, rec.medium,
+        rcfg, model = _load_run(run_dir, "classifier.ltnn")
+        head = _difficulty_head(rcfg, model.net.out_dim, seed, run_dir)
+        metrics_path = os.path.join(run_dir, "metrics.csv")
+        with open(metrics_path, "r", encoding="ascii") as fh:
+            stage1 = fh.readlines()[: 1 + rcfg.epochs]  # header, one row per epoch
+        rec = _stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(stage1) - 1)
+        with open(metrics_path, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(stage1 + [_metrics_row(rec, METHODS[rcfg.method].extended)])
+        rows.append(ReportRow(rcfg.method, seed, rec.overall, rec.many, rec.medium,
                               rec.few, rec.entropy, time.time() - started))
     return rows
-
-
-def _last_epoch(metrics_path: str) -> int:
-    last = -1
-    with open(metrics_path, "r", encoding="ascii") as fh:
-        next(fh)  # header
-        for line in fh:
-            if line.strip():
-                last = int(line.split(",", 1)[0])
-    return last
-
-
-def _append_metrics_row(path: str, rec: EpochRecord, extended: bool) -> None:
-    row = [str(rec.epoch), _fmt(rec.overall), _fmt(rec.many), _fmt(rec.medium), _fmt(rec.few)]
-    if extended:
-        row.append(_fmt(rec.entropy))
-        row += [_fmt(v) for v in rec.difficulty]
-    with open(path, "a", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(row) + "\n")
 
 
 def ensemble_existing(cfg: ExperimentConfig) -> dict:
@@ -566,36 +547,21 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
     if len(cfg.ensemble_members) < 2:
         raise ConfigError("ensemble_members must list at least two run directories")
     train_set, meta_set = build_datasets(cfg)
-    members, names = [], []
-    for run_dir in cfg.ensemble_members:
-        rc_path = os.path.join(run_dir, "run_config.txt")
-        if not os.path.exists(rc_path):
-            raise ConfigError(f"no run_config.txt in {run_dir}")
-        member_cfg = parse_config(rc_path)
-        ckpt = os.path.join(run_dir, "classifier_crt.ltnn")
-        if not os.path.exists(ckpt):
-            ckpt = os.path.join(run_dir, "classifier.ltnn")
-        if not os.path.exists(ckpt):
-            raise ConfigError(f"no classifier checkpoint in {run_dir}")
-        members.append(Classifier(load_checkpoint(ckpt), member_cfg.head, member_cfg.cosine_scale))
-        names.append(run_dir.rstrip("/").replace(os.sep, "/"))
+    members = [_load_run(d, "classifier_crt.ltnn", "classifier.ltnn")[1]
+               for d in cfg.ensemble_members]
+    names = [d.rstrip("/").replace(os.sep, "/") for d in cfg.ensemble_members]
 
-    def split_row(model_or_probs):
-        if isinstance(model_or_probs, np.ndarray):
-            pred = np.argmax(model_or_probs, axis=1)
-            acc = np.array([
-                float((pred[meta_set.labels == c] == c).mean())
-                for c in range(meta_set.class_count)
-            ])
-        else:
-            acc = per_class_accuracy(model_or_probs, meta_set, "meta").per_class
-        return evaluate_splits(acc, train_set.per_class_counts, (cfg.many_min, cfg.few_max))
+    def split_row(acc):
+        return evaluate_splits(acc.per_class, train_set.per_class_counts,
+                               (cfg.many_min, cfg.few_max))
 
+    probs = ensemble_predict(members, meta_set.features)
     result = {
         "members": [
-            {"name": n, "splits": split_row(m)} for n, m in zip(names, members)
+            {"name": n, "splits": split_row(per_class_accuracy(m, meta_set, "meta"))}
+            for n, m in zip(names, members)
         ],
-        "ensemble": split_row(ensemble_predict(members, meta_set.features)),
+        "ensemble": split_row(score_accuracy(probs, meta_set, "meta")),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "ensemble_metrics.csv")

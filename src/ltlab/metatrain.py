@@ -20,19 +20,11 @@ import numpy as np
 
 from .baselines import focal_logit_cotangent, focal_loss
 from .difficulty import (
-    AbsDifficultyNet,
-    DifficultyNet,
-    SampleDifficultyNet,
-    abs_dnet_forward,
-    dnet_forward,
-    driver_loss,
+    DifficultyHead,
     difficulty_entropy,
-    normalized_accuracy,
-    pad_losses,
-    sample_dnet_forward,
-    sample_driver_targets,
+    dnet_forward,
+    head_signal,
     target_fit_loss,
-    weights_from_difficulty,
 )
 from .nnet import (
     Classifier,
@@ -50,7 +42,9 @@ from .nnet import (
 )
 from .rng import consumer_rng
 
-VARIANTS = ("dnet", "abs", "sample", "nodriver", "nometa")
+# bilevel variant -> the kind of difficulty head it trains; nodriver is the
+# class kind with the driver term off
+VARIANTS = {"dnet": "class", "abs": "abs", "sample": "sample", "nodriver": "class", "nometa": "nometa"}
 
 
 class NumericError(ArithmeticError):
@@ -99,7 +93,7 @@ class TrainConfig:
         if self.alpha <= 0 or self.lam < 0:
             raise ValueError("alpha must be positive and lam non-negative")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if self.many_min <= self.few_max:
             raise ValueError("many_min must exceed few_max")
 
@@ -173,58 +167,52 @@ def _lookahead_dots(model, weights, bx, by, mx, my, alpha):
 
 
 def meta_gradient(
-    dnet: DifficultyNet, model, acc, batch_x, batch_y, meta_x, meta_y,
+    head: DifficultyHead, model, signal, batch_x, batch_y, meta_x, meta_y,
     alpha: float, lam: float,
 ):
-    """Gradient wrt the difficulty net of lam * driver + mean meta CE at the
-    virtual step phi_hat(theta).
+    """Gradient wrt the head's net of lam * driver + mean meta CE at the
+    virtual step phi_hat(theta). signal is the accuracy vector, or for the
+    sample kind the batch's per-sample losses.
 
-    phi_hat depends on theta only through the per-sample weights d[y_i], so
-    the whole meta term reduces to one backprop through the difficulty net
-    with output cotangent v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>.
+    phi_hat depends on theta only through the per-sample weights, so the
+    whole meta term reduces to one backprop through the net with output
+    cotangent v = -(alpha/b) * <g_i, g_meta>, summed per class for class-level
+    kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>.
     """
-    a = acc.per_class if hasattr(acc, "per_class") else np.asarray(acc, dtype=np.float64)
-    d = dnet_forward(dnet, a)
-    w = weights_from_difficulty(d, batch_y)
-    dots = _lookahead_dots(model, w, batch_x, batch_y, meta_x, meta_y, alpha)
-    v = np.zeros(d.size)
-    np.add.at(v, batch_y, dots)
-    v *= -(alpha / batch_y.size)
-    _, driver_cot = driver_loss(d, a)
+    x = head_signal(head, signal)
+    d = dnet_forward(head, x)
+    dots = _lookahead_dots(model, head.weights(d, batch_y), batch_x, batch_y, meta_x, meta_y, alpha)
+    v = head.reduce(dots, batch_y, d.size) * -(alpha / batch_y.size)
+    _, driver_cot = target_fit_loss(d, head.target(x))
     u = lam * driver_cot + v
-    return output_vjp(dnet.net, a[None, :], u[None, :])
+    # padding outputs of the sample kind are discarded: zero cotangent
+    return output_vjp(head.net, head.embed(x), head.embed(u, pad=0.0))
 
 
-def _meta_gradient_abs(adnet, model, acc, bx, by, mx, my, alpha, lam):
-    a = acc.per_class if hasattr(acc, "per_class") else np.asarray(acc, dtype=np.float64)
-    d = abs_dnet_forward(adnet, a)
-    w = weights_from_difficulty(d, by)
-    dots = _lookahead_dots(model, w, bx, by, mx, my, alpha)
-    v = np.zeros(d.size)
-    np.add.at(v, by, dots)
-    v *= -(alpha / by.size)
-    _, driver_cot = driver_loss(d, a)
-    u = lam * driver_cot + v
-    # each class is an independent row through the scalar net
-    return output_vjp(adnet.net, a[:, None], u[:, None])
+def evaluate_epoch(epoch: int, model, head, train_set, meta_set, thresholds):
+    """Per-class meta-set accuracy and the epoch's record: split means, and
+    the class difficulty snapshot with its entropy when head is class-level.
+    Returns (AccuracyVector, EpochRecord)."""
+    acc = per_class_accuracy(model, meta_set, "meta")
+    splits = evaluate_splits(acc.per_class, train_set.per_class_counts, thresholds)
+    d = dnet_forward(head, acc) if head is not None and head.per_class else None
+    return acc, EpochRecord(
+        epoch=epoch,
+        accuracy=acc.per_class,
+        overall=splits.overall,
+        many=splits.many,
+        medium=splits.medium,
+        few=splits.few,
+        entropy=difficulty_entropy(d) if d is not None else None,
+        difficulty=d,
+    )
 
 
-def _meta_gradient_sample(sdnet, model, losses, bx, by, mx, my, alpha, lam):
-    n = losses.size
-    d = sample_dnet_forward(sdnet, losses)
-    dots = _lookahead_dots(model, d, bx, by, mx, my, alpha)
-    v = -(alpha / n) * dots
-    _, fit_cot = target_fit_loss(d, sample_driver_targets(losses))
-    u = np.zeros(sdnet.batch_width)
-    u[:n] = lam * fit_cot + v  # padding outputs are discarded: zero cotangent
-    return output_vjp(sdnet.net, pad_losses(sdnet.batch_width, losses)[None, :], u[None, :])
-
-
-def _run_epochs(cfg: TrainConfig, train_set, meta_set, current_model, step_fn, snap_fn):
+def _run_epochs(cfg: TrainConfig, train_set, meta_set, current, step_fn):
     """Shared scaffolding: batching, per-epoch accuracy refresh, metric rows.
 
     step_fn(t, bx, by, mx, my, acc) -> (loss, class difficulty vector | None)
-    snap_fn(acc) -> epoch-record difficulty vector | None
+    current() -> (model, difficulty head | None) as they stand now
     """
     n = train_set.size
     spe = cfg.steps_per_epoch if cfg.steps_per_epoch is not None else n // cfg.b
@@ -238,7 +226,7 @@ def _run_epochs(cfg: TrainConfig, train_set, meta_set, current_model, step_fn, s
 
     rng = consumer_rng(cfg.seed, "batch")
     metrics = RunMetrics()
-    acc = per_class_accuracy(current_model(), meta_set, "meta")
+    acc = per_class_accuracy(current()[0], meta_set, "meta")
     perm = np.empty(0, dtype=np.int64)
     for t in range(cfg.T):
         pos = t % spe
@@ -260,107 +248,58 @@ def _run_epochs(cfg: TrainConfig, train_set, meta_set, current_model, step_fn, s
                 metrics.weight_trace.append((t, c, float(norm[c])))
 
         if pos == spe - 1 or t == cfg.T - 1:
-            acc = per_class_accuracy(current_model(), meta_set, "meta")
-            splits = evaluate_splits(
-                acc.per_class, train_set.per_class_counts, (cfg.many_min, cfg.few_max)
-            )
-            d_snap = snap_fn(acc)
-            metrics.epochs.append(
-                EpochRecord(
-                    epoch=t // spe,
-                    accuracy=acc.per_class,
-                    overall=splits.overall,
-                    many=splits.many,
-                    medium=splits.medium,
-                    few=splits.few,
-                    entropy=difficulty_entropy(d_snap) if d_snap is not None else None,
-                    difficulty=d_snap,
-                )
-            )
+            acc, rec = evaluate_epoch(t // spe, *current(), train_set, meta_set,
+                                      (cfg.many_min, cfg.few_max))
+            metrics.epochs.append(rec)
     return metrics
-
-
-def _nometa_difficulty(acc) -> np.ndarray:
-    # direct target, no learned net; clamp keeps the entropy log finite
-    return np.clip(1.0 - normalized_accuracy(acc), 1e-12, None)
 
 
 def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
     """Run cfg.T three-step iterations (or the variant's reduction of them).
 
-    Returns (classifier, difficulty net or None, RunMetrics). T=0 returns the
-    inputs untouched with empty metrics.
+    dnet is a DifficultyHead of the variant's kind; nometa needs none.
+    Returns (classifier, the trained head or None if none was passed,
+    RunMetrics). T=0 returns the inputs untouched with empty metrics.
     """
     counts = meta_set.per_class_counts
     if counts.min() != counts.max():
         raise ValueError("meta set must be class-balanced")
     model = _as_clf(classifier)
-    needs_net = cfg.variant in ("dnet", "abs", "sample", "nodriver")
-    if needs_net and dnet is None:
+    kind = VARIANTS[cfg.variant]
+    head = dnet
+    if kind == "nometa" and dnet is None:
+        head = DifficultyHead("nometa", None, train_set.class_count)
+    if head is None:
         raise ValueError(f"variant {cfg.variant!r} requires a difficulty net")
-    expected = {
-        "dnet": DifficultyNet, "nodriver": DifficultyNet,
-        "abs": AbsDifficultyNet, "sample": SampleDifficultyNet,
-    }
-    if needs_net and not isinstance(dnet, expected[cfg.variant]):
-        raise ValueError(f"variant {cfg.variant!r} got {type(dnet).__name__}")
-    if cfg.variant == "sample" and cfg.b > dnet.batch_width:
+    if head.kind != kind:
+        raise ValueError(f"variant {cfg.variant!r} got a {head.kind} head")
+    if kind == "sample" and cfg.b > head.width:
         raise ValueError("batch size exceeds the sample net width")
 
     clf_opt = cfg.classifier_opt.build()
-    dn_opt = cfg.dnet_opt.build() if needs_net else None
+    dn_opt = cfg.dnet_opt.build() if head.net is not None else None
     lam = 0.0 if cfg.variant == "nodriver" else cfg.lam
 
-    def classifier_step(bx, by, w):
-        nonlocal model, clf_opt
-        loss, _ = weighted_ce_loss(classifier_logits(model, bx), by, w)
-        grads = backward(model, bx, by, w)
-        net, clf_opt = optimizer_step(clf_opt, model.net, grads)
-        model = replace(model, net=net)
-        return loss
-
-    def step_class_level(t, bx, by, mx, my, acc):
-        nonlocal dnet, dn_opt
-        if cfg.variant == "abs":
-            g_theta = _meta_gradient_abs(dnet, model, acc, bx, by, mx, my, cfg.alpha, lam)
-        else:
-            g_theta = meta_gradient(dnet, model, acc, bx, by, mx, my, cfg.alpha, lam)
-        net, dn_opt = optimizer_step(dn_opt, dnet.net, g_theta)
-        dnet = replace(dnet, net=net)
+    def step_fn(t, bx, by, mx, my, acc):
+        nonlocal model, clf_opt, head, dn_opt
+        signal = acc
+        if not head.per_class:
+            _, signal = weighted_ce_loss(classifier_logits(model, bx), by, np.ones(by.size))
+        if head.net is not None:
+            g_theta = meta_gradient(head, model, signal, bx, by, mx, my, cfg.alpha, lam)
+            net, dn_opt = optimizer_step(dn_opt, head.net, g_theta)
+            head = replace(head, net=net)
         # weights re-computed with the updated net before the actual step
-        if cfg.variant == "abs":
-            d = abs_dnet_forward(dnet, acc.per_class)
-        else:
-            d = dnet_forward(dnet, acc)
-        loss = classifier_step(bx, by, weights_from_difficulty(d, by))
-        return loss, d
+        d = dnet_forward(head, signal)
+        w = head.weights(d, by)
+        loss, _ = weighted_ce_loss(classifier_logits(model, bx), by, w)
+        net, clf_opt = optimizer_step(clf_opt, model.net, backward(model, bx, by, w))
+        model = replace(model, net=net)
+        return loss, d if head.per_class else None
 
-    def step_sample(t, bx, by, mx, my, acc):
-        nonlocal dnet, dn_opt
-        _, ce = weighted_ce_loss(classifier_logits(model, bx), by, np.ones(by.size))
-        g_theta = _meta_gradient_sample(dnet, model, ce, bx, by, mx, my, cfg.alpha, lam)
-        net, dn_opt = optimizer_step(dn_opt, dnet.net, g_theta)
-        dnet = replace(dnet, net=net)
-        loss = classifier_step(bx, by, sample_dnet_forward(dnet, ce))
-        return loss, None
-
-    def step_nometa(t, bx, by, mx, my, acc):
-        d = _nometa_difficulty(acc)
-        loss = classifier_step(bx, by, weights_from_difficulty(d, by))
-        return loss, d
-
-    if cfg.variant == "sample":
-        step_fn, snap_fn = step_sample, lambda acc: None
-    elif cfg.variant == "nometa":
-        step_fn, snap_fn = step_nometa, _nometa_difficulty
-    elif cfg.variant == "abs":
-        step_fn, snap_fn = step_class_level, lambda acc: abs_dnet_forward(dnet, acc.per_class)
-    else:
-        step_fn, snap_fn = step_class_level, lambda acc: dnet_forward(dnet, acc)
-
-    metrics = _run_epochs(cfg, train_set, meta_set, lambda: model, step_fn, snap_fn)
+    metrics = _run_epochs(cfg, train_set, meta_set, lambda: (model, head), step_fn)
     out_model = model if isinstance(classifier, Classifier) else model.net
-    return out_model, dnet, metrics
+    return out_model, head if dnet is not None else None, metrics
 
 
 def train_weighted(cfg: TrainConfig, train_set, meta_set, classifier,
@@ -393,6 +332,6 @@ def train_weighted(cfg: TrainConfig, train_set, meta_set, classifier,
         model = replace(model, net=net)
         return loss, None
 
-    metrics = _run_epochs(cfg, train_set, meta_set, lambda: model, step_fn, lambda acc: None)
+    metrics = _run_epochs(cfg, train_set, meta_set, lambda: (model, None), step_fn)
     out_model = model if isinstance(classifier, Classifier) else model.net
     return out_model, metrics

@@ -77,6 +77,15 @@ class AccuracyVector:
         return float(self.per_class.mean())
 
 
+def accuracy_array(acc) -> np.ndarray:
+    """Per-class accuracies as a float64 vector, from an AccuracyVector or an
+    array-like."""
+    a = acc.per_class if isinstance(acc, AccuracyVector) else np.asarray(acc, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError("accuracy must be a vector")
+    return a
+
+
 def init_mlp(sizes: list[int], out_act: str, rng: np.random.Generator) -> MLP:
     """Scaled-uniform fan-in init, zero biases: W ~ U(-1/sqrt(in), 1/sqrt(in))."""
     if len(sizes) < 2 or any(s < 1 for s in sizes):
@@ -429,12 +438,17 @@ def optimizer_step(
 
 
 def per_class_accuracy(model, eval_set, evaluated_on: str = "eval") -> AccuracyVector:
-    """Argmax accuracy per class; ties go to the lowest class index."""
+    """Argmax accuracy per class of the model's logits on eval_set."""
+    return score_accuracy(classifier_logits(model, eval_set.features), eval_set, evaluated_on)
+
+
+def score_accuracy(scores, eval_set, evaluated_on: str = "eval") -> AccuracyVector:
+    """Argmax accuracy per class of (n, C) scores, logits or probabilities,
+    for eval_set's rows; ties go to the lowest class index."""
     missing = np.flatnonzero(eval_set.per_class_counts == 0)
     if missing.size:
         raise ValueError(f"missing classes in eval set: {missing.tolist()}")
-    logits = classifier_logits(model, eval_set.features)
-    pred = np.argmax(logits, axis=1)  # first max = lowest index on ties
+    pred = np.argmax(scores, axis=1)  # first max = lowest index on ties
     acc = np.empty(eval_set.class_count)
     for c in range(eval_set.class_count):
         sel = eval_set.labels == c

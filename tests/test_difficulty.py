@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltlab.difficulty import (
-    abs_dnet_forward,
-    abs_dnet_init,
     difficulty_entropy,
     dnet_forward,
     dnet_init,
     driver_loss,
+    head_init,
     hidden_width_for,
     normalized_accuracy,
-    pad_losses,
-    sample_dnet_forward,
-    sample_dnet_init,
     sample_driver_targets,
     target_fit_loss,
     weights_from_difficulty,
@@ -55,20 +51,20 @@ def test_dnet_shapes():
     sizes = [l.w.shape for l in dnet.net.layers]
     assert sizes == [(16, 10), (16, 16), (10, 16)]
     assert dnet.net.layers[-1].act == "sigmoid"
-    assert dnet.class_count == 10
+    assert dnet.width == 10
 
 
 def test_abs_dnet_shapes():
-    adnet = abs_dnet_init(10, seed=0)
+    adnet = head_init("abs", 10, seed=0)
     sizes = [l.w.shape for l in adnet.net.layers]
     assert sizes == [(16, 1), (16, 16), (1, 16)]
 
 
 def test_sample_dnet_shapes():
-    sdnet = sample_dnet_init(64, seed=0)
+    sdnet = head_init("sample", 64, seed=0)
     sizes = [l.w.shape for l in sdnet.net.layers]
     assert sizes == [(128, 64), (128, 128), (64, 128)]
-    assert sdnet.batch_width == 64
+    assert sdnet.width == 64
 
 
 def test_initial_difficulties_near_half():
@@ -191,48 +187,48 @@ def test_entropy_rejects_non_positive():
 # ------------------------------------------------------------ abs variant
 
 def test_abs_forward_scalar_and_vector():
-    adnet = abs_dnet_init(10, seed=5)
-    single = abs_dnet_forward(adnet, 0.3)
+    adnet = head_init("abs", 10, seed=5)
+    single = dnet_forward(adnet, [0.3])[0]
     assert np.isscalar(single) and 0 < single < 1
-    vec = abs_dnet_forward(adnet, np.array([0.3, 0.7]))
+    vec = dnet_forward(adnet, np.array([0.3, 0.7]))
     assert vec.shape == (2,)
     assert np.isclose(vec[0], single, rtol=1e-15)
 
 
 def test_abs_forward_permutation_equivariant():
     # each class is mapped independently, so permuting inputs permutes outputs
-    adnet = abs_dnet_init(10, seed=6)
+    adnet = head_init("abs", 10, seed=6)
     a = np.array([0.1, 0.5, 0.9, 0.25])
     perm = np.array([2, 0, 3, 1])
-    assert np.allclose(abs_dnet_forward(adnet, a)[perm],
-                       abs_dnet_forward(adnet, a[perm]), rtol=1e-15)
+    assert np.allclose(dnet_forward(adnet, a)[perm],
+                       dnet_forward(adnet, a[perm]), rtol=1e-15)
 
 
 # --------------------------------------------------------------- sample variant
 
 def test_sample_forward_full_width():
-    sdnet = sample_dnet_init(8, seed=7)
+    sdnet = head_init("sample", 8, seed=7)
     losses = np.linspace(0.1, 2.0, 8)
-    w = sample_dnet_forward(sdnet, losses)
+    w = dnet_forward(sdnet, losses)
     assert w.shape == (8,)
     assert ((w > 0) & (w < 1)).all()
 
 
 def test_sample_forward_short_batch_mean_padded():
-    sdnet = sample_dnet_init(8, seed=8)
+    sdnet = head_init("sample", 8, seed=8)
     losses = np.array([0.5, 1.5, 1.0])
-    w = sample_dnet_forward(sdnet, losses)
+    w = dnet_forward(sdnet, losses)
     assert w.shape == (3,)
-    padded = pad_losses(8, losses)
+    padded = sdnet.embed(losses)[0]
     assert padded.shape == (8,)
     assert np.allclose(padded[3:], losses.mean())
-    assert np.array_equal(sample_dnet_forward(sdnet, padded)[:3], w)
+    assert np.array_equal(dnet_forward(sdnet, padded)[:3], w)
 
 
 def test_sample_forward_rejects_oversized_batch():
-    sdnet = sample_dnet_init(4, seed=9)
+    sdnet = head_init("sample", 4, seed=9)
     with pytest.raises(ValueError):
-        sample_dnet_forward(sdnet, np.zeros(5))
+        dnet_forward(sdnet, np.zeros(5))
 
 
 def test_sample_driver_targets_frozen():

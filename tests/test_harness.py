@@ -281,6 +281,27 @@ def test_crt_existing_appends_row_and_checkpoint(runs_dir, tmp_path):
     assert len(rows) == 1 and rows[0].method == "ce"
 
 
+def test_crt_existing_is_idempotent(runs_dir, tmp_path):
+    shutil.copytree(runs_dir / "dnet", tmp_path / "dnet")
+    cfg = base_cfg(tmp_path, method="dnet")
+    metrics = tmp_path / "dnet" / "seed0" / "metrics.csv"
+    crt_existing(cfg)
+    once = metrics.read_bytes()
+    crt_existing(cfg)
+    assert metrics.read_bytes() == once
+
+
+def test_crt_existing_uses_the_runs_recorded_head(tmp_path):
+    # stage 2 under a default (linear) config must rebuild a cosine run as
+    # cosine: the files equal those of an in-run cosine stage 2
+    run(base_cfg(tmp_path / "later", method="dnet", head="cosine"))
+    crt_existing(base_cfg(tmp_path / "later", method="dnet"))
+    run(base_cfg(tmp_path / "inrun", method="dnet", head="cosine", stage2="crt"))
+    for name in ("metrics.csv", "classifier_crt.ltnn"):
+        assert ((tmp_path / "later" / "dnet" / "seed0" / name).read_bytes()
+                == (tmp_path / "inrun" / "dnet" / "seed0" / name).read_bytes())
+
+
 def test_crt_existing_requires_stage1_checkpoint(tmp_path):
     with pytest.raises(ConfigError, match="checkpoint"):
         crt_existing(base_cfg(tmp_path, method="ce"))
@@ -382,6 +403,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                  "--set", f"meta_file={bad}"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):
+    # 4 classes x 5 meta samples cannot fill the default meta batch of 64
+    code = main(["train", "--set", "classes=4", "--set", "m_per_class=5",
+                 "--set", f"out_dir={tmp_path}"])
+    assert code == 2
+    assert "meta_batch_size" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

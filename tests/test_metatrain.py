@@ -8,13 +8,10 @@ import pytest
 
 from ltlab.data import Dataset, exp_profile, split_meta, synth_gaussian
 from ltlab.difficulty import (
-    abs_dnet_forward,
-    abs_dnet_init,
     dnet_forward,
     dnet_init,
     driver_loss,
-    sample_dnet_forward,
-    sample_dnet_init,
+    head_init,
     sample_driver_targets,
     target_fit_loss,
     weights_from_difficulty,
@@ -23,8 +20,6 @@ from ltlab.metatrain import (
     NumericError,
     OptSpec,
     TrainConfig,
-    _meta_gradient_abs,
-    _meta_gradient_sample,
     evaluate_splits,
     meta_gradient,
     train,
@@ -219,7 +214,7 @@ def test_meta_gradient_batch_duplication_invariant():
 
 
 def abs_objective(adnet, model, a, bx, by, mx, my, alpha, lam):
-    d = abs_dnet_forward(adnet, a)
+    d = dnet_forward(adnet, a)
     looked = virtual_step(model, bx, by, weights_from_difficulty(d, by), alpha)
     meta, _ = weighted_ce_loss(classifier_logits(looked, mx), my, np.ones(my.size))
     return lam * driver_loss(d, a)[0] + meta
@@ -229,13 +224,13 @@ def test_abs_meta_gradient_matches_fd():
     rng = np.random.default_rng(9)
     c, dim = 4, 3
     model = tiny_model(dim, c, seed=9)
-    adnet = abs_dnet_init(c, seed=10)
+    adnet = head_init("abs", c, seed=10)
     a = rng.random(c)
     bx = rng.standard_normal((6, dim))
     by = rng.integers(0, c, 6)
     mx = rng.standard_normal((5, dim))
     my = rng.integers(0, c, 5)
-    g = _meta_gradient_abs(adnet, model, a, bx, by, mx, my, 0.1, 0.3)
+    g = meta_gradient(adnet, model, a, bx, by, mx, my, 0.1, 0.3)
     fd = fd_param_grads(
         lambda: abs_objective(adnet, model, a, bx, by, mx, my, 0.1, 0.3), adnet.net
     )
@@ -243,7 +238,7 @@ def test_abs_meta_gradient_matches_fd():
 
 
 def sample_objective(sdnet, model, losses, bx, by, mx, my, alpha, lam):
-    d = sample_dnet_forward(sdnet, losses)
+    d = dnet_forward(sdnet, losses)
     looked = virtual_step(model, bx, by, d, alpha)
     meta, _ = weighted_ce_loss(classifier_logits(looked, mx), my, np.ones(my.size))
     return lam * target_fit_loss(d, sample_driver_targets(losses))[0] + meta
@@ -253,13 +248,13 @@ def test_sample_meta_gradient_matches_fd():
     rng = np.random.default_rng(11)
     c, dim, b = 3, 3, 5
     model = tiny_model(dim, c, seed=11)
-    sdnet = sample_dnet_init(8, seed=12)  # batch shorter than width: padding path
+    sdnet = head_init("sample", 8, seed=12)  # batch shorter than width: padding path
     bx = rng.standard_normal((b, dim))
     by = rng.integers(0, c, b)
     mx = rng.standard_normal((4, dim))
     my = rng.integers(0, c, 4)
     _, losses = weighted_ce_loss(classifier_logits(model, bx), by, np.ones(b))
-    g = _meta_gradient_sample(sdnet, model, losses, bx, by, mx, my, 0.1, 0.3)
+    g = meta_gradient(sdnet, model, losses, bx, by, mx, my, 0.1, 0.3)
     fd = fd_param_grads(
         lambda: sample_objective(sdnet, model, losses, bx, by, mx, my, 0.1, 0.3),
         sdnet.net,
@@ -390,7 +385,7 @@ def test_sample_variant_runs_without_class_snapshots():
     train_set, meta_set = tiny_data()
     cfg = cfg_for(train_set, T=6, variant="sample", seed=4)
     model = tiny_model(seed=32)
-    sdnet = sample_dnet_init(8, seed=33)
+    sdnet = head_init("sample", 8, seed=33)
     _, out_sdnet, metrics = train(cfg, train_set, meta_set, model, sdnet)
     assert metrics.epochs[-1].difficulty is None
     assert metrics.epochs[-1].entropy is None
@@ -404,7 +399,7 @@ def test_variant_net_type_checked():
     model = tiny_model(seed=34)
     with pytest.raises(ValueError, match="variant"):
         train(cfg_for(train_set, T=1, variant="dnet", seed=0),
-              train_set, meta_set, model, abs_dnet_init(3, seed=0))
+              train_set, meta_set, model, head_init("abs", 3, seed=0))
     with pytest.raises(ValueError, match="difficulty net"):
         train(cfg_for(train_set, T=1, variant="dnet", seed=0),
               train_set, meta_set, model, None)
@@ -415,7 +410,7 @@ def test_sample_width_must_cover_batch():
     model = tiny_model(seed=35)
     with pytest.raises(ValueError, match="width"):
         train(cfg_for(train_set, T=1, b=8, variant="sample", seed=0),
-              train_set, meta_set, model, sample_dnet_init(4, seed=0))
+              train_set, meta_set, model, head_init("sample", 4, seed=0))
 
 
 def test_meta_set_must_be_balanced():
