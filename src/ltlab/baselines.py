@@ -11,6 +11,7 @@ from .nnet import (
     Layer,
     MLP,
     accuracy_array,
+    as_classifier,
     backward,
     classifier_logits,
     log_softmax,
@@ -110,7 +111,7 @@ def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: i
         raise ValueError("steps must be non-negative")
     if steps == 0:
         return model
-    clf = model if isinstance(model, Classifier) else Classifier(model)
+    clf = as_classifier(model)
     frozen = clf.net.layers[:-1]  # shared by reference: freezing is bit-exact
     old = clf.net.layers[-1]
     rng = consumer_rng(seed, "init", "crt")

@@ -8,6 +8,7 @@ smallest power of two strictly above the class count: 2^(n-1) <= C < 2^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,12 +23,12 @@ def hidden_width_for(class_count: int) -> int:
     return 1 << int(class_count).bit_length()
 
 
-KINDS = ("class", "abs", "sample", "nometa")
+KINDS = ("class", "abs", "sample", "nometa", "fixed")
 
 
 @dataclass
 class DifficultyHead:
-    """A map from a signal to difficulties in (0, 1), in one of four kinds:
+    """A map from a signal to difficulties in (0, 1), in one of five kinds:
 
     class   accuracy vector in, difficulty vector out, through one net
     abs     a scalar net scores each class from its own accuracy, so the map
@@ -35,18 +36,28 @@ class DifficultyHead:
     sample  a batch's per-sample losses in, per-sample difficulties out; short
             batches are padded with their own mean and the padding is dropped
     nometa  no net: difficulties are the driver target, clipped above 0
+    fixed   no net: a hand-set rule maps the accuracy vector to class weights
 
-    width is the class count, or for sample the padded batch width.
+    width is the class count, or for sample the padded batch width. Net-less
+    heads apply rule to the signal instead of a net.
     """
 
     kind: str
     net: MLP | None
     width: int
+    rule: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def per_class(self) -> bool:
         """Whether difficulties are one per class (weights then come from d[y])."""
         return self.kind != "sample"
+
+    @property
+    def records(self) -> bool:
+        """Whether runs record the head's class difficulties: the per-epoch
+        snapshot with its entropy, the weight trace and the extended CSV
+        schema. A fixed rule's weights are not recorded."""
+        return self.per_class and self.kind != "fixed"
 
     def embed(self, x: np.ndarray, pad: float | None = None) -> np.ndarray:
         """A signal-length vector as the net's input rows (or, with pad=0, an
@@ -79,12 +90,19 @@ class DifficultyHead:
         return 1.0 - normalized_accuracy(x) if self.per_class else sample_driver_targets(x)
 
 
-def head_init(kind: str, width: int, seed: int) -> DifficultyHead:
-    """Two hidden layers of hidden_width_for(width); abs maps 1 -> 1."""
+def head_init(kind: str, width: int, seed: int,
+              rule: Callable[[np.ndarray], np.ndarray] | None = None) -> DifficultyHead:
+    """Two hidden layers of hidden_width_for(width); abs maps 1 -> 1. The
+    fixed kind applies rule (uniform weights if None), nometa its clipped
+    driver target."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
+    if rule is not None and kind != "fixed":
+        raise ValueError("only a fixed head takes a rule")
     if kind == "nometa":
-        return DifficultyHead(kind, None, width)
+        return DifficultyHead(kind, None, width, nometa_difficulty)
+    if kind == "fixed":
+        return DifficultyHead(kind, None, width, rule or uniform_weights)
     h = hidden_width_for(width)
     io = 1 if kind == "abs" else width
     rng = consumer_rng(seed, "init", "dnet")
@@ -99,8 +117,7 @@ def dnet_forward(head: DifficultyHead, signal) -> np.ndarray:
     """Difficulties for one signal: accuracies, or a batch's per-sample losses."""
     x = head_signal(head, signal)
     if head.net is None:
-        # clamp keeps the entropy log finite
-        return np.clip(head.target(x), 1e-12, None)
+        return head.rule(x)
     return head.read(forward(head.net, head.embed(x)), x.size)
 
 
@@ -112,6 +129,16 @@ def head_signal(head: DifficultyHead, signal) -> np.ndarray:
     if head.kind == "sample" and not 0 < x.size <= head.width:
         raise ValueError(f"batch of {x.size} must be non-empty and fit width {head.width}")
     return x
+
+
+def nometa_difficulty(acc) -> np.ndarray:
+    """1 - normalized accuracy, clamped at 1e-12 so the entropy log stays finite."""
+    return np.clip(1.0 - normalized_accuracy(acc), 1e-12, None)
+
+
+def uniform_weights(acc) -> np.ndarray:
+    """One weight per class, all 1: plain CE."""
+    return np.ones(accuracy_array(acc).size)
 
 
 def normalized_accuracy(acc) -> np.ndarray:

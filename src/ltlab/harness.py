@@ -7,6 +7,7 @@ timestamps live only in manifest.json.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -29,7 +30,6 @@ from .metatrain import (
     evaluate_epoch,
     evaluate_splits,
     train,
-    train_weighted,
 )
 from .nnet import Classifier, init_mlp, load_checkpoint, per_class_accuracy, save_checkpoint, score_accuracy
 from .rng import consumer_rng
@@ -41,32 +41,25 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Method:
-    """How a method trains: a bilevel variant of metatrain.train, or, with
-    variant None, train_weighted with the keyword arguments options(cfg)."""
+    """How a method trains: its metatrain.train variant and, for a fixed
+    weighting scheme, the rule from (config, train class counts, accuracies)
+    to class weights. Without a rule a fixed head gives uniform weights."""
 
-    variant: str | None = None
-    options: Callable[["ExperimentConfig"], dict] = lambda cfg: {}
-
-    @property
-    def kind(self) -> str | None:
-        """The kind of difficulty head the method trains, if any."""
-        return VARIANTS[self.variant] if self.variant else None
+    variant: str
+    rule: Callable[["ExperimentConfig", np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
-    def extended(self) -> bool:
-        """Whether runs carry a class-difficulty vector (extended CSV schema)."""
-        return self.kind is not None and self.kind != "sample"
+    def kind(self) -> str:
+        """The kind of difficulty head the method trains."""
+        return VARIANTS[self.variant]
 
 
 METHODS = {
-    "ce": Method(),
-    "invfreq": Method(options=lambda cfg: {
-        "class_weight_fn": lambda acc, n: inverse_frequency_weights(n)}),
-    "effnum": Method(options=lambda cfg: {
-        "class_weight_fn": lambda acc, n: effective_number_weights(n, cfg.effnum_beta)}),
-    "cdb": Method(options=lambda cfg: {
-        "class_weight_fn": lambda acc, n: cdb_weights(acc, cfg.cdb_tau)}),
-    "focal": Method(options=lambda cfg: {"focal_gamma": cfg.focal_gamma}),
+    "ce": Method("fixed"),
+    "invfreq": Method("fixed", lambda cfg, n, acc: inverse_frequency_weights(n)),
+    "effnum": Method("fixed", lambda cfg, n, acc: effective_number_weights(n, cfg.effnum_beta)),
+    "cdb": Method("fixed", lambda cfg, n, acc: cdb_weights(acc, cfg.cdb_tau)),
+    "focal": Method("focal"),
     "dnet": Method("dnet"),
     "dnet-abs": Method("abs"),
     "dnet-sample": Method("sample"),
@@ -354,7 +347,7 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, 
         m=cfg.meta_batch_size,
         alpha=cfg.alpha,
         lam=cfg.lam,
-        variant=METHODS[cfg.method].variant or "dnet",
+        variant=METHODS[cfg.method].variant,
         seed=seed,
         classifier_opt=OptSpec(cfg.classifier_optimizer, cfg.alpha,
                                cfg.classifier_momentum, cfg.classifier_weight_decay),
@@ -364,6 +357,7 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, 
         many_min=cfg.many_min,
         few_max=cfg.few_max,
         record_losses=cfg.record_losses,
+        focal_gamma=cfg.focal_gamma,
     )
 
 
@@ -373,9 +367,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _metrics_row(rec: EpochRecord, extended: bool) -> str:
+def _metrics_row(rec: EpochRecord) -> str:
+    """One CSV row; records with a difficulty snapshot fill the extended columns."""
     row = [str(rec.epoch), _fmt(rec.overall), _fmt(rec.many), _fmt(rec.medium), _fmt(rec.few)]
-    if extended:
+    if rec.difficulty is not None:
         row.append(_fmt(rec.entropy))
         row += [_fmt(v) for v in rec.difficulty]
     return ",".join(row) + "\n"
@@ -387,7 +382,7 @@ def _write_metrics_csv(path: str, records: list[EpochRecord], extended: bool, cl
         cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(_metrics_row(rec, extended) for rec in records)
+        fh.writelines(_metrics_row(rec) for rec in records)
 
 
 def _write_trace_csv(path: str, metrics: RunMetrics) -> None:
@@ -403,20 +398,20 @@ def _build_model(cfg: ExperimentConfig, dim: int, class_count: int, seed: int) -
     return Classifier(net, cfg.head, cfg.cosine_scale)
 
 
-def _difficulty_head(cfg: ExperimentConfig, class_count: int, seed: int,
-                     run_dir: str | None = None) -> DifficultyHead | None:
-    """The method's difficulty head, None for methods without one: freshly
-    initialized, or around the net saved in run_dir."""
-    kind = METHODS[cfg.method].kind
-    if kind is None:
-        return None
-    width = (cfg.sample_width or cfg.batch_size) if kind == "sample" else class_count
-    if run_dir is None or kind == "nometa":
-        return head_init(kind, width, seed)
+def _difficulty_head(cfg: ExperimentConfig, train_set: Dataset, seed: int,
+                     run_dir: str | None = None) -> DifficultyHead:
+    """The method's difficulty head: freshly initialized, or around the net
+    saved in run_dir."""
+    method = METHODS[cfg.method]
+    width = (cfg.sample_width or cfg.batch_size) if method.kind == "sample" else train_set.class_count
+    rule = method.rule and functools.partial(method.rule, cfg, train_set.per_class_counts)
+    head = head_init(method.kind, width, seed, rule)
+    if run_dir is None or head.net is None:
+        return head
     path = os.path.join(run_dir, "dnet.ltnn")
     if not os.path.exists(path):
         raise ConfigError(f"no dnet.ltnn in {run_dir}")
-    return DifficultyHead(kind, load_checkpoint(path), width)
+    return replace(head, net=load_checkpoint(path))
 
 
 def _load_run(run_dir: str, *checkpoints: str) -> tuple[ExperimentConfig, Classifier]:
@@ -432,16 +427,11 @@ def _load_run(run_dir: str, *checkpoints: str) -> tuple[ExperimentConfig, Classi
 
 
 def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int):
-    """Stage-1 training for one (method, seed); returns (model, dnet, metrics).
-    dnet is the method's DifficultyHead, None for methods without one."""
+    """Stage-1 training for one (method, seed); returns (model, head, metrics)
+    with the method's trained DifficultyHead."""
     model = _build_model(cfg, train_set.dim, train_set.class_count, seed)
     tc = _train_config(cfg, train_set, meta_set, seed)
-    method = METHODS[cfg.method]
-    if method.variant is not None:
-        return train(tc, train_set, meta_set, model,
-                     _difficulty_head(cfg, train_set.class_count, seed))
-    model, metrics = train_weighted(tc, train_set, meta_set, model, **method.options(cfg))
-    return model, None, metrics
+    return train(tc, train_set, meta_set, model, _difficulty_head(cfg, train_set, seed))
 
 
 def _stage2(cfg: ExperimentConfig, run_dir: str, model, head, train_set: Dataset,
@@ -456,40 +446,39 @@ def _stage2(cfg: ExperimentConfig, run_dir: str, model, head, train_set: Dataset
 def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> ReportRow:
     started = time.time()
     run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
-    os.makedirs(run_dir, exist_ok=True)
-    c = train_set.class_count
-    extended = METHODS[cfg.method].extended
     try:
-        model, dnet, metrics = train_one(cfg, train_set, meta_set, seed)
+        model, head, metrics = train_one(cfg, train_set, meta_set, seed)
     except NumericError as e:
         if e.metrics is not None:
-            _flush_run(cfg, run_dir, e.metrics.epochs, e.metrics, extended, c, seed, started)
+            _flush_run(cfg, run_dir, e.metrics.epochs, e.metrics, train_set.class_count,
+                       seed, started)
         raise
 
+    # made only after training, so that a rejected config leaves no directory
+    os.makedirs(run_dir, exist_ok=True)
     records = list(metrics.epochs)
     save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
-    if dnet is not None and dnet.net is not None:
-        save_checkpoint(dnet.net, os.path.join(run_dir, "dnet.ltnn"))
+    if head.net is not None:
+        save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
     if cfg.stage2 == "crt":
-        records.append(_stage2(cfg, run_dir, model, dnet, train_set, meta_set, seed, len(records)))
+        records.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(records)))
 
-    _flush_run(cfg, run_dir, records, metrics, extended, c, seed, started)
-    final = records[-1] if records else None
-    return ReportRow(
-        method=cfg.method,
-        seed=seed,
-        overall=final.overall if final else float("nan"),
-        many=final.many if final else None,
-        medium=final.medium if final else None,
-        few=final.few if final else None,
-        entropy=final.entropy if final else None,
-        wall_seconds=time.time() - started,
-    )
+    _flush_run(cfg, run_dir, records, metrics, train_set.class_count, seed, started)
+    return _report_row(cfg.method, seed, records[-1] if records else None, started)
 
 
-def _flush_run(cfg, run_dir, records, metrics, extended, class_count, seed, started) -> None:
-    _write_metrics_csv(os.path.join(run_dir, "metrics.csv"), records, extended, class_count)
-    if extended:
+def _report_row(method: str, seed: int, final: EpochRecord | None, started: float) -> ReportRow:
+    """A run's result row from its final record; no record reads as nan."""
+    if final is None:
+        return ReportRow(method, seed, float("nan"), None, None, None, None, time.time() - started)
+    return ReportRow(method, seed, final.overall, final.many, final.medium, final.few,
+                     final.entropy, time.time() - started)
+
+
+def _flush_run(cfg, run_dir, records, metrics: RunMetrics, class_count, seed, started) -> None:
+    os.makedirs(run_dir, exist_ok=True)
+    _write_metrics_csv(os.path.join(run_dir, "metrics.csv"), records, metrics.records, class_count)
+    if metrics.records:
         _write_trace_csv(os.path.join(run_dir, "weights_trace.csv"), metrics)
     with open(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_text(replace(cfg, seeds=(seed,))))
@@ -520,24 +509,24 @@ def run(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
     """Second stage over already-trained runs: load each seed's stage-1
-    checkpoint as its run_config.txt describes it, retrain the head, save it,
-    and rewrite metrics.csv as the stage-1 rows plus one stage-2 row, so
-    running this again gives the same files."""
-    train_set, meta_set = build_datasets(cfg)
+    checkpoint and data as its run_config.txt describes them, retrain the
+    head, save it, and rewrite metrics.csv as the stage-1 rows plus one
+    stage-2 row, so running this again gives the same files."""
+    datasets = functools.lru_cache(build_datasets)  # seeds of a method share data
     rows = []
     for seed in cfg.seeds:
         started = time.time()
         run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
         rcfg, model = _load_run(run_dir, "classifier.ltnn")
-        head = _difficulty_head(rcfg, model.net.out_dim, seed, run_dir)
+        train_set, meta_set = datasets(replace(rcfg, seeds=()))
+        head = _difficulty_head(rcfg, train_set, seed, run_dir)
         metrics_path = os.path.join(run_dir, "metrics.csv")
         with open(metrics_path, "r", encoding="ascii") as fh:
             stage1 = fh.readlines()[: 1 + rcfg.epochs]  # header, one row per epoch
         rec = _stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(stage1) - 1)
         with open(metrics_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines(stage1 + [_metrics_row(rec, METHODS[rcfg.method].extended)])
-        rows.append(ReportRow(rcfg.method, seed, rec.overall, rec.many, rec.medium,
-                              rec.few, rec.entropy, time.time() - started))
+            fh.writelines(stage1 + [_metrics_row(rec)])
+        rows.append(_report_row(rcfg.method, seed, rec, started))
     return rows
 
 

@@ -1,5 +1,6 @@
-"""Bilevel training: a classifier updated with difficulty-weighted CE while
-the difficulty net learns from a one-step-lookahead meta objective.
+"""Training: a classifier updated with difficulty-weighted CE (or focal
+loss) while, for heads with a net, the net learns from a one-step-lookahead
+meta objective.
 
 One iteration does three updates in order:
   1. virtual step: phi_hat = phi - alpha * grad_phi of the weighted CE (plain
@@ -8,8 +9,9 @@ One iteration does three updates in order:
      phi_hat, through the configured optimizer,
   3. actual classifier step on the same batch, with the weights re-computed
      from the just-updated difficulty net.
+Heads without a net (nometa and the fixed weighting schemes) skip 1 and 2.
 
-Per-class accuracies feeding the difficulty net are refreshed once per epoch.
+Per-class accuracies feeding the difficulty head are refreshed once per epoch.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .difficulty import (
     DifficultyHead,
     difficulty_entropy,
     dnet_forward,
+    head_init,
     head_signal,
     target_fit_loss,
 )
@@ -30,9 +33,10 @@ from .nnet import (
     Classifier,
     OptimizerState,
     add_scaled,
+    as_classifier,
     backward,
-    backward_from_logit_cotangent,
-    classifier_logits,
+    ce_logit_cotangent,
+    forward_tape,
     make_optimizer,
     optimizer_step,
     output_vjp,
@@ -42,9 +46,10 @@ from .nnet import (
 )
 from .rng import consumer_rng
 
-# bilevel variant -> the kind of difficulty head it trains; nodriver is the
-# class kind with the driver term off
-VARIANTS = {"dnet": "class", "abs": "abs", "sample": "sample", "nodriver": "class", "nometa": "nometa"}
+# variant -> the kind of difficulty head it trains; nodriver is the class
+# kind with the driver term off, focal the fixed kind with the focal loss
+VARIANTS = {"dnet": "class", "abs": "abs", "sample": "sample", "nodriver": "class",
+            "nometa": "nometa", "fixed": "fixed", "focal": "fixed"}
 
 
 class NumericError(ArithmeticError):
@@ -86,6 +91,7 @@ class TrainConfig:
     many_min: int = 100
     few_max: int = 20
     record_losses: bool = False
+    focal_gamma: float = 1.0  # the focal variant's gamma
 
     def __post_init__(self):
         if self.T < 0 or self.b < 1 or self.m < 1:
@@ -135,24 +141,21 @@ class EpochRecord:
     medium: float | None
     few: float | None
     entropy: float | None
-    difficulty: np.ndarray | None  # (C,) snapshot, class-level variants only
+    difficulty: np.ndarray | None  # (C,) snapshot, for heads that record one
 
 
 @dataclass
 class RunMetrics:
+    records: bool = False  # DifficultyHead.records: epochs carry difficulty snapshots
     epochs: list[EpochRecord] = field(default_factory=list)
     weight_trace: list[tuple[int, int, float]] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)
 
 
-def _as_clf(model) -> Classifier:
-    return model if isinstance(model, Classifier) else Classifier(model)
-
-
 def virtual_step(model, batch_x, batch_y, weights, alpha: float):
     """One plain-SGD lookahead on the weighted CE; returns the same kind of
     model it was given and never touches optimizer state."""
-    clf = _as_clf(model)
+    clf = as_classifier(model)
     grads = backward(clf, batch_x, batch_y, weights)
     net = add_scaled(clf.net, grads, -alpha)
     return replace(clf, net=net) if isinstance(model, Classifier) else net
@@ -160,7 +163,7 @@ def virtual_step(model, batch_x, batch_y, weights, alpha: float):
 
 def _lookahead_dots(model, weights, bx, by, mx, my, alpha):
     """<grad_phi CE_i, grad_phi_hat mean meta CE> for each train sample."""
-    clf = _as_clf(model)
+    clf = as_classifier(model)
     looked = virtual_step(clf, bx, by, weights, alpha)
     g_meta = backward(looked, mx, my, np.ones(my.size))
     return per_sample_grad_dots(clf, bx, by, g_meta)
@@ -189,13 +192,24 @@ def meta_gradient(
     return output_vjp(head.net, head.embed(x), head.embed(u, pad=0.0))
 
 
-def evaluate_epoch(epoch: int, model, head, train_set, meta_set, thresholds):
+def classifier_objective(logits, labels, weights, focal_gamma=None):
+    """Mean weighted loss and its logit cotangent: w_i * CE_i, or with
+    focal_gamma the focal loss w_i * (1 - p_i)^gamma * CE_i."""
+    if focal_gamma is None:
+        loss, _ = weighted_ce_loss(logits, labels, weights)
+        return loss, ce_logit_cotangent(logits, labels, weights)
+    _, per_sample = focal_loss(logits, labels, focal_gamma)
+    cot = focal_logit_cotangent(logits, labels, focal_gamma)
+    return float((weights * per_sample).mean()), cot * weights[:, None]
+
+
+def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set, thresholds):
     """Per-class meta-set accuracy and the epoch's record: split means, and
-    the class difficulty snapshot with its entropy when head is class-level.
-    Returns (AccuracyVector, EpochRecord)."""
+    the class difficulty snapshot with its entropy when the head records
+    them. Returns (AccuracyVector, EpochRecord)."""
     acc = per_class_accuracy(model, meta_set, "meta")
     splits = evaluate_splits(acc.per_class, train_set.per_class_counts, thresholds)
-    d = dnet_forward(head, acc) if head is not None and head.per_class else None
+    d = dnet_forward(head, acc) if head.records else None
     return acc, EpochRecord(
         epoch=epoch,
         accuracy=acc.per_class,
@@ -208,12 +222,29 @@ def evaluate_epoch(epoch: int, model, head, train_set, meta_set, thresholds):
     )
 
 
-def _run_epochs(cfg: TrainConfig, train_set, meta_set, current, step_fn):
-    """Shared scaffolding: batching, per-epoch accuracy refresh, metric rows.
+def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
+    """Run cfg.T iterations of the three-update step (the classifier step
+    alone for heads without a net), with batching, a per-epoch accuracy
+    refresh and metric records.
 
-    step_fn(t, bx, by, mx, my, acc) -> (loss, class difficulty vector | None)
-    current() -> (model, difficulty head | None) as they stand now
+    dnet is a DifficultyHead of the variant's kind; nometa and the fixed
+    variants default to theirs (the fixed one gives uniform weights).
+    Returns (classifier, the trained head or None if none was passed,
+    RunMetrics). T=0 returns the inputs untouched with empty metrics.
     """
+    kind = VARIANTS[cfg.variant]
+    head = dnet
+    if head is None and kind in ("nometa", "fixed"):
+        head = head_init(kind, train_set.class_count, cfg.seed)
+    if head is None:
+        raise ValueError(f"variant {cfg.variant!r} requires a difficulty net")
+    if head.kind != kind:
+        raise ValueError(f"variant {cfg.variant!r} got a {head.kind} head")
+    if kind == "sample" and cfg.b > head.width:
+        raise ValueError("batch size exceeds the sample net width")
+    counts = meta_set.per_class_counts
+    if head.net is not None and counts.min() != counts.max():
+        raise ValueError("meta set must be class-balanced")
     n = train_set.size
     spe = cfg.steps_per_epoch if cfg.steps_per_epoch is not None else n // cfg.b
     if spe < 1 or spe * cfg.b > n:
@@ -224,9 +255,14 @@ def _run_epochs(cfg: TrainConfig, train_set, meta_set, current, step_fn):
     if bad:
         raise ValueError(f"trace classes outside [0, C): {bad}")
 
+    model = as_classifier(classifier)
+    clf_opt = cfg.classifier_opt.build()
+    dn_opt = cfg.dnet_opt.build() if head.net is not None else None
+    lam = 0.0 if cfg.variant == "nodriver" else cfg.lam
+    gamma = cfg.focal_gamma if cfg.variant == "focal" else None
     rng = consumer_rng(cfg.seed, "batch")
-    metrics = RunMetrics()
-    acc = per_class_accuracy(current()[0], meta_set, "meta")
+    metrics = RunMetrics(records=head.records)
+    acc = per_class_accuracy(model, meta_set, "meta")
     perm = np.empty(0, dtype=np.int64)
     for t in range(cfg.T):
         pos = t % spe
@@ -234,104 +270,38 @@ def _run_epochs(cfg: TrainConfig, train_set, meta_set, current, step_fn):
             perm = rng.permutation(n)
         idx = perm[pos * cfg.b : (pos + 1) * cfg.b]
         bx, by = train_set.features[idx], train_set.labels[idx]
+        # drawn for every head, so all methods see the same train batches
         midx = rng.choice(meta_set.size, size=cfg.m, replace=False)
         mx, my = meta_set.features[midx], meta_set.labels[midx]
 
-        loss, d_class = step_fn(t, bx, by, mx, my, acc)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite training loss at step {t}", metrics)
-        if cfg.record_losses:
-            metrics.step_losses.append(float(loss))
-        if d_class is not None and cfg.trace_classes:
-            norm = d_class / d_class.sum()
-            for c in cfg.trace_classes:
-                metrics.weight_trace.append((t, c, float(norm[c])))
-
-        if pos == spe - 1 or t == cfg.T - 1:
-            acc, rec = evaluate_epoch(t // spe, *current(), train_set, meta_set,
-                                      (cfg.many_min, cfg.few_max))
-            metrics.epochs.append(rec)
-    return metrics
-
-
-def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
-    """Run cfg.T three-step iterations (or the variant's reduction of them).
-
-    dnet is a DifficultyHead of the variant's kind; nometa needs none.
-    Returns (classifier, the trained head or None if none was passed,
-    RunMetrics). T=0 returns the inputs untouched with empty metrics.
-    """
-    counts = meta_set.per_class_counts
-    if counts.min() != counts.max():
-        raise ValueError("meta set must be class-balanced")
-    model = _as_clf(classifier)
-    kind = VARIANTS[cfg.variant]
-    head = dnet
-    if kind == "nometa" and dnet is None:
-        head = DifficultyHead("nometa", None, train_set.class_count)
-    if head is None:
-        raise ValueError(f"variant {cfg.variant!r} requires a difficulty net")
-    if head.kind != kind:
-        raise ValueError(f"variant {cfg.variant!r} got a {head.kind} head")
-    if kind == "sample" and cfg.b > head.width:
-        raise ValueError("batch size exceeds the sample net width")
-
-    clf_opt = cfg.classifier_opt.build()
-    dn_opt = cfg.dnet_opt.build() if head.net is not None else None
-    lam = 0.0 if cfg.variant == "nodriver" else cfg.lam
-
-    def step_fn(t, bx, by, mx, my, acc):
-        nonlocal model, clf_opt, head, dn_opt
+        # the classifier's one forward pass over the batch this step: the
+        # actual step reuses it, and so does the sample kind's loss signal
+        tape = forward_tape(model, bx)
         signal = acc
         if not head.per_class:
-            _, signal = weighted_ce_loss(classifier_logits(model, bx), by, np.ones(by.size))
+            _, signal = weighted_ce_loss(tape.logits, by, np.ones(by.size))
         if head.net is not None:
             g_theta = meta_gradient(head, model, signal, bx, by, mx, my, cfg.alpha, lam)
             net, dn_opt = optimizer_step(dn_opt, head.net, g_theta)
             head = replace(head, net=net)
         # weights re-computed with the updated net before the actual step
         d = dnet_forward(head, signal)
-        w = head.weights(d, by)
-        loss, _ = weighted_ce_loss(classifier_logits(model, bx), by, w)
-        net, clf_opt = optimizer_step(clf_opt, model.net, backward(model, bx, by, w))
+        loss, cot = classifier_objective(tape.logits, by, head.weights(d, by), gamma)
+        net, clf_opt = optimizer_step(clf_opt, model.net, tape.grads(cot))
         model = replace(model, net=net)
-        return loss, d if head.per_class else None
 
-    metrics = _run_epochs(cfg, train_set, meta_set, lambda: (model, head), step_fn)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite training loss at step {t}", metrics)
+        if cfg.record_losses:
+            metrics.step_losses.append(float(loss))
+        if head.records and cfg.trace_classes:
+            norm = d / d.sum()
+            for c in cfg.trace_classes:
+                metrics.weight_trace.append((t, c, float(norm[c])))
+
+        if pos == spe - 1 or t == cfg.T - 1:
+            acc, rec = evaluate_epoch(t // spe, model, head, train_set, meta_set,
+                                      (cfg.many_min, cfg.few_max))
+            metrics.epochs.append(rec)
     out_model = model if isinstance(classifier, Classifier) else model.net
     return out_model, head if dnet is not None else None, metrics
-
-
-def train_weighted(cfg: TrainConfig, train_set, meta_set, classifier,
-                   class_weight_fn=None, focal_gamma: float | None = None):
-    """Single-level comparison loop: same batching, accuracy refresh, and
-    metrics as train(), but the weights come from a fixed scheme.
-
-    class_weight_fn(acc, counts) -> (C,) class weights; None means plain CE.
-    focal_gamma switches to the focal objective instead of weighted CE.
-    """
-    model = _as_clf(classifier)
-    clf_opt = cfg.classifier_opt.build()
-
-    def step_fn(t, bx, by, mx, my, acc):
-        nonlocal model, clf_opt
-        if focal_gamma is not None:
-            logits = classifier_logits(model, bx)
-            loss, _ = focal_loss(logits, by, focal_gamma)
-            grads = backward_from_logit_cotangent(
-                model, bx, focal_logit_cotangent(logits, by, focal_gamma)
-            )
-        else:
-            if class_weight_fn is None:
-                w = np.ones(by.size)
-            else:
-                w = class_weight_fn(acc, train_set.per_class_counts)[by]
-            loss, _ = weighted_ce_loss(classifier_logits(model, bx), by, w)
-            grads = backward(model, bx, by, w)
-        net, clf_opt = optimizer_step(clf_opt, model.net, grads)
-        model = replace(model, net=net)
-        return loss, None
-
-    metrics = _run_epochs(cfg, train_set, meta_set, lambda: (model, None), step_fn)
-    out_model = model if isinstance(classifier, Classifier) else model.net
-    return out_model, metrics

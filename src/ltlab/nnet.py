@@ -38,9 +38,6 @@ class MLP:
     def out_dim(self) -> int:
         return self.layers[-1].w.shape[0]
 
-    def param_count(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
-
 
 @dataclass
 class Classifier:
@@ -54,6 +51,8 @@ class Classifier:
     def __post_init__(self):
         if self.head not in ("linear", "cosine"):
             raise ValueError(f"unknown head {self.head!r}")
+        if self.head == "cosine" and self.scale <= 0:
+            raise ValueError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,14 +152,7 @@ def forward(net: MLP, inputs: np.ndarray) -> np.ndarray:
 def cosine_head_forward(net: MLP, inputs: np.ndarray, scale: float) -> np.ndarray:
     """Logits = scale * cos(feature, class row) using the last layer as
     prototypes; its bias plays no part. Norms are guarded at 1e-12."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ValueError(f"inputs must be (n, {net.in_dim}), got {x.shape}")
-    _, feats = _cache_layers(net.layers[:-1], x)
-    _, _, _, _, logits = _cosine_parts(net.layers[-1], feats, scale)
-    return logits
+    return classifier_logits(Classifier(net, "cosine", scale), inputs)
 
 
 def _cosine_parts(last: Layer, feats, scale):
@@ -171,15 +163,13 @@ def _cosine_parts(last: Layer, feats, scale):
     return r_f, f_hat, r_w, w_hat, scale * f_hat @ w_hat.T
 
 
-def _as_classifier(model) -> Classifier:
+def as_classifier(model) -> Classifier:
+    """A bare MLP as a linear-head Classifier; a Classifier as it is."""
     return model if isinstance(model, Classifier) else Classifier(model)
 
 
 def classifier_logits(model, inputs: np.ndarray) -> np.ndarray:
-    clf = _as_classifier(model)
-    if clf.head == "cosine":
-        return cosine_head_forward(clf.net, inputs, clf.scale)
-    return forward(clf.net, inputs)
+    return forward_tape(model, inputs).logits
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -213,29 +203,61 @@ def weighted_ce_loss(
     return float(per_sample.mean()), per_sample
 
 
-def _logits_cache(model, x):
-    clf = _as_classifier(model)
+@dataclass
+class Tape:
+    """One forward pass over a batch, kept so that the loss and backprop from
+    any logit cotangent share it: per-layer (input, pre-activation) steps,
+    the cosine head's parts (None for linear heads), and the logits."""
+
+    clf: Classifier
+    steps: list
+    cos: tuple | None
+    logits: np.ndarray
+
+    def grads(self, cotangent: np.ndarray) -> Grads:
+        """Parameter grads given dLoss/dlogits."""
+        cot = np.asarray(cotangent, dtype=np.float64)
+        if cot.shape != self.logits.shape:
+            raise ValueError(f"cotangent must be {self.logits.shape}, got {cot.shape}")
+        if self.clf.head == "cosine":
+            last = self.clf.net.layers[-1]
+            dw, d_f = _cosine_grads(last, self.cos, self.clf.scale * cot)
+            grads = _walk_grads(self.clf.net.layers[:-1], self.steps, d_f)
+            grads.append((dw, np.zeros_like(last.b)))  # cosine head ignores bias
+            return grads
+        return _walk_grads(self.clf.net.layers, self.steps, cot)
+
+
+def forward_tape(model, x) -> Tape:
+    """The classifier's forward pass over batch x, kept as a Tape."""
+    clf = as_classifier(model)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("batch must be 2-D")
+    if x.ndim != 2 or x.shape[1] != clf.net.in_dim:
+        raise ValueError(f"inputs must be (n, {clf.net.in_dim}), got {x.shape}")
     if clf.head == "cosine":
         steps, feats = _cache_layers(clf.net.layers[:-1], x)
         cos = _cosine_parts(clf.net.layers[-1], feats, clf.scale)
-        logits = cos[4]
-    else:
-        steps, logits = _cache_layers(clf.net.layers, x)
-        cos = None
-    return clf, steps, cos, logits
+        return Tape(clf, steps, cos, cos[4])
+    steps, logits = _cache_layers(clf.net.layers, x)
+    return Tape(clf, steps, None, logits)
 
 
-def _ce_probs(model, x, labels):
-    clf, steps, cos, logits = _logits_cache(model, x)
+def _check_labels(labels, logits) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (logits.shape[0],):
         raise ValueError("labels must be (n,)")
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ValueError("labels outside [0, C)")
-    return clf, steps, cos, logits, softmax(logits)
+    return labels
+
+
+def ce_logit_cotangent(logits, labels, weights) -> np.ndarray:
+    """d/dlogits of (1/b) * sum_i w_i * CE_i: (softmax - onehot) * w_i / b."""
+    n = logits.shape[0]
+    g = softmax(logits)
+    g[np.arange(n), labels] -= 1.0
+    g *= (weights / n)[:, None]
+    return g
 
 
 def _walk_grads(layers, steps, d_post) -> Grads:
@@ -276,47 +298,26 @@ def _cosine_grads(last, cos, g):
     return dw, d_f
 
 
-def _grads_from_logit_cot(clf, steps, cos, g) -> Grads:
-    if clf.head == "cosine":
-        last = clf.net.layers[-1]
-        dw, d_f = _cosine_grads(last, cos, clf.scale * g)
-        grads = _walk_grads(clf.net.layers[:-1], steps, d_f)
-        grads.append((dw, np.zeros_like(last.b)))  # cosine head ignores bias
-        return grads
-    return _walk_grads(clf.net.layers, steps, g)
-
-
-def backward_from_logit_cotangent(model, batch, cotangent: np.ndarray) -> Grads:
-    """Parameter grads given dLoss/dlogits; shared by the CE and focal paths."""
-    clf, steps, cos, logits = _logits_cache(model, batch)
-    cot = np.asarray(cotangent, dtype=np.float64)
-    if cot.shape != logits.shape:
-        raise ValueError(f"cotangent must be {logits.shape}, got {cot.shape}")
-    return _grads_from_logit_cot(clf, steps, cos, cot)
-
-
 def backward(model, batch, labels, weights) -> Grads:
     """Gradient of (1/b) * sum_i w_i * CE_i wrt every layer's (W, b)."""
     weights = np.asarray(weights, dtype=np.float64)
-    clf, steps, cos, _, probs = _ce_probs(model, batch, labels)
-    n = probs.shape[0]
-    if weights.shape != (n,):
+    tape = forward_tape(model, batch)
+    labels = _check_labels(labels, tape.logits)
+    if weights.shape != labels.shape:
         raise ValueError("weights must be (n,)")
-    g = probs.copy()
-    g[np.arange(n), labels] -= 1.0  # d CE_i / d logits = p - onehot
-    g *= (weights / n)[:, None]
-    return _grads_from_logit_cot(clf, steps, cos, g)
+    return tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
 
 
 def per_sample_grad_dots(model, batch, labels, direction: Grads) -> np.ndarray:
     """<grad_phi CE_i, direction> for every sample i, unweighted."""
-    clf, steps, cos, _, probs = _ce_probs(model, batch, labels)
-    n = probs.shape[0]
-    g = probs.copy()
+    tape = forward_tape(model, batch)
+    labels = _check_labels(labels, tape.logits)
+    clf, steps, n = tape.clf, tape.steps, labels.size
+    g = softmax(tape.logits)
     g[np.arange(n), labels] -= 1.0
     dots = np.zeros(n)
     if clf.head == "cosine":
-        r_f, f_hat, r_w, w_hat, _ = cos
+        r_f, f_hat, r_w, w_hat, _ = tape.cos
         vw, _ = direction[-1]  # bias carries no cosine gradient
         a = f_hat @ vw.T
         b = f_hat @ w_hat.T

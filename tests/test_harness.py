@@ -8,9 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
+from ltlab import harness
 from ltlab.cli import main
 from ltlab.data import Dataset, load_dataset, save_dataset
 from ltlab.harness import (
+    METHODS,
     ConfigError,
     ExperimentConfig,
     build_datasets,
@@ -24,6 +26,7 @@ from ltlab.harness import (
     run,
     summarize,
     thread_cap,
+    train_one,
 )
 
 
@@ -238,6 +241,22 @@ def test_run_returns_final_epoch_rows(runs_dir):
     assert r.wall_seconds >= 0
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_train_one_reaches_train_by_name(method, tmp_path, monkeypatch):
+    # profilers wrap harness.train to count trained samples, so every method
+    # must train through that one name
+    real, calls = harness.train, []
+
+    def spy(tc, *args, **kwargs):
+        calls.append(tc.variant)
+        return real(tc, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", spy)
+    cfg = base_cfg(tmp_path, method=method, epochs=1)
+    train_one(cfg, *build_datasets(cfg), 0)
+    assert calls == [METHODS[method].variant]
+
+
 def test_runs_are_byte_reproducible(tmp_path):
     tracked = ("metrics.csv", "weights_trace.csv", "classifier.ltnn", "dnet.ltnn")
     blobs, configs = [], []
@@ -300,6 +319,19 @@ def test_crt_existing_uses_the_runs_recorded_head(tmp_path):
     for name in ("metrics.csv", "classifier_crt.ltnn"):
         assert ((tmp_path / "later" / "dnet" / "seed0" / name).read_bytes()
                 == (tmp_path / "inrun" / "dnet" / "seed0" / name).read_bytes())
+
+
+def test_crt_uses_the_runs_recorded_data(tmp_path):
+    # a classes=3 run retrained by `ltlab crt` under the default classes=10
+    # config: stage 2 must train on the run's own data, as in-run stage 2 does
+    run(base_cfg(tmp_path / "later", method="ce"))
+    assert main(["crt", "--set", "method=ce", "--set", "seeds=0", "--set", "crt_steps=8",
+                 "--set", f"out_dir={tmp_path / 'later'}"]) == 0
+    run(base_cfg(tmp_path / "inrun", method="ce", stage2="crt"))
+    later, inrun = (tmp_path / d / "ce" / "seed0" for d in ("later", "inrun"))
+    assert (later / "classifier_crt.ltnn").read_bytes() == (inrun / "classifier_crt.ltnn").read_bytes()
+    assert ((later / "metrics.csv").read_text("ascii").splitlines()[-1]
+            == (inrun / "metrics.csv").read_text("ascii").splitlines()[-1])
 
 
 def test_crt_existing_requires_stage1_checkpoint(tmp_path):
@@ -411,6 +443,14 @@ def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):
                  "--set", f"out_dir={tmp_path}"])
     assert code == 2
     assert "meta_batch_size" in capsys.readouterr().err
+
+
+def test_cli_config_error_leaves_no_run_dir(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["train", "--set", "classes=4", "--set", "m_per_class=5",
+                 "--set", f"out_dir={out}"])
+    assert code == 2
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

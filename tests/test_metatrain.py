@@ -23,7 +23,6 @@ from ltlab.metatrain import (
     evaluate_splits,
     meta_gradient,
     train,
-    train_weighted,
     virtual_step,
 )
 from ltlab.nnet import (
@@ -449,27 +448,28 @@ def test_divergence_raises_numeric_error_with_partial_metrics():
     assert len(metrics.step_losses) >= 1  # work before the blow-up is kept
 
 
-def test_train_weighted_plain_ce_decreases_loss():
+def test_train_fixed_plain_ce_decreases_loss():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=6 * spe, variant="nometa", seed=0, record_losses=True)
-    _, metrics = train_weighted(cfg, train_set, meta_set, tiny_model(seed=40))
+    cfg = cfg_for(train_set, T=6 * spe, variant="fixed", seed=0, record_losses=True)
+    _, _, metrics = train(cfg, train_set, meta_set, tiny_model(seed=40))
     first = np.mean(metrics.step_losses[:spe])
     last = np.mean(metrics.step_losses[-spe:])
     assert last < first
 
 
-def test_train_weighted_scheme_receives_refreshed_accuracy():
+def test_train_fixed_rule_receives_refreshed_accuracy():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
     seen = []
 
-    def spy_weights(acc, counts):
-        seen.append(acc.per_class.copy())
+    def spy_weights(acc):
+        seen.append(acc.copy())
         return np.ones(train_set.class_count)
 
-    cfg = cfg_for(train_set, T=2 * spe, variant="nometa", seed=0)
-    train_weighted(cfg, train_set, meta_set, tiny_model(seed=41), spy_weights)
+    cfg = cfg_for(train_set, T=2 * spe, variant="fixed", seed=0)
+    head = head_init("fixed", train_set.class_count, 0, spy_weights)
+    train(cfg, train_set, meta_set, tiny_model(seed=41), head)
     assert len(seen) == 2 * spe
     first_epoch = seen[:spe]
     assert all(np.array_equal(a, first_epoch[0]) for a in first_epoch)

@@ -10,10 +10,10 @@ from ltlab.nnet import (
     Layer,
     MLP,
     backward,
-    backward_from_logit_cotangent,
     classifier_logits,
     cosine_head_forward,
     forward,
+    forward_tape,
     grad_dot,
     init_mlp,
     load_checkpoint,
@@ -168,11 +168,11 @@ def test_backward_duplicated_batch_mean_invariance():
         assert np.allclose(ab, bb, rtol=1e-12, atol=1e-15)
 
 
-def test_backward_from_logit_cotangent_validates_shape():
+def test_tape_grads_validate_cotangent_shape():
     net = small_net([2, 3], seed=5)
     model = Classifier(net, "linear")
     with pytest.raises(ValueError):
-        backward_from_logit_cotangent(model, np.zeros((2, 2)), np.zeros((2, 4)))
+        forward_tape(model, np.zeros((2, 2))).grads(np.zeros((2, 4)))
 
 
 # ----------------------------------------------------------- per-sample dots
