@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nnet import MLP, accuracy_array, forward, init_mlp
+from .nnet import MLP, accuracy_array, forward_tape, init_mlp
 from .rng import consumer_rng
 
 
@@ -118,7 +118,7 @@ def dnet_forward(head: DifficultyHead, signal) -> np.ndarray:
     x = head_signal(head, signal)
     if head.net is None:
         return head.rule(x)
-    return head.read(forward(head.net, head.embed(x)), x.size)
+    return head.read(forward_tape(head.net, head.embed(x)).logits, x.size)
 
 
 def head_signal(head: DifficultyHead, signal) -> np.ndarray:

@@ -149,48 +149,17 @@ class ExperimentConfig:
     ensemble_members: tuple[str, ...] = ()
 
 
+# fields whose parser is not their default's type
+_PARSERS = {"seeds": _parse_int_list, "ensemble_members": _parse_str_list,
+            "trace_classes": _parse_trace}
+
 # config-file key -> (dataclass attr, parser). "lambda" is a Python keyword,
 # so it maps onto the lam attribute.
 SCHEMA: dict[str, tuple[str, object]] = {
-    "train_file": ("train_file", str),
-    "meta_file": ("meta_file", str),
-    "classes": ("classes", int),
-    "n_max": ("n_max", int),
-    "imbalance": ("imbalance", float),
-    "dim": ("dim", int),
-    "separation": ("separation", float),
-    "m_per_class": ("m_per_class", int),
-    "data_seed": ("data_seed", int),
-    "method": ("method", str),
-    "stage2": ("stage2", str),
-    "seeds": ("seeds", _parse_int_list),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "meta_batch_size": ("meta_batch_size", int),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "lambda": ("lam", float),
-    "hidden": ("hidden", int),
-    "head": ("head", str),
-    "cosine_scale": ("cosine_scale", float),
-    "classifier_optimizer": ("classifier_optimizer", str),
-    "classifier_momentum": ("classifier_momentum", float),
-    "classifier_weight_decay": ("classifier_weight_decay", float),
-    "dnet_optimizer": ("dnet_optimizer", str),
-    "dnet_weight_decay": ("dnet_weight_decay", float),
-    "sample_width": ("sample_width", int),
-    "cdb_tau": ("cdb_tau", float),
-    "effnum_beta": ("effnum_beta", float),
-    "focal_gamma": ("focal_gamma", float),
-    "crt_steps": ("crt_steps", int),
-    "crt_batch_size": ("crt_batch_size", int),
-    "crt_lr": ("crt_lr", float),
-    "out_dir": ("out_dir", str),
-    "trace_classes": ("trace_classes", _parse_trace),
-    "many_min": ("many_min", int),
-    "few_max": ("few_max", int),
-    "record_losses": ("record_losses", _parse_bool),
-    "ensemble_members": ("ensemble_members", _parse_str_list),
+    "lambda" if f.name == "lam" else f.name: (
+        f.name,
+        _PARSERS.get(f.name) or (_parse_bool if isinstance(f.default, bool) else type(f.default)))
+    for f in fields(ExperimentConfig)
 }
 
 
@@ -239,6 +208,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.method in METHODS, f"method must be one of {tuple(METHODS)}, got {cfg.method!r}")
     need(cfg.stage2 in ("none", "crt"), "stage2 must be 'none' or 'crt'")
     need(cfg.head in ("linear", "cosine"), "head must be 'linear' or 'cosine'")
+    need(cfg.head != "cosine" or cfg.cosine_scale > 0, "cosine_scale must be positive")
     need(cfg.classifier_optimizer in ("sgd", "momentum", "adam"), "bad classifier_optimizer")
     need(cfg.dnet_optimizer in ("sgd", "momentum", "adam"), "bad dnet_optimizer")
     need(bool(cfg.seeds), "seeds must list at least one seed")
@@ -301,6 +271,14 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         return split_meta(pool, cfg.m_per_class, cfg.data_seed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+
+
+def _data_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg's dataset settings, the fields build_datasets reads, on an
+    otherwise default config, so runs on the same data compare equal."""
+    names = ("train_file", "meta_file", "classes", "n_max", "imbalance", "dim", "separation",
+             "m_per_class", "data_seed")
+    return ExperimentConfig(**{name: getattr(cfg, name) for name in names})
 
 
 def gen_data(cfg: ExperimentConfig) -> tuple[str, str]:
@@ -512,13 +490,13 @@ def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
     checkpoint and data as its run_config.txt describes them, retrain the
     head, save it, and rewrite metrics.csv as the stage-1 rows plus one
     stage-2 row, so running this again gives the same files."""
-    datasets = functools.lru_cache(build_datasets)  # seeds of a method share data
+    datasets = functools.lru_cache(build_datasets)  # runs on the same data share it
     rows = []
     for seed in cfg.seeds:
         started = time.time()
         run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
         rcfg, model = _load_run(run_dir, "classifier.ltnn")
-        train_set, meta_set = datasets(replace(rcfg, seeds=()))
+        train_set, meta_set = datasets(_data_config(rcfg))
         head = _difficulty_head(rcfg, train_set, seed, run_dir)
         metrics_path = os.path.join(run_dir, "metrics.csv")
         with open(metrics_path, "r", encoding="ascii") as fh:
@@ -532,12 +510,16 @@ def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def ensemble_existing(cfg: ExperimentConfig) -> dict:
     """Mean-probability ensemble of the runs named in ensemble_members,
-    evaluated on the configured meta set."""
+    evaluated on the meta set their run_config.txt files describe; members
+    trained on different data are rejected."""
     if len(cfg.ensemble_members) < 2:
         raise ConfigError("ensemble_members must list at least two run directories")
-    train_set, meta_set = build_datasets(cfg)
-    members = [_load_run(d, "classifier_crt.ltnn", "classifier.ltnn")[1]
-               for d in cfg.ensemble_members]
+    runs = [_load_run(d, "classifier_crt.ltnn", "classifier.ltnn") for d in cfg.ensemble_members]
+    data = {_data_config(rcfg) for rcfg, _ in runs}
+    if len(data) > 1:
+        raise ConfigError("ensemble members were trained on different data")
+    train_set, meta_set = build_datasets(data.pop())
+    members = [model for _, model in runs]
     names = [d.rstrip("/").replace(os.sep, "/") for d in cfg.ensemble_members]
 
     def split_row(acc):
@@ -552,15 +534,14 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
         ],
         "ensemble": split_row(score_accuracy(probs, meta_set, "meta")),
     }
+    rows = [(e["name"], e["splits"]) for e in result["members"]]
+    rows.append(("ensemble", result["ensemble"]))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "ensemble_metrics.csv")
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("name,overall,many,medium,few\n")
-        for entry in result["members"]:
-            s = entry["splits"]
-            fh.write(f"{entry['name']},{_fmt(s.overall)},{_fmt(s.many)},{_fmt(s.medium)},{_fmt(s.few)}\n")
-        s = result["ensemble"]
-        fh.write(f"ensemble,{_fmt(s.overall)},{_fmt(s.many)},{_fmt(s.medium)},{_fmt(s.few)}\n")
+        fh.writelines(f"{n},{_fmt(s.overall)},{_fmt(s.many)},{_fmt(s.medium)},{_fmt(s.few)}\n"
+                      for n, s in rows)
     result["csv_path"] = out_path
     return result
 

@@ -39,9 +39,7 @@ from .nnet import (
     forward_tape,
     make_optimizer,
     optimizer_step,
-    output_vjp,
     per_class_accuracy,
-    per_sample_grad_dots,
     weighted_ce_loss,
 )
 from .rng import consumer_rng
@@ -155,18 +153,14 @@ class RunMetrics:
 def virtual_step(model, batch_x, batch_y, weights, alpha: float):
     """One plain-SGD lookahead on the weighted CE; returns the same kind of
     model it was given and never touches optimizer state."""
-    clf = as_classifier(model)
-    grads = backward(clf, batch_x, batch_y, weights)
-    net = add_scaled(clf.net, grads, -alpha)
-    return replace(clf, net=net) if isinstance(model, Classifier) else net
+    looked = _lookahead(forward_tape(model, batch_x), batch_y, weights, alpha)
+    return looked if isinstance(model, Classifier) else looked.net
 
 
-def _lookahead_dots(model, weights, bx, by, mx, my, alpha):
-    """<grad_phi CE_i, grad_phi_hat mean meta CE> for each train sample."""
-    clf = as_classifier(model)
-    looked = virtual_step(clf, bx, by, weights, alpha)
-    g_meta = backward(looked, mx, my, np.ones(my.size))
-    return per_sample_grad_dots(clf, bx, by, g_meta)
+def _lookahead(tape, labels, weights, alpha: float) -> Classifier:
+    """phi_hat = phi - alpha * grad_phi of the weighted CE, from the tape at phi."""
+    grads = tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
+    return replace(tape.clf, net=add_scaled(tape.clf.net, grads, -alpha))
 
 
 def meta_gradient(
@@ -175,21 +169,30 @@ def meta_gradient(
 ):
     """Gradient wrt the head's net of lam * driver + mean meta CE at the
     virtual step phi_hat(theta). signal is the accuracy vector, or for the
-    sample kind the batch's per-sample losses.
+    sample kind the batch's per-sample losses."""
+    return _meta_gradient(head, forward_tape(model, batch_x), signal, batch_y,
+                          meta_x, meta_y, alpha, lam)
+
+
+def _meta_gradient(head, tape, signal, batch_y, meta_x, meta_y, alpha, lam):
+    """meta_gradient from the classifier's tape over the train batch at phi.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
     cotangent v = -(alpha/b) * <g_i, g_meta>, summed per class for class-level
-    kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>.
+    kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>. The head's one
+    forward pass gives d and is the tape that backprop runs on.
     """
     x = head_signal(head, signal)
-    d = dnet_forward(head, x)
-    dots = _lookahead_dots(model, head.weights(d, batch_y), batch_x, batch_y, meta_x, meta_y, alpha)
-    v = head.reduce(dots, batch_y, d.size) * -(alpha / batch_y.size)
+    d_tape = forward_tape(head.net, head.embed(x))
+    d = head.read(d_tape.logits, x.size)
+    looked = _lookahead(tape, batch_y, head.weights(d, batch_y), alpha)
+    g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.size))
+    v = head.reduce(tape.dots(batch_y, g_meta), batch_y, d.size) * -(alpha / batch_y.size)
     _, driver_cot = target_fit_loss(d, head.target(x))
     u = lam * driver_cot + v
     # padding outputs of the sample kind are discarded: zero cotangent
-    return output_vjp(head.net, head.embed(x), head.embed(u, pad=0.0))
+    return d_tape.grads(head.embed(u, pad=0.0))
 
 
 def classifier_objective(logits, labels, weights, focal_gamma=None):
@@ -275,13 +278,14 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
         mx, my = meta_set.features[midx], meta_set.labels[midx]
 
         # the classifier's one forward pass over the batch this step: the
-        # actual step reuses it, and so does the sample kind's loss signal
+        # virtual step, the per-sample dots, the actual step and the sample
+        # kind's loss signal all reuse it
         tape = forward_tape(model, bx)
         signal = acc
         if not head.per_class:
             _, signal = weighted_ce_loss(tape.logits, by, np.ones(by.size))
         if head.net is not None:
-            g_theta = meta_gradient(head, model, signal, bx, by, mx, my, cfg.alpha, lam)
+            g_theta = _meta_gradient(head, tape, signal, by, mx, my, cfg.alpha, lam)
             net, dn_opt = optimizer_step(dn_opt, head.net, g_theta)
             head = replace(head, net=net)
         # weights re-computed with the updated net before the actual step

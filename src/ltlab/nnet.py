@@ -140,22 +140,9 @@ def _cache_layers(layers, x):
     return steps, h
 
 
-def forward(net: MLP, inputs: np.ndarray) -> np.ndarray:
-    """Plain dense forward. inputs (n, in_dim) -> (n, out_dim)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ValueError(f"inputs must be (n, {net.in_dim}), got {x.shape}")
-    _, out = _cache_layers(net.layers, x)
-    return out
-
-
-def cosine_head_forward(net: MLP, inputs: np.ndarray, scale: float) -> np.ndarray:
+def _cosine_parts(last: Layer, feats, scale):
     """Logits = scale * cos(feature, class row) using the last layer as
     prototypes; its bias plays no part. Norms are guarded at 1e-12."""
-    return classifier_logits(Classifier(net, "cosine", scale), inputs)
-
-
-def _cosine_parts(last: Layer, feats, scale):
     r_f = np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), NORM_EPS)
     f_hat = feats / r_f
     r_w = np.maximum(np.linalg.norm(last.w, axis=1, keepdims=True), NORM_EPS)
@@ -205,9 +192,10 @@ def weighted_ce_loss(
 
 @dataclass
 class Tape:
-    """One forward pass over a batch, kept so that the loss and backprop from
-    any logit cotangent share it: per-layer (input, pre-activation) steps,
-    the cosine head's parts (None for linear heads), and the logits."""
+    """One forward pass over a batch, kept so that the loss, backprop from
+    any logit cotangent and the per-sample gradient dots all share it:
+    per-layer (input, pre-activation) steps, the cosine head's parts (None
+    for linear heads), and the logits."""
 
     clf: Classifier
     steps: list
@@ -226,6 +214,26 @@ class Tape:
             grads.append((dw, np.zeros_like(last.b)))  # cosine head ignores bias
             return grads
         return _walk_grads(self.clf.net.layers, self.steps, cot)
+
+    def dots(self, labels, direction: Grads) -> np.ndarray:
+        """<grad_phi CE_i, direction> for every sample i, unweighted."""
+        labels = _check_labels(labels, self.logits)
+        clf, steps, n = self.clf, self.steps, labels.size
+        g = softmax(self.logits)
+        g[np.arange(n), labels] -= 1.0
+        dots = np.zeros(n)
+        if clf.head == "cosine":
+            r_f, f_hat, r_w, w_hat, _ = self.cos
+            vw, _ = direction[-1]  # bias carries no cosine gradient
+            a = f_hat @ vw.T
+            b = f_hat @ w_hat.T
+            u = (w_hat * vw).sum(axis=1)
+            gs = clf.scale * g
+            dots += (gs * (a - b * u[None, :]) / r_w.T).sum(axis=1)
+            d_f_hat = gs @ w_hat
+            d_f = (d_f_hat - (d_f_hat * f_hat).sum(axis=1, keepdims=True) * f_hat) / r_f
+            return _walk_dots(clf.net.layers[:-1], steps, d_f, direction[:-1], dots)
+        return _walk_dots(clf.net.layers, steps, g, direction, dots)
 
 
 def forward_tape(model, x) -> Tape:
@@ -253,6 +261,10 @@ def _check_labels(labels, logits) -> np.ndarray:
 
 def ce_logit_cotangent(logits, labels, weights) -> np.ndarray:
     """d/dlogits of (1/b) * sum_i w_i * CE_i: (softmax - onehot) * w_i / b."""
+    labels = _check_labels(labels, logits)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != labels.shape:
+        raise ValueError("weights must be (n,)")
     n = logits.shape[0]
     g = softmax(logits)
     g[np.arange(n), labels] -= 1.0
@@ -300,54 +312,13 @@ def _cosine_grads(last, cos, g):
 
 def backward(model, batch, labels, weights) -> Grads:
     """Gradient of (1/b) * sum_i w_i * CE_i wrt every layer's (W, b)."""
-    weights = np.asarray(weights, dtype=np.float64)
     tape = forward_tape(model, batch)
-    labels = _check_labels(labels, tape.logits)
-    if weights.shape != labels.shape:
-        raise ValueError("weights must be (n,)")
     return tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
 
 
 def per_sample_grad_dots(model, batch, labels, direction: Grads) -> np.ndarray:
     """<grad_phi CE_i, direction> for every sample i, unweighted."""
-    tape = forward_tape(model, batch)
-    labels = _check_labels(labels, tape.logits)
-    clf, steps, n = tape.clf, tape.steps, labels.size
-    g = softmax(tape.logits)
-    g[np.arange(n), labels] -= 1.0
-    dots = np.zeros(n)
-    if clf.head == "cosine":
-        r_f, f_hat, r_w, w_hat, _ = tape.cos
-        vw, _ = direction[-1]  # bias carries no cosine gradient
-        a = f_hat @ vw.T
-        b = f_hat @ w_hat.T
-        u = (w_hat * vw).sum(axis=1)
-        gs = clf.scale * g
-        dots += (gs * (a - b * u[None, :]) / r_w.T).sum(axis=1)
-        d_f_hat = gs @ w_hat
-        d_f = (d_f_hat - (d_f_hat * f_hat).sum(axis=1, keepdims=True) * f_hat) / r_f
-        return _walk_dots(clf.net.layers[:-1], steps, d_f, direction[:-1], dots)
-    return _walk_dots(clf.net.layers, steps, g, direction, dots)
-
-
-def per_sample_grad_dot(model, sample, label, direction: Grads) -> float:
-    """Single-sample case of per_sample_grad_dots."""
-    x = np.asarray(sample, dtype=np.float64).reshape(1, -1)
-    y = np.asarray([label])
-    return float(per_sample_grad_dots(model, x, y, direction)[0])
-
-
-def output_vjp(net: MLP, inputs: np.ndarray, cotangent: np.ndarray) -> Grads:
-    """Grads of <cotangent, net(inputs)> wrt params; cotangent sits on the
-    post-activation output, so a sigmoid head is chained through here."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("inputs must be 2-D")
-    cot = np.asarray(cotangent, dtype=np.float64)
-    steps, out = _cache_layers(net.layers, x)
-    if cot.shape != out.shape:
-        raise ValueError(f"cotangent must be {out.shape}, got {cot.shape}")
-    return _walk_grads(net.layers, steps, cot)
+    return forward_tape(model, batch).dots(labels, direction)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ ensemble entry points, aggregation, and the CLI's exit codes."""
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ def test_config_text_round_trips(tmp_path):
     p.write_text(config_text(cfg), encoding="utf-8")
     assert parse_config(str(p)) == cfg
     assert "lambda = 0.125" in config_text(cfg)  # file key, not the attr name
+    # every key parses back to its field, whatever its type
+    changed = ExperimentConfig(
+        train_file="t.ltds", meta_file="m.ltds", classes=5, n_max=500, imbalance=10.0, dim=8,
+        separation=1.5, m_per_class=10, data_seed=3, method="effnum", stage2="crt",
+        seeds=(7, 8), epochs=3, batch_size=16, meta_batch_size=32, alpha=0.05, beta=0.01,
+        lam=0.125, hidden=32, head="cosine", cosine_scale=8.0, classifier_optimizer="adam",
+        classifier_momentum=0.5, classifier_weight_decay=2e-4, dnet_optimizer="sgd",
+        dnet_weight_decay=1e-3, sample_width=128, cdb_tau=2.0, effnum_beta=0.99,
+        focal_gamma=2.0, crt_steps=100, crt_batch_size=32, crt_lr=0.05, out_dir="elsewhere",
+        trace_classes=(0, 2), many_min=50, few_max=10, record_losses=True,
+        ensemble_members=("a/b", "c/d"))
+    assert all(getattr(changed, f.name) != f.default for f in fields(ExperimentConfig))
+    p.write_text(config_text(changed), encoding="utf-8")
+    assert parse_config(str(p)) == changed
 
 
 def test_thread_cap(monkeypatch):
@@ -363,6 +378,31 @@ def test_ensemble_existing_writes_summary(runs_dir, tmp_path):
     assert csv[-1].startswith("ensemble,")
 
 
+def test_ensemble_uses_the_members_recorded_data(tmp_path):
+    # classes=3, dim=4 runs ensembled under the default classes=10, dim=16
+    # config: members are evaluated on their own data, as in their runs
+    r = tmp_path / "r"
+    for method in ("ce", "cdb"):
+        assert main(["train", "--set", f"method={method}", "--set", "classes=3", "--set", "dim=4",
+                     "--set", "meta_batch_size=32", "--set", "seeds=0", "--set", "epochs=1",
+                     "--set", f"out_dir={r}"]) == 0
+    members = [r / "ce" / "seed0", r / "cdb" / "seed0"]
+    assert main(["ensemble", "--set", "ensemble_members=" + ",".join(map(str, members)),
+                 "--set", f"out_dir={tmp_path / 'ens'}"]) == 0
+    rows = (tmp_path / "ens" / "ensemble_metrics.csv").read_text("ascii").splitlines()[1:3]
+    for row, d in zip(rows, members):
+        final = (d / "metrics.csv").read_text("ascii").splitlines()[-1]
+        assert row.split(",")[1:] == final.split(",")[1:5]
+
+
+def test_ensemble_members_must_share_data(tmp_path):
+    run(base_cfg(tmp_path / "a", method="ce", epochs=1))
+    run(base_cfg(tmp_path / "b", method="ce", epochs=1, data_seed=1))
+    members = (str(tmp_path / "a" / "ce" / "seed0"), str(tmp_path / "b" / "ce" / "seed0"))
+    with pytest.raises(ConfigError, match="different data"):
+        ensemble_existing(base_cfg(tmp_path / "ens", ensemble_members=members))
+
+
 def test_ensemble_needs_two_members(tmp_path):
     with pytest.raises(ConfigError, match="two"):
         ensemble_existing(base_cfg(tmp_path, ensemble_members=("just_one",)))
@@ -450,6 +490,15 @@ def test_cli_config_error_leaves_no_run_dir(tmp_path, capsys):
     code = main(["train", "--set", "classes=4", "--set", "m_per_class=5",
                  "--set", f"out_dir={out}"])
     assert code == 2
+    assert not out.exists()
+
+
+def test_cli_non_positive_cosine_scale_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["train", "--set", "head=cosine", "--set", "cosine_scale=0", "--set", "epochs=1",
+                 "--set", "seeds=0", "--set", f"out_dir={out}"])
+    assert code == 2
+    assert "cosine_scale" in capsys.readouterr().err
     assert not out.exists()
 
 

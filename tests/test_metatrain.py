@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ltlab import difficulty, metatrain, nnet
 from ltlab.data import Dataset, exp_profile, split_meta, synth_gaussian
 from ltlab.difficulty import (
     dnet_forward,
@@ -17,6 +18,7 @@ from ltlab.difficulty import (
     weights_from_difficulty,
 )
 from ltlab.metatrain import (
+    VARIANTS,
     NumericError,
     OptSpec,
     TrainConfig,
@@ -26,6 +28,7 @@ from ltlab.metatrain import (
     virtual_step,
 )
 from ltlab.nnet import (
+    MLP,
     Classifier,
     backward,
     classifier_logits,
@@ -391,6 +394,30 @@ def test_sample_variant_runs_without_class_snapshots():
     # the net did train
     assert any(not np.array_equal(a.w, b.w)
                for a, b in zip(out_sdnet.net.layers, sdnet.net.layers))
+
+
+@pytest.mark.parametrize("variant", ["dnet", "abs", "sample"])
+def test_one_forward_per_net_and_batch_per_step(variant, monkeypatch):
+    # per step the classifier runs forward once over the train batch (the
+    # virtual step, the per-sample dots and the actual step share it) and
+    # once over the meta batch; the difficulty net once before its update
+    # and once after
+    real, seen = nnet.forward_tape, []
+
+    def spy(model, x):
+        seen.append("dnet" if isinstance(model, MLP) else len(x))
+        return real(model, x)
+
+    for mod in (nnet, metatrain, difficulty):
+        monkeypatch.setattr(mod, "forward_tape", spy, raising=False)
+    train_set, meta_set = tiny_data()  # meta set of 12 rows: evaluation
+    cfg = cfg_for(train_set, T=5, b=8, m=6, steps_per_epoch=2, variant=variant, seed=5)
+    head = head_init(VARIANTS[variant], 8 if variant == "sample" else 3, seed=6)
+    train(cfg, train_set, meta_set, tiny_model(seed=39), head)
+    evals = 3 if head.records else 0  # the class snapshot at each epoch's end
+    assert seen.count(8) == cfg.T
+    assert seen.count(6) == cfg.T
+    assert seen.count("dnet") == 2 * cfg.T + evals
 
 
 def test_variant_net_type_checked():

@@ -11,8 +11,6 @@ from ltlab.nnet import (
     MLP,
     backward,
     classifier_logits,
-    cosine_head_forward,
-    forward,
     forward_tape,
     grad_dot,
     init_mlp,
@@ -20,7 +18,6 @@ from ltlab.nnet import (
     make_optimizer,
     optimizer_step,
     per_class_accuracy,
-    per_sample_grad_dot,
     per_sample_grad_dots,
     save_checkpoint,
     weighted_ce_loss,
@@ -39,7 +36,7 @@ def small_net(sizes, out_act="identity", seed=0):
 
 def test_forward_zero_net_zero_logits():
     net = MLP([Layer(np.zeros((3, 2)), np.zeros(3), "identity")])
-    out = forward(net, np.array([[1.0, -2.0], [0.5, 0.5]]))
+    out = classifier_logits(net, np.array([[1.0, -2.0], [0.5, 0.5]]))
     assert np.array_equal(out, np.zeros((2, 3)))
 
 
@@ -48,19 +45,19 @@ def test_forward_single_linear_layer_is_affine():
     b = np.array([0.25, -0.75])
     net = MLP([Layer(w, b, "identity")])
     x = np.array([[3.0, -1.0]])
-    assert np.allclose(forward(net, x), x @ w.T + b)
+    assert np.allclose(classifier_logits(net, x), x @ w.T + b)
 
 
 def test_forward_sigmoid_codomain_strict():
     net = small_net([4, 8, 8, 3], out_act="sigmoid")
-    out = forward(net, np.linspace(-50, 50, 24).reshape(6, 4))
+    out = classifier_logits(net, np.linspace(-50, 50, 24).reshape(6, 4))
     assert (out > 0).all() and (out < 1).all()
 
 
 def test_forward_rejects_wrong_width():
     net = small_net([4, 3])
     with pytest.raises(ValueError):
-        forward(net, np.zeros((2, 5)))
+        classifier_logits(net, np.zeros((2, 5)))
 
 
 def test_init_mlp_bounds_and_biases():
@@ -200,7 +197,8 @@ def test_per_sample_dots_match_materialized():
 def test_per_sample_dot_zero_direction():
     net = small_net([3, 4, 2], seed=7)
     model = Classifier(net, "linear")
-    assert per_sample_grad_dot(model, np.ones(3), 1, zeros_like_grads(net)) == 0.0
+    dots = per_sample_grad_dots(model, np.ones((1, 3)), np.array([1]), zeros_like_grads(net))
+    assert dots[0] == 0.0
 
 
 def test_per_sample_dot_own_gradient_non_negative():
@@ -208,7 +206,7 @@ def test_per_sample_dot_own_gradient_non_negative():
     model = Classifier(net, "linear")
     x = np.array([0.3, -1.2, 0.7])
     own = backward(model, x.reshape(1, -1), np.array([0]), np.array([1.0]))
-    val = per_sample_grad_dot(model, x, 0, own)
+    val = per_sample_grad_dots(model, x.reshape(1, -1), np.array([0]), own)[0]
     assert val >= 0.0
     assert np.isclose(val, grad_dot(own, own), rtol=1e-12)
 
@@ -347,16 +345,16 @@ def test_accuracy_evaluated_on_tag():
 def test_cosine_logits_bounded():
     net = small_net([3, 4, 5], seed=12)
     x = np.random.default_rng(12).standard_normal((7, 3)) * 10
-    logits = cosine_head_forward(net, x, scale=16.0)
+    logits = classifier_logits(Classifier(net, "cosine", 16.0), x)
     assert (np.abs(logits) <= 16.0 + 1e-12).all()
 
 
 def test_cosine_invariant_to_class_row_scaling():
     net = small_net([3, 4, 4], seed=13)
     x = np.random.default_rng(13).standard_normal((5, 3))
-    before = cosine_head_forward(net, x, scale=8.0)
+    before = classifier_logits(Classifier(net, "cosine", 8.0), x)
     net.layers[-1].w *= 10.0
-    after = cosine_head_forward(net, x, scale=8.0)
+    after = classifier_logits(Classifier(net, "cosine", 8.0), x)
     assert np.allclose(before, after, rtol=1e-12)
 
 
@@ -365,7 +363,7 @@ def test_cosine_self_match_attains_scale():
     w_last = np.array([[3.0, 0.0], [0.0, 2.0]])
     net = MLP([Layer(np.eye(2), np.zeros(2), "identity"),
                Layer(w_last, np.zeros(2), "identity")])
-    logits = cosine_head_forward(net, np.array([[3.0, 0.0]]), scale=16.0)
+    logits = classifier_logits(Classifier(net, "cosine", 16.0), np.array([[3.0, 0.0]]))
     assert np.isclose(logits[0, 0], 16.0, rtol=1e-12)
     assert logits[0, 1] < 16.0
 
@@ -373,7 +371,7 @@ def test_cosine_self_match_attains_scale():
 def test_cosine_rejects_non_positive_scale():
     net = small_net([2, 3], seed=14)
     with pytest.raises(ValueError):
-        cosine_head_forward(net, np.zeros((1, 2)), scale=0.0)
+        classifier_logits(Classifier(net, "cosine", 0.0), np.zeros((1, 2)))
 
 
 def test_classifier_logits_dispatches_heads():
@@ -381,7 +379,7 @@ def test_classifier_logits_dispatches_heads():
     x = np.random.default_rng(15).standard_normal((4, 2))
     lin = classifier_logits(Classifier(net, "linear"), x)
     cos = classifier_logits(Classifier(net, "cosine", scale=4.0), x)
-    assert np.allclose(lin, forward(net, x))
+    assert np.allclose(lin, classifier_logits(net, x))
     assert not np.allclose(lin, cos)
 
 
