@@ -112,22 +112,23 @@ def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: i
     if steps == 0:
         return model
     clf = as_classifier(model)
-    frozen = clf.net.layers[:-1]  # shared by reference: freezing is bit-exact
     old = clf.net.layers[-1]
     rng = consumer_rng(seed, "init", "crt")
     bound = 1.0 / np.sqrt(old.w.shape[1])
-    head = Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)
+    head = MLP([Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)])
+    # the features copied bit for bit; the loop writes only the head's slice
+    net = MLP(clf.net.layers[:-1] + head.layers)
+    start = net.params.size - head.params.size
+    current = replace(clf, net=net)
     opt = opt_spec.build()
     batches = class_balanced_batches(train_set, batch_size, seed)
-    current = replace(clf, net=MLP(frozen + [head]))
     for _ in range(steps):
         idx = next(batches)
         bx, by = train_set.features[idx], train_set.labels[idx]
         grads = backward(current, bx, by, np.ones(by.size))
-        head_net = MLP([current.net.layers[-1]])
-        head_net, opt = optimizer_step(opt, head_net, [grads[-1]])
-        current = replace(current, net=MLP(frozen + [head_net.layers[0]]))
-    return current if isinstance(model, Classifier) else current.net
+        head, opt = optimizer_step(opt, head, grads[start:])
+        net.params[start:] = head.params
+    return current if isinstance(model, Classifier) else net
 
 
 def ensemble_predict(members, inputs) -> np.ndarray:

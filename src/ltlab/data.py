@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,9 +163,24 @@ def split_meta(pool: Dataset, m_per_class: int, seed: int) -> tuple[Dataset, Dat
     return train, meta
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str, **open_kwargs):
+    """open(path, mode) for writing through a temp file next to path, moved
+    onto path when the block ends without error. An interrupted write leaves
+    the previous file, not part of the new one, and no temp file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.unlink(tmp)
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write the LTDS text form: header line, then one label,f1,...,fD row each."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#LTDS C={ds.class_count} DIM={ds.dim}\n")
         for label, row in zip(ds.labels, ds.features):
             fh.write(f"{int(label)},{','.join(repr(float(v)) for v in row)}\n")

@@ -11,14 +11,13 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .baselines import cdb_weights, crt_retrain, effective_number_weights, ensemble_predict, inverse_frequency_weights
-from .data import Dataset, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
+from .data import Dataset, atomic_write, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
 from .difficulty import DifficultyHead, head_init
 from .metatrain import (
     VARIANTS,
@@ -243,17 +242,6 @@ def config_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("LTLAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"LTLAB_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"LTLAB_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Load the configured files, or synthesize the pool and split it."""
     if cfg.train_file:
@@ -358,13 +346,13 @@ def _write_metrics_csv(path: str, records: list[EpochRecord], extended: bool, cl
     cols = ["epoch", "overall", "many", "medium", "few"]
     if extended:
         cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         fh.writelines(_metrics_row(rec) for rec in records)
 
 
 def _write_trace_csv(path: str, metrics: RunMetrics) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("step,class,normalized_weight\n")
         for step, cls, w in metrics.weight_trace:
             fh.write(f"{step},{cls},{repr(float(w))}\n")
@@ -427,9 +415,7 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
     try:
         model, head, metrics = train_one(cfg, train_set, meta_set, seed)
     except NumericError as e:
-        if e.metrics is not None:
-            _flush_run(cfg, run_dir, e.metrics.epochs, e.metrics, train_set.class_count,
-                       seed, started)
+        _flush_run(cfg, run_dir, e.metrics.epochs, e.metrics, train_set.class_count, seed, started)
         raise
 
     # made only after training, so that a rejected config leaves no directory
@@ -458,31 +444,23 @@ def _flush_run(cfg, run_dir, records, metrics: RunMetrics, class_count, seed, st
     _write_metrics_csv(os.path.join(run_dir, "metrics.csv"), records, metrics.records, class_count)
     if metrics.records:
         _write_trace_csv(os.path.join(run_dir, "weights_trace.csv"), metrics)
-    with open(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8",
+                      newline="\n") as fh:
         fh.write(config_text(replace(cfg, seeds=(seed,))))
     manifest = {
         "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(started)),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_seconds": round(time.time() - started, 3),
     }
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
 def run(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Train cfg.method for every seed; one output directory per (method, seed).
-
-    LTLAB_THREADS caps how many seeds run concurrently. Runs are independent
-    and internally sequential, so outputs do not depend on the cap.
-    """
+    """Train cfg.method for every seed, one after another in this thread."""
     train_set, meta_set = build_datasets(cfg)
-    cap = thread_cap()
-    seeds = list(cfg.seeds)
-    if cap <= 1 or len(seeds) == 1:
-        return [_run_single(cfg, train_set, meta_set, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=min(cap, len(seeds))) as ex:
-        return list(ex.map(lambda s: _run_single(cfg, train_set, meta_set, s), seeds))
+    return [_run_single(cfg, train_set, meta_set, s) for s in cfg.seeds]
 
 
 def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -502,7 +480,7 @@ def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
         with open(metrics_path, "r", encoding="ascii") as fh:
             stage1 = fh.readlines()[: 1 + rcfg.epochs]  # header, one row per epoch
         rec = _stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(stage1) - 1)
-        with open(metrics_path, "w", encoding="ascii", newline="\n") as fh:
+        with atomic_write(metrics_path, "w", encoding="ascii", newline="\n") as fh:
             fh.writelines(stage1 + [_metrics_row(rec)])
         rows.append(_report_row(rcfg.method, seed, rec, started))
     return rows
@@ -538,7 +516,7 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
     rows.append(("ensemble", result["ensemble"]))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "ensemble_metrics.csv")
-    with open(out_path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_write(out_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("name,overall,many,medium,few\n")
         fh.writelines(f"{n},{_fmt(s.overall)},{_fmt(s.many)},{_fmt(s.medium)},{_fmt(s.few)}\n"
                       for n, s in rows)
@@ -652,7 +630,7 @@ def report_text(summaries: list[MethodSummary]) -> str:
 
 
 def report_csv(summaries: list[MethodSummary], path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
         cols = ["method", "seeds"]
         for name in ("overall", "many", "medium", "few"):
             cols += [f"{name}_median", f"{name}_iqr"]

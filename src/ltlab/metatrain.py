@@ -51,11 +51,12 @@ VARIANTS = {"dnet": "class", "abs": "abs", "sample": "sample", "nodriver": "clas
 
 
 class NumericError(ArithmeticError):
-    """Training hit a non-finite loss. Carries whatever metrics accumulated."""
+    """Training produced a non-finite value. Names the phase, the step and the
+    quantity, and carries the metrics accumulated so far."""
 
-    def __init__(self, message: str, metrics: "RunMetrics | None" = None):
-        super().__init__(message)
-        self.metrics = metrics
+    def __init__(self, phase: str, step: int, quantity: str, metrics: "RunMetrics"):
+        super().__init__(f"non-finite {quantity} in the {phase} phase at step {step}")
+        self.phase, self.step, self.quantity, self.metrics = phase, step, quantity, metrics
 
 
 @dataclass(frozen=True)
@@ -225,6 +226,11 @@ def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set,
     )
 
 
+def _check_finite(value, phase: str, step: int, quantity: str, metrics: RunMetrics) -> None:
+    if not np.isfinite(value).all():
+        raise NumericError(phase, step, quantity, metrics)
+
+
 def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
     """Run cfg.T iterations of the three-update step (the classifier step
     alone for heads without a net), with batching, a per-epoch accuracy
@@ -286,16 +292,19 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
             _, signal = weighted_ce_loss(tape.logits, by, np.ones(by.size))
         if head.net is not None:
             g_theta = _meta_gradient(head, tape, signal, by, mx, my, cfg.alpha, lam)
+            _check_finite(g_theta, "meta", t, "difficulty-net gradient", metrics)
             net, dn_opt = optimizer_step(dn_opt, head.net, g_theta)
             head = replace(head, net=net)
         # weights re-computed with the updated net before the actual step
         d = dnet_forward(head, signal)
+        _check_finite(d, "weighting", t, "difficulty vector", metrics)
         loss, cot = classifier_objective(tape.logits, by, head.weights(d, by), gamma)
-        net, clf_opt = optimizer_step(clf_opt, model.net, tape.grads(cot))
+        grads = tape.grads(cot)
+        _check_finite(grads, "classifier", t, "classifier gradient", metrics)
+        _check_finite(loss, "classifier", t, "training loss", metrics)
+        net, clf_opt = optimizer_step(clf_opt, model.net, grads)
         model = replace(model, net=net)
 
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite training loss at step {t}", metrics)
         if cfg.record_losses:
             metrics.step_losses.append(float(loss))
         if head.records and cfg.trace_classes:

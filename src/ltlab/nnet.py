@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import atomic_write
+
 NORM_EPS = 1e-12  # guard for cosine-head norms
 SIG_CLAMP = 1e-12  # sigmoid outputs stay inside (0, 1) even under underflow
-
-Grads = list[tuple[np.ndarray, np.ndarray]]  # (dW, db) per layer
 
 
 @dataclass
@@ -26,17 +26,26 @@ class Layer:
     act: str  # "relu" | "identity" | "sigmoid"
 
 
-@dataclass
 class MLP:
-    layers: list[Layer]
+    """A dense net over one float64 parameter vector, params, laid out as
+    LTNN1 checkpoints store it: per layer W row-major, then b. Each layer's w
+    and b are views into it. Built from layers alone, their arrays are copied
+    into a new vector; with params, layers give only shapes and activations."""
+
+    def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
+        if params is None:
+            params = np.concatenate(
+                [np.asarray(a, dtype=np.float64).ravel() for l in layers for a in (l.w, l.b)])
+        self.params = params
+        self.layers = [Layer(w, b, l.act) for (w, b), l in zip(_split(layers, params), layers)]
+
+    def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (W, b) views into a vector laid out like params."""
+        return _split(self.layers, vec)
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].w.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].w.shape[0]
 
 
 @dataclass
@@ -83,6 +92,18 @@ def accuracy_array(acc) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError("accuracy must be a vector")
     return a
+
+
+def _split(layers, vec):
+    out, off = [], 0
+    for layer in layers:
+        rows, cols = np.shape(layer.w)
+        mid = off + rows * cols
+        out.append((vec[off:mid].reshape(rows, cols), vec[mid : mid + rows]))
+        off = mid + rows
+    if vec.shape != (off,):
+        raise ValueError(f"expected a vector of {off} parameters, got shape {vec.shape}")
+    return out
 
 
 def init_mlp(sizes: list[int], out_act: str, rng: np.random.Generator) -> MLP:
@@ -202,38 +223,40 @@ class Tape:
     cos: tuple | None
     logits: np.ndarray
 
-    def grads(self, cotangent: np.ndarray) -> Grads:
-        """Parameter grads given dLoss/dlogits."""
+    def grads(self, cotangent: np.ndarray) -> np.ndarray:
+        """Parameter grads given dLoss/dlogits, laid out like the net's params."""
         cot = np.asarray(cotangent, dtype=np.float64)
         if cot.shape != self.logits.shape:
             raise ValueError(f"cotangent must be {self.logits.shape}, got {cot.shape}")
-        if self.clf.head == "cosine":
-            last = self.clf.net.layers[-1]
-            dw, d_f = _cosine_grads(last, self.cos, self.clf.scale * cot)
-            grads = _walk_grads(self.clf.net.layers[:-1], self.steps, d_f)
-            grads.append((dw, np.zeros_like(last.b)))  # cosine head ignores bias
-            return grads
-        return _walk_grads(self.clf.net.layers, self.steps, cot)
+        net = self.clf.net
+        grads = np.zeros_like(net.params)
+        views = net.split(grads)
+        if self.clf.head == "cosine":  # its bias takes no part and keeps a zero grad
+            views[-1][0][...], d_f = _cosine_grads(self.cos, self.clf.scale * cot)
+            _walk_grads(net.layers[:-1], self.steps, d_f, views)
+        else:
+            _walk_grads(net.layers, self.steps, cot, views)
+        return grads
 
-    def dots(self, labels, direction: Grads) -> np.ndarray:
+    def dots(self, labels, direction: np.ndarray) -> np.ndarray:
         """<grad_phi CE_i, direction> for every sample i, unweighted."""
         labels = _check_labels(labels, self.logits)
         clf, steps, n = self.clf, self.steps, labels.size
+        views = clf.net.split(direction)
         g = softmax(self.logits)
         g[np.arange(n), labels] -= 1.0
         dots = np.zeros(n)
         if clf.head == "cosine":
             r_f, f_hat, r_w, w_hat, _ = self.cos
-            vw, _ = direction[-1]  # bias carries no cosine gradient
+            vw, _ = views[-1]  # bias carries no cosine gradient
             a = f_hat @ vw.T
             b = f_hat @ w_hat.T
             u = (w_hat * vw).sum(axis=1)
             gs = clf.scale * g
             dots += (gs * (a - b * u[None, :]) / r_w.T).sum(axis=1)
-            d_f_hat = gs @ w_hat
-            d_f = (d_f_hat - (d_f_hat * f_hat).sum(axis=1, keepdims=True) * f_hat) / r_f
-            return _walk_dots(clf.net.layers[:-1], steps, d_f, direction[:-1], dots)
-        return _walk_dots(clf.net.layers, steps, g, direction, dots)
+            d_f = _normalize_vjp(gs @ w_hat, f_hat, r_f)
+            return _walk_dots(clf.net.layers[:-1], steps, d_f, views, dots)
+        return _walk_dots(clf.net.layers, steps, g, views, dots)
 
 
 def forward_tape(model, x) -> Tape:
@@ -272,20 +295,19 @@ def ce_logit_cotangent(logits, labels, weights) -> np.ndarray:
     return g
 
 
-def _walk_grads(layers, steps, d_post) -> Grads:
-    """Cotangent wrt a layer slice's post-activation output -> summed grads."""
-    grads: Grads = []
+def _walk_grads(layers, steps, d_post, views) -> None:
+    """Cotangent wrt a layer slice's post-activation output -> summed grads,
+    written into the slice's (dW, db) views."""
     for k in reversed(range(len(layers))):
         h_in, z = steps[k]
         ag = _act_grad(z, layers[k].act)
         dz = d_post if ag is None else d_post * ag
-        grads.append((dz.T @ h_in, dz.sum(axis=0)))
+        np.matmul(dz.T, h_in, out=views[k][0])
+        np.add.reduce(dz, axis=0, out=views[k][1])
         d_post = dz @ layers[k].w
-    grads.reverse()
-    return grads
 
 
-def _walk_dots(layers, steps, d_post, direction, dots):
+def _walk_dots(layers, steps, d_post, views, dots):
     """Per-sample cotangent rows -> per-sample <grad_i, direction>, accumulated
     into dots. Per-sample weight grads are rank-one (dz_i outer h_i), so the
     dot collapses to (dz @ Vw) . h row-wise without materializing them."""
@@ -293,56 +315,41 @@ def _walk_dots(layers, steps, d_post, direction, dots):
         h_in, z = steps[k]
         ag = _act_grad(z, layers[k].act)
         dz = d_post if ag is None else d_post * ag
-        vw, vb = direction[k]
+        vw, vb = views[k]
         dots += ((h_in @ vw.T) * dz).sum(axis=1) + dz @ vb
         d_post = dz @ layers[k].w
     return dots
 
 
-def _cosine_grads(last, cos, g):
+def _cosine_grads(cos, g):
     """Cotangent wrt cosine logits -> (dW_last, d_features)."""
     r_f, f_hat, r_w, w_hat, _ = cos
-    d_w_hat = g.T @ f_hat
-    # normalize() backward: project out the radial component, divide by norm
-    dw = (d_w_hat - (d_w_hat * w_hat).sum(axis=1, keepdims=True) * w_hat) / r_w
-    d_f_hat = g @ w_hat
-    d_f = (d_f_hat - (d_f_hat * f_hat).sum(axis=1, keepdims=True) * f_hat) / r_f
-    return dw, d_f
+    return _normalize_vjp(g.T @ f_hat, w_hat, r_w), _normalize_vjp(g @ w_hat, f_hat, r_f)
 
 
-def backward(model, batch, labels, weights) -> Grads:
-    """Gradient of (1/b) * sum_i w_i * CE_i wrt every layer's (W, b)."""
+def _normalize_vjp(d_hat, hat, r):
+    """normalize() backward: project out the radial component, divide by norm."""
+    return (d_hat - (d_hat * hat).sum(axis=1, keepdims=True) * hat) / r
+
+
+def backward(model, batch, labels, weights) -> np.ndarray:
+    """Gradient of (1/b) * sum_i w_i * CE_i wrt the net's params."""
     tape = forward_tape(model, batch)
     return tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
 
 
-def per_sample_grad_dots(model, batch, labels, direction: Grads) -> np.ndarray:
+def per_sample_grad_dots(model, batch, labels, direction: np.ndarray) -> np.ndarray:
     """<grad_phi CE_i, direction> for every sample i, unweighted."""
     return forward_tape(model, batch).dots(labels, direction)
 
 
 # ---------------------------------------------------------------------------
-# gradient containers and optimizers
+# optimizers
 
 
-def zeros_like_grads(net: MLP) -> Grads:
-    return [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in net.layers]
-
-
-def add_scaled(net: MLP, grads: Grads, coeff: float) -> MLP:
+def add_scaled(net: MLP, grads: np.ndarray, coeff: float) -> MLP:
     """New net with params + coeff * grads; activations carried over."""
-    layers = [
-        Layer(l.w + coeff * dw, l.b + coeff * db, l.act)
-        for l, (dw, db) in zip(net.layers, grads)
-    ]
-    return MLP(layers)
-
-
-def grad_dot(a: Grads, b: Grads) -> float:
-    total = 0.0
-    for (aw, ab), (bw, bb) in zip(a, b):
-        total += float(np.vdot(aw, bw)) + float(np.vdot(ab, bb))
-    return total
+    return MLP(net.layers, net.params + coeff * grads)
 
 
 @dataclass
@@ -355,8 +362,8 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list | None = None  # velocity (momentum) or first moment (adam)
-    v: list | None = None  # second moment (adam)
+    m: np.ndarray | None = None  # velocity (momentum) or first moment (adam)
+    v: np.ndarray | None = None  # second moment (adam)
 
 
 def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
@@ -368,40 +375,27 @@ def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
 
 
 def optimizer_step(
-    state: OptimizerState, net: MLP, grads: Grads
+    state: OptimizerState, net: MLP, grads: np.ndarray
 ) -> tuple[MLP, OptimizerState]:
-    """One update. Weight decay enters every rule as gradient += wd * param."""
-    effective = [
-        (dw + state.weight_decay * l.w, db + state.weight_decay * l.b)
-        for l, (dw, db) in zip(net.layers, grads)
-    ]
+    """One update. Weight decay enters every rule as gradient += wd * param.
+    Moments start at zero and are vectors laid out like the net's params."""
+    g = grads + state.weight_decay * net.params
     t = state.step + 1
     if state.kind == "sgd":
-        return add_scaled(net, effective, -state.lr), replace(state, step=t)
+        return add_scaled(net, g, -state.lr), replace(state, step=t)
+    m_old = np.zeros_like(g) if state.m is None else state.m
     if state.kind == "momentum":
-        m_old = state.m or zeros_like_grads(net)
-        m_new = [
-            (state.momentum * mw + gw, state.momentum * mb + gb)
-            for (mw, mb), (gw, gb) in zip(m_old, effective)
-        ]
+        m_new = state.momentum * m_old + g
         return add_scaled(net, m_new, -state.lr), replace(state, step=t, m=m_new)
-    # adam with bias correction
-    m_old = state.m or zeros_like_grads(net)
-    v_old = state.v or zeros_like_grads(net)
+    # adam with bias correction; the update reuses g's buffer (fewer temporaries)
+    v_old = np.zeros_like(g) if state.v is None else state.v
     b1, b2 = state.beta1, state.beta2
-    m_new = [
-        (b1 * mw + (1 - b1) * gw, b1 * mb + (1 - b1) * gb)
-        for (mw, mb), (gw, gb) in zip(m_old, effective)
-    ]
-    v_new = [
-        (b2 * vw + (1 - b2) * gw**2, b2 * vb + (1 - b2) * gb**2)
-        for (vw, vb), (gw, gb) in zip(v_old, effective)
-    ]
+    m_new = b1 * m_old + (1 - b1) * g
+    v_new = b2 * v_old + (1 - b2) * g**2
     c1, c2 = 1 - b1**t, 1 - b2**t
-    update = [
-        ((mw / c1) / (np.sqrt(vw / c2) + state.eps), (mb / c1) / (np.sqrt(vb / c2) + state.eps))
-        for (mw, mb), (vw, vb) in zip(m_new, v_new)
-    ]
+    update = np.sqrt(v_new / c2, out=g)
+    update += state.eps
+    np.divide(m_new / c1, update, out=update)
     return add_scaled(net, update, -state.lr), replace(state, step=t, m=m_new, v=v_new)
 
 
@@ -436,7 +430,7 @@ _MAGIC = b"LTNN1"
 def save_checkpoint(net: MLP, path: str) -> None:
     """Little-endian binary: magic, layer count, then per layer rows, cols,
     row-major f64 weights, f64 biases, one activation tag byte."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(net.layers)))
         for layer in net.layers:
@@ -467,7 +461,7 @@ def load_checkpoint(path: str) -> MLP:
         off += 1
         if tag not in _BYTE_ACT:
             raise ValueError(f"unknown activation tag {tag}")
-        layers.append(Layer(w.reshape(rows, cols).copy(), b.copy(), _BYTE_ACT[tag]))
+        layers.append(Layer(w.reshape(rows, cols), b, _BYTE_ACT[tag]))
     if off != len(raw):
         raise ValueError("trailing bytes after last layer")
-    return MLP(layers)
+    return MLP(layers)  # copies into one writable parameter vector

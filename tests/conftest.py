@@ -8,47 +8,30 @@ from ltlab.harness import ExperimentConfig, build_datasets, train_one
 
 
 def fd_param_grads(f, net, h=1e-4):
-    """Central finite differences of the scalar f() wrt every (w, b) of net.
+    """Central finite differences of the scalar f() wrt every parameter of
+    net, laid out like net.params.
 
     f must read the live net object; entries are perturbed in place and
     restored, so the net must not be shared with a concurrent reader.
     """
-    out = []
-    for layer in net.layers:
-        gw = np.zeros_like(layer.w)
-        it = np.nditer(layer.w, flags=["multi_index"])
-        for _ in it:
-            ij = it.multi_index
-            orig = layer.w[ij]
-            layer.w[ij] = orig + h
-            fp = f()
-            layer.w[ij] = orig - h
-            fm = f()
-            layer.w[ij] = orig
-            gw[ij] = (fp - fm) / (2.0 * h)
-        gb = np.zeros_like(layer.b)
-        for j in range(layer.b.size):
-            orig = layer.b[j]
-            layer.b[j] = orig + h
-            fp = f()
-            layer.b[j] = orig - h
-            fm = f()
-            layer.b[j] = orig
-            gb[j] = (fp - fm) / (2.0 * h)
-        out.append((gw, gb))
+    p = net.params
+    out = np.zeros_like(p)
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        fp = f()
+        p[i] = orig - h
+        fm = f()
+        p[i] = orig
+        out[i] = (fp - fm) / (2.0 * h)
     return out
 
 
 def max_rel_err(analytic, fd):
     """max component error, relative to the largest FD component (floored so
     an all-zero reference still compares exactly)."""
-    scale = max(
-        max(np.abs(gw).max(initial=0.0), np.abs(gb).max(initial=0.0)) for gw, gb in fd
-    )
-    diff = max(
-        max(np.abs(aw - gw).max(initial=0.0), np.abs(ab - gb).max(initial=0.0))
-        for (aw, ab), (gw, gb) in zip(analytic, fd)
-    )
+    scale = np.abs(fd).max(initial=0.0)
+    diff = np.abs(analytic - fd).max(initial=0.0)
     return diff / max(scale, 1e-12)
 
 

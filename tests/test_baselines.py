@@ -164,13 +164,14 @@ def test_crt_zero_steps_untouched():
     assert crt_retrain(model, balanced_pool(), 0, 8, OptSpec("sgd", 0.1), seed=0) is model
 
 
-def test_crt_freezes_features_by_reference_and_replaces_head():
+def test_crt_freezes_features_bit_exact_and_replaces_head():
     pool = balanced_pool()
     model = small_model(c=10)
     out = crt_retrain(model, pool, 25, 16, OptSpec("momentum", 0.1), seed=1)
     assert out is not model
     for kept, orig in zip(out.net.layers[:-1], model.net.layers[:-1]):
-        assert kept is orig  # shared storage, so the freeze is bit-exact
+        assert kept.w.tobytes() == orig.w.tobytes()
+        assert kept.b.tobytes() == orig.b.tobytes()
     assert not np.array_equal(out.net.layers[-1].w, model.net.layers[-1].w)
 
 

@@ -1,5 +1,7 @@
 """Dataset synthesis, splitting, and the text serialization format."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ltlab.data import (
     Dataset,
     FormatError,
+    atomic_write,
     exp_profile,
     load_dataset,
     save_dataset,
@@ -251,3 +254,18 @@ def test_dataset_arrays_read_only():
     d = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         d.features[0, 0] = 1.0
+
+
+def test_atomic_write_interrupted_keeps_old_file(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(str(path), "w", encoding="ascii") as fh:
+            fh.write("new, partial")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["f.csv"]
+    with atomic_write(str(path), "w", encoding="ascii") as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["f.csv"]

@@ -1,15 +1,18 @@
 """Config parsing, run layout, reproducibility of outputs, second-stage and
 ensemble entry points, aggregation, and the CLI's exit codes."""
 
+import builtins
+import errno
 import json
 import os
 import shutil
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ltlab import harness
+from ltlab import harness, metatrain
 from ltlab.cli import main
 from ltlab.data import Dataset, load_dataset, save_dataset
 from ltlab.harness import (
@@ -26,9 +29,9 @@ from ltlab.harness import (
     report_text,
     run,
     summarize,
-    thread_cap,
     train_one,
 )
+from ltlab.metatrain import NumericError
 
 
 def base_cfg(out_dir, **kw):
@@ -161,17 +164,6 @@ def test_config_text_round_trips(tmp_path):
     assert parse_config(str(p)) == changed
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("LTLAB_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("LTLAB_THREADS", "4")
-    assert thread_cap() == 4
-    for bad in ("0", "abc"):
-        monkeypatch.setenv("LTLAB_THREADS", bad)
-        with pytest.raises(ConfigError):
-            thread_cap()
-
-
 # ---------------------------------------------------------------------- data
 
 def test_gen_data_then_train_from_files(tmp_path):
@@ -286,18 +278,30 @@ def test_runs_are_byte_reproducible(tmp_path):
     assert all(a.startswith("out_dir") for a, _ in diff)
 
 
-def test_thread_cap_does_not_change_outputs(tmp_path, monkeypatch):
-    outs = []
-    for sub, cap in (("serial", "1"), ("pooled", "3")):
-        monkeypatch.setenv("LTLAB_THREADS", cap)
-        run(base_cfg(tmp_path / sub, method="ce", epochs=1, seeds=(0, 1, 2)))
-        per_seed = []
-        for s in (0, 1, 2):
-            d = tmp_path / sub / "ce" / f"seed{s}"
-            per_seed.append((d / "metrics.csv").read_bytes()
-                            + (d / "classifier.ltnn").read_bytes())
-        outs.append(per_seed)
-    assert outs[0] == outs[1]
+def test_seeds_in_one_run_match_single_seed_runs(tmp_path):
+    def outputs(sub, seeds):
+        run(base_cfg(tmp_path / sub, method="ce", epochs=1, seeds=seeds))
+        return [(tmp_path / sub / "ce" / f"seed{s}" / "metrics.csv").read_bytes()
+                + (tmp_path / sub / "ce" / f"seed{s}" / "classifier.ltnn").read_bytes()
+                for s in seeds]
+
+    together = outputs("together", (0, 1, 2))
+    alone = [outputs(f"alone{s}", (s,))[0] for s in (0, 1, 2)]
+    assert together == alone
+
+
+def test_every_seed_trains_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
+    single = harness._run_single
+
+    def spy(cfg, train_set, meta_set, seed):
+        threads.append(threading.get_ident())
+        return single(cfg, train_set, meta_set, seed)
+
+    monkeypatch.setattr(harness, "_run_single", spy)
+    monkeypatch.setenv("LTLAB_THREADS", "3")  # the old seed-pool cap is not read
+    run(base_cfg(tmp_path, method="ce", epochs=1, seeds=(0, 1, 2)))
+    assert threads == [threading.get_ident()] * 3
 
 
 # ---------------------------------------------------------------- second stage
@@ -323,6 +327,76 @@ def test_crt_existing_is_idempotent(runs_dir, tmp_path):
     once = metrics.read_bytes()
     crt_existing(cfg)
     assert metrics.read_bytes() == once
+
+
+class _HalfWriter:
+    """A file whose first write stores half its text, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+
+def test_interrupted_crt_leaves_metrics_csv_intact(runs_dir, tmp_path, monkeypatch):
+    shutil.copytree(runs_dir / "ce", tmp_path / "ce")
+    metrics = tmp_path / "ce" / "seed0" / "metrics.csv"
+    before = metrics.read_bytes()
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "metrics.csv" in str(file) and "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError):
+        crt_existing(base_cfg(tmp_path, method="ce"))
+    monkeypatch.undo()
+    assert metrics.read_bytes() == before
+    assert not [n for n in os.listdir(metrics.parent) if n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("name, phase", [("_meta_gradient", "meta"),
+                                         ("dnet_forward", "weighting"),
+                                         ("classifier_objective", "classifier")])
+def test_non_finite_value_is_caught_in_its_phase(tmp_path, monkeypatch, name, phase):
+    # from the first step of the second epoch on, the named function's
+    # output turns NaN; the run stops there and flushes the first epoch
+    cfg = base_cfg(tmp_path, method="dnet")
+    epochs_done = []
+    evaluate, real = metatrain.evaluate_epoch, getattr(metatrain, name)
+
+    def counted(*args):
+        out = evaluate(*args)
+        epochs_done.append(out)
+        return out
+
+    def poisoned(*args):
+        out = real(*args)
+        if not epochs_done:
+            return out
+        return tuple(o * np.nan for o in out) if isinstance(out, tuple) else out * np.nan
+
+    monkeypatch.setattr(metatrain, "evaluate_epoch", counted)
+    monkeypatch.setattr(metatrain, name, poisoned)
+    with pytest.raises(NumericError) as info:
+        run(cfg)
+    train_set, _ = build_datasets(cfg)
+    assert (info.value.phase, info.value.step) == (phase, train_set.size // cfg.batch_size)
+    assert f"in the {phase} phase at step" in str(info.value)
+    rows = (tmp_path / "dnet" / "seed0" / "metrics.csv").read_text("ascii").splitlines()
+    assert len(rows) == 2  # header and the first epoch
 
 
 def test_crt_existing_uses_the_runs_recorded_head(tmp_path):

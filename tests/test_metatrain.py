@@ -130,7 +130,7 @@ def test_virtual_step_matches_materialized_per_sample_sum():
         acc_w = np.zeros_like(layer.w)
         acc_b = np.zeros_like(layer.b)
         for i in range(5):
-            g = backward(model, x[i : i + 1], y[i : i + 1], np.array([1.0]))
+            g = model.net.split(backward(model, x[i : i + 1], y[i : i + 1], np.array([1.0])))
             acc_w += w[i] * g[k][0]
             acc_b += w[i] * g[k][1]
         want_w = layer.w - alpha * acc_w / 5
@@ -210,7 +210,7 @@ def test_meta_gradient_batch_duplication_invariant():
     g1 = meta_gradient(dnet, model, a, bx, by, mx, my, 0.1, 0.3)
     g2 = meta_gradient(dnet, model, a, np.concatenate([bx, bx]),
                        np.concatenate([by, by]), mx, my, 0.1, 0.3)
-    for (w1, b1), (w2, b2) in zip(g1, g2):
+    for (w1, b1), (w2, b2) in zip(dnet.net.split(g1), dnet.net.split(g2)):
         assert np.allclose(w1, w2, rtol=1e-10, atol=1e-14)
         assert np.allclose(b1, b2, rtol=1e-10, atol=1e-14)
 

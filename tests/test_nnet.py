@@ -1,5 +1,8 @@
 """Dense-net numerics: forward, exact gradients, per-sample dots, optimizers,
-accuracy evaluation, and the binary checkpoint format."""
+accuracy evaluation, the flat parameter vector and the binary checkpoint
+format."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from ltlab.nnet import (
     backward,
     classifier_logits,
     forward_tape,
-    grad_dot,
     init_mlp,
     load_checkpoint,
     make_optimizer,
@@ -21,7 +23,6 @@ from ltlab.nnet import (
     per_sample_grad_dots,
     save_checkpoint,
     weighted_ce_loss,
-    zeros_like_grads,
 )
 from ltlab.rng import consumer_rng
 
@@ -146,7 +147,7 @@ def test_backward_zero_weights_zero_gradient():
     net = small_net([3, 4, 2], seed=3)
     model = Classifier(net, "linear")
     grads = backward(model, np.ones((2, 3)), np.array([0, 1]), np.zeros(2))
-    for gw, gb in grads:
+    for gw, gb in net.split(grads):
         assert np.array_equal(gw, np.zeros_like(gw))
         assert np.array_equal(gb, np.zeros_like(gb))
 
@@ -160,7 +161,7 @@ def test_backward_duplicated_batch_mean_invariance():
     w = rng.random(3)
     g1 = backward(model, x, y, w)
     g2 = backward(model, np.vstack([x, x]), np.tile(y, 2), np.tile(w, 2))
-    for (a, ab), (b, bb) in zip(g1, g2):
+    for (a, ab), (b, bb) in zip(net.split(g1), net.split(g2)):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
         assert np.allclose(ab, bb, rtol=1e-12, atol=1e-15)
 
@@ -176,7 +177,7 @@ def test_tape_grads_validate_cotangent_shape():
 
 def materialized_dot(model, x, y, direction):
     g_i = backward(model, x.reshape(1, -1), np.array([y]), np.array([1.0]))
-    return grad_dot(g_i, direction)
+    return float(np.vdot(g_i, direction))
 
 
 def test_per_sample_dots_match_materialized():
@@ -186,8 +187,9 @@ def test_per_sample_dots_match_materialized():
         model = Classifier(net, head, scale=3.0)
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
-        direction = [(rng.standard_normal(l.w.shape), rng.standard_normal(l.b.shape))
-                     for l in net.layers]
+        direction = np.concatenate([np.concatenate([rng.standard_normal(l.w.shape).ravel(),
+                                                    rng.standard_normal(l.b.shape)])
+                                    for l in net.layers])
         dots = per_sample_grad_dots(model, x, y, direction)
         for i in range(5):
             want = materialized_dot(model, x[i], y[i], direction)
@@ -197,7 +199,7 @@ def test_per_sample_dots_match_materialized():
 def test_per_sample_dot_zero_direction():
     net = small_net([3, 4, 2], seed=7)
     model = Classifier(net, "linear")
-    dots = per_sample_grad_dots(model, np.ones((1, 3)), np.array([1]), zeros_like_grads(net))
+    dots = per_sample_grad_dots(model, np.ones((1, 3)), np.array([1]), np.zeros_like(net.params))
     assert dots[0] == 0.0
 
 
@@ -208,7 +210,7 @@ def test_per_sample_dot_own_gradient_non_negative():
     own = backward(model, x.reshape(1, -1), np.array([0]), np.array([1.0]))
     val = per_sample_grad_dots(model, x.reshape(1, -1), np.array([0]), own)[0]
     assert val >= 0.0
-    assert np.isclose(val, grad_dot(own, own), rtol=1e-12)
+    assert np.isclose(val, float(np.vdot(own, own)), rtol=1e-12)
 
 
 # ----------------------------------------------------------------- optimizers
@@ -218,7 +220,7 @@ def one_layer_net(p):
 
 
 def grads_of(value):
-    return [(np.array([[float(value)]]), np.zeros(1))]
+    return np.array([float(value), 0.0])
 
 
 def test_sgd_step_frozen():
@@ -277,6 +279,41 @@ def test_optimizer_deterministic():
         net_a, a = optimizer_step(a, net_a, grads_of(0.3))
         net_b, b = optimizer_step(b, net_b, grads_of(0.3))
     assert net_a.layers[0].w[0, 0] == net_b.layers[0].w[0, 0]
+
+
+def per_layer_steps(kind, net, grad_seq, lr, wd):
+    """Reference: the update rules applied one W or b array at a time, with
+    per-array moments, as a list of arrays per layer would be updated."""
+    params = [a.copy() for l in net.layers for a in (l.w, l.b)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_seq, start=1):
+        for i, (p, g) in enumerate(zip(params, grads)):
+            g = g + wd * p
+            if kind == "sgd":
+                step = g
+            elif kind == "momentum":
+                m[i] = 0.9 * m[i] + g
+                step = m[i]
+            else:
+                m[i] = 0.9 * m[i] + (1 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1 - 0.999) * g**2
+                step = (m[i] / (1 - 0.9**t)) / (np.sqrt(v[i] / (1 - 0.999**t)) + 1e-8)
+            params[i] = p + -lr * step
+    return np.concatenate([p.ravel() for p in params])
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "adam"])
+def test_optimizer_step_bit_identical_to_per_layer_rules(kind):
+    net = small_net([3, 5, 2], seed=21)
+    rng = np.random.default_rng(21)
+    flat_seq = [rng.standard_normal(net.params.size) for _ in range(4)]
+    want = per_layer_steps(kind, net, [[a for pair in net.split(g) for a in pair]
+                                       for g in flat_seq], 0.05, 1e-2)
+    state = make_optimizer(kind, 0.05, weight_decay=1e-2)
+    for g in flat_seq:
+        net, state = optimizer_step(state, net, g)
+    assert net.params.tobytes() == want.tobytes()
 
 
 def test_unknown_optimizer_kind_rejected():
@@ -383,7 +420,46 @@ def test_classifier_logits_dispatches_heads():
     assert not np.allclose(lin, cos)
 
 
+# ------------------------------------------------------- flat parameter vector
+
+def test_layers_are_views_into_the_parameter_vector():
+    net = small_net([3, 5, 2], seed=20)
+    assert net.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+    for layer in net.layers:
+        assert np.shares_memory(layer.w, net.params)
+        assert np.shares_memory(layer.b, net.params)
+    # laid out per layer as W row-major, then b
+    want = np.concatenate([np.concatenate([l.w.ravel(), l.b]) for l in net.layers])
+    assert net.params.tobytes() == want.tobytes()
+    net.layers[1].b[0] = 7.0
+    assert net.params[3 * 5 + 5 + 5 * 2] == 7.0
+    net.params[0] = -3.0
+    assert net.layers[0].w[0, 0] == -3.0
+
+
+def test_mlp_copies_the_layers_it_is_built_from():
+    w, b = np.ones((2, 3)), np.zeros(2)
+    net = MLP([Layer(w, b, "identity")])
+    net.params[:] = 5.0
+    assert (w == 1.0).all() and (b == 0.0).all()
+    with pytest.raises(ValueError):
+        MLP([Layer(w, np.zeros(3), "identity")])
+    with pytest.raises(ValueError):
+        MLP(net.layers, np.zeros(net.params.size + 1))
+
+
 # ---------------------------------------------------------------- checkpoints
+
+def test_checkpoint_bytes_unchanged(tmp_path):
+    # digest of the same checkpoint written when each layer held its own arrays
+    net = small_net([3, 8, 8, 2], out_act="sigmoid", seed=16)
+    net.layers[0].b[:] = 0.25
+    path = tmp_path / "net.ltnn"
+    save_checkpoint(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "99f86dfd5df3b11d985b2067e04506babb969ac95ed29a9d06c0cf5b56db406c")
+    assert load_checkpoint(path).params.tobytes() == net.params.tobytes()
+
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     net = small_net([3, 8, 8, 2], out_act="sigmoid", seed=16)
