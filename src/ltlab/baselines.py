@@ -13,6 +13,7 @@ from .nnet import (
     accuracy_array,
     as_classifier,
     backward,
+    check_finite,
     classifier_logits,
     log_softmax,
     optimizer_step,
@@ -106,7 +107,8 @@ def class_balanced_batches(dataset, batch_size: int, seed: int):
 def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: int):
     """Classifier retraining: freeze every feature layer bit-for-bit, re-init
     the final layer, and train it alone with class-balanced batches and plain
-    CE. steps=0 hands the model back untouched."""
+    CE. steps=0 hands the model back untouched. A non-finite gradient or
+    final layer raises NumericError in the stage2 phase."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps == 0:
@@ -115,19 +117,23 @@ def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: i
     old = clf.net.layers[-1]
     rng = consumer_rng(seed, "init", "crt")
     bound = 1.0 / np.sqrt(old.w.shape[1])
-    head = MLP([Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)])
-    # the features copied bit for bit; the loop writes only the head's slice
-    net = MLP(clf.net.layers[:-1] + head.layers)
-    start = net.params.size - head.params.size
+    fresh = Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)
+    # the features copied bit for bit; the optimizer steps a net over the
+    # final layer's slice of the parameter vector
+    net = MLP(clf.net.layers[:-1] + [fresh])
+    start = net.params.size - fresh.w.size - fresh.b.size
+    head = MLP([fresh], net.params[start:])
     current = replace(clf, net=net)
     opt = opt_spec.build()
     batches = class_balanced_batches(train_set, batch_size, seed)
-    for _ in range(steps):
+    for step in range(steps):
         idx = next(batches)
         bx, by = train_set.features[idx], train_set.labels[idx]
-        grads = backward(current, bx, by, np.ones(by.size))
-        head, opt = optimizer_step(opt, head, grads[start:])
-        net.params[start:] = head.params
+        grads = backward(current, bx, by, np.ones(by.size))[start:]
+        check_finite(grads, "stage2", step, "classifier gradient")
+        optimizer_step(opt, head, grads)
+    # the last update has no gradient after it to catch an overflow
+    check_finite(head.params, "stage2", steps - 1, "classifier parameters")
     return current if isinstance(model, Classifier) else net
 
 

@@ -75,7 +75,9 @@ class DifficultyHead:
         return out[:, 0] if self.kind == "abs" else out[0, :n]
 
     def weights(self, d: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return weights_from_difficulty(d, labels) if self.per_class else d
+        """Per-sample loss weights for labels already checked against the
+        classifier: d[y_i], or for the sample kind d itself."""
+        return d[labels] if self.per_class else d
 
     def reduce(self, dots: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
         """Per-sample values summed onto the difficulties they were weighted by."""

@@ -7,6 +7,7 @@ timestamps live only in manifest.json.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -425,7 +426,15 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
     if head.net is not None:
         save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
     if cfg.stage2 == "crt":
-        records.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(records)))
+        try:
+            records.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed,
+                                   len(records)))
+        except NumericError:
+            # the stage-1 files stay; a stage-2 checkpoint of an earlier run goes
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(run_dir, "classifier_crt.ltnn"))
+            _flush_run(cfg, run_dir, records, metrics, train_set.class_count, seed, started)
+            raise
 
     _flush_run(cfg, run_dir, records, metrics, train_set.class_count, seed, started)
     return _report_row(cfg.method, seed, records[-1] if records else None, started)

@@ -31,16 +31,15 @@ from .difficulty import (
 )
 from .nnet import (
     Classifier,
+    NumericError,  # re-exported: the loop raises it and callers import it from here
     OptimizerState,
-    add_scaled,
     as_classifier,
     backward,
-    ce_logit_cotangent,
+    check_finite,
     forward_tape,
     make_optimizer,
     optimizer_step,
     per_class_accuracy,
-    weighted_ce_loss,
 )
 from .rng import consumer_rng
 
@@ -48,15 +47,6 @@ from .rng import consumer_rng
 # kind with the driver term off, focal the fixed kind with the focal loss
 VARIANTS = {"dnet": "class", "abs": "abs", "sample": "sample", "nodriver": "class",
             "nometa": "nometa", "fixed": "fixed", "focal": "fixed"}
-
-
-class NumericError(ArithmeticError):
-    """Training produced a non-finite value. Names the phase, the step and the
-    quantity, and carries the metrics accumulated so far."""
-
-    def __init__(self, phase: str, step: int, quantity: str, metrics: "RunMetrics"):
-        super().__init__(f"non-finite {quantity} in the {phase} phase at step {step}")
-        self.phase, self.step, self.quantity, self.metrics = phase, step, quantity, metrics
 
 
 @dataclass(frozen=True)
@@ -154,14 +144,17 @@ class RunMetrics:
 def virtual_step(model, batch_x, batch_y, weights, alpha: float):
     """One plain-SGD lookahead on the weighted CE; returns the same kind of
     model it was given and never touches optimizer state."""
-    looked = _lookahead(forward_tape(model, batch_x), batch_y, weights, alpha)
+    looked = _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha)
     return looked if isinstance(model, Classifier) else looked.net
 
 
-def _lookahead(tape, labels, weights, alpha: float) -> Classifier:
-    """phi_hat = phi - alpha * grad_phi of the weighted CE, from the tape at phi."""
-    grads = tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
-    return replace(tape.clf, net=add_scaled(tape.clf.net, grads, -alpha))
+def _lookahead(tape, weights, alpha: float) -> Classifier:
+    """phi_hat = phi - alpha * grad_phi of the weighted CE, from the labelled
+    tape at phi, built in the gradient's own vector."""
+    step = tape.grads(tape.cotangent(weights))
+    step *= -alpha
+    clf = tape.clf
+    return Classifier(clf.net.over(np.add(clf.net.params, step, out=step)), clf.head, clf.scale)
 
 
 def meta_gradient(
@@ -171,12 +164,13 @@ def meta_gradient(
     """Gradient wrt the head's net of lam * driver + mean meta CE at the
     virtual step phi_hat(theta). signal is the accuracy vector, or for the
     sample kind the batch's per-sample losses."""
-    return _meta_gradient(head, forward_tape(model, batch_x), signal, batch_y,
+    return _meta_gradient(head, forward_tape(model, batch_x).with_labels(batch_y), signal,
                           meta_x, meta_y, alpha, lam)
 
 
-def _meta_gradient(head, tape, signal, batch_y, meta_x, meta_y, alpha, lam):
-    """meta_gradient from the classifier's tape over the train batch at phi.
+def _meta_gradient(head, tape, signal, meta_x, meta_y, alpha, lam):
+    """meta_gradient from the classifier's labelled tape over the train batch
+    at phi.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
@@ -187,23 +181,24 @@ def _meta_gradient(head, tape, signal, batch_y, meta_x, meta_y, alpha, lam):
     x = head_signal(head, signal)
     d_tape = forward_tape(head.net, head.embed(x))
     d = head.read(d_tape.logits, x.size)
-    looked = _lookahead(tape, batch_y, head.weights(d, batch_y), alpha)
+    labels = tape.labels
+    looked = _lookahead(tape, head.weights(d, labels), alpha)
     g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.size))
-    v = head.reduce(tape.dots(batch_y, g_meta), batch_y, d.size) * -(alpha / batch_y.size)
+    v = head.reduce(tape.dots(g_meta), labels, d.size) * -(alpha / labels.size)
     _, driver_cot = target_fit_loss(d, head.target(x))
     u = lam * driver_cot + v
     # padding outputs of the sample kind are discarded: zero cotangent
     return d_tape.grads(head.embed(u, pad=0.0))
 
 
-def classifier_objective(logits, labels, weights, focal_gamma=None):
-    """Mean weighted loss and its logit cotangent: w_i * CE_i, or with
-    focal_gamma the focal loss w_i * (1 - p_i)^gamma * CE_i."""
+def classifier_objective(tape, weights, focal_gamma=None):
+    """Mean weighted loss over the labelled tape's batch and its logit
+    cotangent: w_i * CE_i, or with focal_gamma the focal loss
+    w_i * (1 - p_i)^gamma * CE_i."""
     if focal_gamma is None:
-        loss, _ = weighted_ce_loss(logits, labels, weights)
-        return loss, ce_logit_cotangent(logits, labels, weights)
-    _, per_sample = focal_loss(logits, labels, focal_gamma)
-    cot = focal_logit_cotangent(logits, labels, focal_gamma)
+        return float((weights * tape.ce).mean()), tape.cotangent(weights)
+    _, per_sample = focal_loss(tape.logits, tape.labels, focal_gamma)
+    cot = focal_logit_cotangent(tape.logits, tape.labels, focal_gamma)
     return float((weights * per_sample).mean()), cot * weights[:, None]
 
 
@@ -226,11 +221,6 @@ def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set,
     )
 
 
-def _check_finite(value, phase: str, step: int, quantity: str, metrics: RunMetrics) -> None:
-    if not np.isfinite(value).all():
-        raise NumericError(phase, step, quantity, metrics)
-
-
 def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
     """Run cfg.T iterations of the three-update step (the classifier step
     alone for heads without a net), with batching, a per-epoch accuracy
@@ -239,7 +229,9 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
     dnet is a DifficultyHead of the variant's kind; nometa and the fixed
     variants default to theirs (the fixed one gives uniform weights).
     Returns (classifier, the trained head or None if none was passed,
-    RunMetrics). T=0 returns the inputs untouched with empty metrics.
+    RunMetrics). The optimizers update in place, so for T > 0 both nets are
+    copied once here and the caller's are never written; T=0 returns the
+    inputs themselves with empty metrics.
     """
     kind = VARIANTS[cfg.variant]
     head = dnet
@@ -265,6 +257,10 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
         raise ValueError(f"trace classes outside [0, C): {bad}")
 
     model = as_classifier(classifier)
+    if cfg.T > 0:
+        model = replace(model, net=model.net.copy())
+        if head.net is not None:
+            head = replace(head, net=head.net.copy())
     clf_opt = cfg.classifier_opt.build()
     dn_opt = cfg.dnet_opt.build() if head.net is not None else None
     lam = 0.0 if cfg.variant == "nodriver" else cfg.lam
@@ -283,27 +279,23 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
         midx = rng.choice(meta_set.size, size=cfg.m, replace=False)
         mx, my = meta_set.features[midx], meta_set.labels[midx]
 
-        # the classifier's one forward pass over the batch this step: the
-        # virtual step, the per-sample dots, the actual step and the sample
-        # kind's loss signal all reuse it
-        tape = forward_tape(model, bx)
-        signal = acc
-        if not head.per_class:
-            _, signal = weighted_ce_loss(tape.logits, by, np.ones(by.size))
+        # the classifier's one forward pass over the batch this step, with
+        # its labels checked once: the virtual step, the per-sample dots,
+        # the actual step and the sample kind's loss signal all reuse it
+        tape = forward_tape(model, bx).with_labels(by)
+        signal = acc if head.per_class else tape.ce
         if head.net is not None:
-            g_theta = _meta_gradient(head, tape, signal, by, mx, my, cfg.alpha, lam)
-            _check_finite(g_theta, "meta", t, "difficulty-net gradient", metrics)
-            net, dn_opt = optimizer_step(dn_opt, head.net, g_theta)
-            head = replace(head, net=net)
+            g_theta = _meta_gradient(head, tape, signal, mx, my, cfg.alpha, lam)
+            check_finite(g_theta, "meta", t, "difficulty-net gradient", metrics)
+            optimizer_step(dn_opt, head.net, g_theta)
         # weights re-computed with the updated net before the actual step
         d = dnet_forward(head, signal)
-        _check_finite(d, "weighting", t, "difficulty vector", metrics)
-        loss, cot = classifier_objective(tape.logits, by, head.weights(d, by), gamma)
+        check_finite(d, "weighting", t, "difficulty vector", metrics)
+        loss, cot = classifier_objective(tape, head.weights(d, by), gamma)
         grads = tape.grads(cot)
-        _check_finite(grads, "classifier", t, "classifier gradient", metrics)
-        _check_finite(loss, "classifier", t, "training loss", metrics)
-        net, clf_opt = optimizer_step(clf_opt, model.net, grads)
-        model = replace(model, net=net)
+        check_finite(grads, "classifier", t, "classifier gradient", metrics)
+        check_finite(loss, "classifier", t, "training loss", metrics)
+        optimizer_step(clf_opt, model.net, grads)
 
         if cfg.record_losses:
             metrics.step_losses.append(float(loss))

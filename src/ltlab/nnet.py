@@ -9,7 +9,7 @@ the backward passes below are hand-derived for this fixed layer structure
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,20 @@ from .data import atomic_write
 
 NORM_EPS = 1e-12  # guard for cosine-head norms
 SIG_CLAMP = 1e-12  # sigmoid outputs stay inside (0, 1) even under underflow
+
+
+class NumericError(ArithmeticError):
+    """Training produced a non-finite value. Names the phase, the step and the
+    quantity, and carries the metrics accumulated so far (None for stage 2)."""
+
+    def __init__(self, phase: str, step: int, quantity: str, metrics=None):
+        super().__init__(f"non-finite {quantity} in the {phase} phase at step {step}")
+        self.phase, self.step, self.quantity, self.metrics = phase, step, quantity, metrics
+
+
+def check_finite(value, phase: str, step: int, quantity: str, metrics=None) -> None:
+    if not np.isfinite(value).all():
+        raise NumericError(phase, step, quantity, metrics)
 
 
 @dataclass
@@ -30,18 +44,34 @@ class MLP:
     """A dense net over one float64 parameter vector, params, laid out as
     LTNN1 checkpoints store it: per layer W row-major, then b. Each layer's w
     and b are views into it. Built from layers alone, their arrays are copied
-    into a new vector; with params, layers give only shapes and activations."""
+    into a new vector; with params, layers give only shapes and activations.
+    The layout is worked out once and shared by every net made with over()."""
 
     def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
         if params is None:
             params = np.concatenate(
                 [np.asarray(a, dtype=np.float64).ravel() for l in layers for a in (l.w, l.b)])
-        self.params = params
-        self.layers = [Layer(w, b, l.act) for (w, b), l in zip(_split(layers, params), layers)]
+        self._bind(_layout(layers), params)
+
+    def _bind(self, layout: tuple, params: np.ndarray) -> None:
+        self.layout, self.params = layout, params
+        self.layers = [Layer(w, b, act) for (w, b), (*_, act) in zip(self.split(params), layout)]
+
+    def over(self, params: np.ndarray) -> MLP:
+        """A net of this one's shapes and activations over params, not copied."""
+        net = object.__new__(MLP)
+        net._bind(self.layout, params)
+        return net
+
+    def copy(self) -> MLP:
+        return self.over(self.params.copy())
 
     def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (W, b) views into a vector laid out like params."""
-        return _split(self.layers, vec)
+        size = self.layout[-1][2]
+        if vec.shape != (size,):
+            raise ValueError(f"expected a vector of {size} parameters, got shape {vec.shape}")
+        return [(vec[start:mid].reshape(shape), vec[mid:end]) for start, mid, end, shape, _ in self.layout]
 
     @property
     def in_dim(self) -> int:
@@ -94,16 +124,15 @@ def accuracy_array(acc) -> np.ndarray:
     return a
 
 
-def _split(layers, vec):
+def _layout(layers) -> tuple:
+    """Per layer (W start, b start, b end, W shape, activation) in params."""
     out, off = [], 0
     for layer in layers:
         rows, cols = np.shape(layer.w)
         mid = off + rows * cols
-        out.append((vec[off:mid].reshape(rows, cols), vec[mid : mid + rows]))
+        out.append((off, mid, mid + rows, (rows, cols), layer.act))
         off = mid + rows
-    if vec.shape != (off,):
-        raise ValueError(f"expected a vector of {off} parameters, got shape {vec.shape}")
-    return out
+    return tuple(out)
 
 
 def init_mlp(sizes: list[int], out_act: str, rng: np.random.Generator) -> MLP:
@@ -129,35 +158,24 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_act(z, act):
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    if act == "identity":
-        return z
-    if act == "sigmoid":
-        return np.clip(sigmoid(z), SIG_CLAMP, 1.0 - SIG_CLAMP)
-    raise ValueError(f"unknown activation {act!r}")
-
-
-def _act_grad(z, act):
-    if act == "relu":
-        return (z > 0.0).astype(np.float64)
-    if act == "identity":
-        return None  # multiply by 1: skip
-    if act == "sigmoid":
-        s = sigmoid(z)
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation {act!r}")
-
-
 def _cache_layers(layers, x):
-    """Run a slice of layers, keeping (input, pre-activation) per layer."""
+    """Run a slice of layers, keeping per layer its input and the derivative
+    of its activation at the pre-activation (None for identity)."""
     h = np.ascontiguousarray(x, dtype=np.float64)
     steps = []
     for layer in layers:
         z = h @ layer.w.T + layer.b
-        steps.append((h, z))
-        h = _apply_act(z, layer.act)
+        if layer.act == "relu":
+            out, deriv = np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
+        elif layer.act == "sigmoid":
+            s = sigmoid(z)  # the derivative uses the unclipped value
+            out, deriv = np.clip(s, SIG_CLAMP, 1.0 - SIG_CLAMP), s * (1.0 - s)
+        elif layer.act == "identity":
+            out, deriv = z, None
+        else:
+            raise ValueError(f"unknown activation {layer.act!r}")
+        steps.append((h, deriv))
+        h = out
     return steps, h
 
 
@@ -215,13 +233,39 @@ def weighted_ce_loss(
 class Tape:
     """One forward pass over a batch, kept so that the loss, backprop from
     any logit cotangent and the per-sample gradient dots all share it:
-    per-layer (input, pre-activation) steps, the cosine head's parts (None
-    for linear heads), and the logits."""
+    per-layer (input, activation derivative) steps, the cosine head's parts
+    (None for linear heads), and the logits. with_labels() adds the batch's
+    labels with the CE residual softmax - onehot and the per-sample CE."""
 
     clf: Classifier
     steps: list
     cos: tuple | None
     logits: np.ndarray
+    labels: np.ndarray | None = None
+    resid: np.ndarray | None = None
+    ce: np.ndarray | None = None
+
+    def with_labels(self, labels) -> Tape:
+        """Check the batch's labels once and keep the CE residual and the
+        per-sample CE -log softmax[y], both from one exp. Returns the tape."""
+        self.labels = labels = _check_labels(labels, self.logits)
+        rows = np.arange(labels.size)
+        z = self.logits - self.logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        self.ce = -(z[rows, labels] - np.log(total)[:, 0])
+        e /= total
+        e[rows, labels] -= 1.0
+        self.resid = e
+        return self
+
+    def cotangent(self, weights) -> np.ndarray:
+        """ce_logit_cotangent of the tape's logits and labels: the residual
+        scaled by w_i / b."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != self.labels.shape:
+            raise ValueError("weights must be (n,)")
+        return self.resid * (weights / weights.size)[:, None]
 
     def grads(self, cotangent: np.ndarray) -> np.ndarray:
         """Parameter grads given dLoss/dlogits, laid out like the net's params."""
@@ -238,14 +282,12 @@ class Tape:
             _walk_grads(net.layers, self.steps, cot, views)
         return grads
 
-    def dots(self, labels, direction: np.ndarray) -> np.ndarray:
-        """<grad_phi CE_i, direction> for every sample i, unweighted."""
-        labels = _check_labels(labels, self.logits)
-        clf, steps, n = self.clf, self.steps, labels.size
+    def dots(self, direction: np.ndarray) -> np.ndarray:
+        """<grad_phi CE_i, direction> for every sample i, unweighted, from the
+        residual kept by with_labels()."""
+        clf, steps, g = self.clf, self.steps, self.resid
         views = clf.net.split(direction)
-        g = softmax(self.logits)
-        g[np.arange(n), labels] -= 1.0
-        dots = np.zeros(n)
+        dots = np.zeros(g.shape[0])
         if clf.head == "cosine":
             r_f, f_hat, r_w, w_hat, _ = self.cos
             vw, _ = views[-1]  # bias carries no cosine gradient
@@ -299,12 +341,12 @@ def _walk_grads(layers, steps, d_post, views) -> None:
     """Cotangent wrt a layer slice's post-activation output -> summed grads,
     written into the slice's (dW, db) views."""
     for k in reversed(range(len(layers))):
-        h_in, z = steps[k]
-        ag = _act_grad(z, layers[k].act)
-        dz = d_post if ag is None else d_post * ag
+        h_in, deriv = steps[k]
+        dz = d_post if deriv is None else d_post * deriv
         np.matmul(dz.T, h_in, out=views[k][0])
         np.add.reduce(dz, axis=0, out=views[k][1])
-        d_post = dz @ layers[k].w
+        if k:  # the first layer's input cotangent is never read
+            d_post = dz @ layers[k].w
 
 
 def _walk_dots(layers, steps, d_post, views, dots):
@@ -312,12 +354,12 @@ def _walk_dots(layers, steps, d_post, views, dots):
     into dots. Per-sample weight grads are rank-one (dz_i outer h_i), so the
     dot collapses to (dz @ Vw) . h row-wise without materializing them."""
     for k in reversed(range(len(layers))):
-        h_in, z = steps[k]
-        ag = _act_grad(z, layers[k].act)
-        dz = d_post if ag is None else d_post * ag
+        h_in, deriv = steps[k]
+        dz = d_post if deriv is None else d_post * deriv
         vw, vb = views[k]
         dots += ((h_in @ vw.T) * dz).sum(axis=1) + dz @ vb
-        d_post = dz @ layers[k].w
+        if k:  # the first layer's input cotangent is never read
+            d_post = dz @ layers[k].w
     return dots
 
 
@@ -340,20 +382,21 @@ def backward(model, batch, labels, weights) -> np.ndarray:
 
 def per_sample_grad_dots(model, batch, labels, direction: np.ndarray) -> np.ndarray:
     """<grad_phi CE_i, direction> for every sample i, unweighted."""
-    return forward_tape(model, batch).dots(labels, direction)
+    return forward_tape(model, batch).with_labels(labels).dots(direction)
 
 
 # ---------------------------------------------------------------------------
 # optimizers
 
 
-def add_scaled(net: MLP, grads: np.ndarray, coeff: float) -> MLP:
-    """New net with params + coeff * grads; activations carried over."""
-    return MLP(net.layers, net.params + coeff * grads)
-
-
 @dataclass
 class OptimizerState:
+    """An optimizer's settings, its step count and the vectors it owns, laid
+    out like the net's params and made on the first step: g, the decayed
+    gradient and then the update, for every kind; the velocity or first
+    moment m for momentum and adam; the second moment v and a scratch
+    vector tmp for adam alone."""
+
     kind: str  # "sgd" | "momentum" | "adam"
     lr: float
     weight_decay: float = 0.0
@@ -362,8 +405,10 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: np.ndarray | None = None  # velocity (momentum) or first moment (adam)
-    v: np.ndarray | None = None  # second moment (adam)
+    g: np.ndarray | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    tmp: np.ndarray | None = None
 
 
 def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
@@ -377,26 +422,40 @@ def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
 def optimizer_step(
     state: OptimizerState, net: MLP, grads: np.ndarray
 ) -> tuple[MLP, OptimizerState]:
-    """One update. Weight decay enters every rule as gradient += wd * param.
-    Moments start at zero and are vectors laid out like the net's params."""
-    g = grads + state.weight_decay * net.params
-    t = state.step + 1
-    if state.kind == "sgd":
-        return add_scaled(net, g, -state.lr), replace(state, step=t)
-    m_old = np.zeros_like(g) if state.m is None else state.m
+    """One update, written into net.params and the state's own vectors, so
+    after the first step it allocates none. Returns (net, state), the
+    objects given. Weight decay enters every rule as gradient += wd * param;
+    moments start at zero."""
+    p = net.params
+    if state.g is None:
+        state.g = np.empty_like(p)
+        if state.kind != "sgd":
+            state.m = np.zeros_like(p)
+        if state.kind == "adam":
+            state.v, state.tmp = np.zeros_like(p), np.empty_like(p)
+    elif state.g.shape != p.shape:
+        raise ValueError(f"optimizer state is for {state.g.size} parameters, not {p.size}")
+    g = np.multiply(state.weight_decay, p, out=state.g)
+    np.add(grads, g, out=g)
+    state.step = t = state.step + 1
+    update = g
     if state.kind == "momentum":
-        m_new = state.momentum * m_old + g
-        return add_scaled(net, m_new, -state.lr), replace(state, step=t, m=m_new)
-    # adam with bias correction; the update reuses g's buffer (fewer temporaries)
-    v_old = np.zeros_like(g) if state.v is None else state.v
-    b1, b2 = state.beta1, state.beta2
-    m_new = b1 * m_old + (1 - b1) * g
-    v_new = b2 * v_old + (1 - b2) * g**2
-    c1, c2 = 1 - b1**t, 1 - b2**t
-    update = np.sqrt(v_new / c2, out=g)
-    update += state.eps
-    np.divide(m_new / c1, update, out=update)
-    return add_scaled(net, update, -state.lr), replace(state, step=t, m=m_new, v=v_new)
+        update = state.m
+        update *= state.momentum
+        update += g
+    elif state.kind == "adam":  # with bias correction; the update is built in g
+        m, v, tmp = state.m, state.v, state.tmp
+        b1, b2 = state.beta1, state.beta2
+        m *= b1
+        m += np.multiply(1 - b1, g, out=tmp)
+        v *= b2
+        v += np.multiply(1 - b2, np.square(g, out=tmp), out=tmp)
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        np.sqrt(np.divide(v, c2, out=g), out=g)
+        g += state.eps
+        np.divide(np.divide(m, c1, out=tmp), g, out=g)
+    p += np.multiply(-state.lr, update, out=g)
+    return net, state
 
 
 # ---------------------------------------------------------------------------

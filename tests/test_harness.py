@@ -438,6 +438,30 @@ def test_stage2_in_run_adds_crt_record(tmp_path):
     assert rows[0].overall == float(lines[-1].split(",")[1])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stage2_divergence_exits_3_and_keeps_stage1_files(tmp_path):
+    # a diverging stage 2 stops `ltlab train` and `ltlab crt` with exit 3;
+    # the stage-1 files are those of a stage2=none run, and no stage-2
+    # checkpoint is left, not even one from an earlier run in the directory
+    small = ["--set", "method=ce", "--set", "classes=3", "--set", "n_max=60",
+             "--set", "imbalance=10", "--set", "dim=4", "--set", "m_per_class=4",
+             "--set", "epochs=2", "--set", "batch_size=8", "--set", "meta_batch_size=8",
+             "--set", "hidden=8", "--set", "seeds=0", "--set", "crt_steps=8"]
+    bad, ref = tmp_path / "bad", tmp_path / "ref"
+    assert main(["train", *small, "--set", "stage2=crt", "--set", f"out_dir={bad}"]) == 0
+    assert (bad / "ce" / "seed0" / "classifier_crt.ltnn").exists()
+    diverge = ["--set", "crt_lr=1e300", "--set", f"out_dir={bad}"]
+    assert main(["train", *small, "--set", "stage2=crt", *diverge]) == 3
+    assert main(["train", *small, "--set", f"out_dir={ref}"]) == 0
+    got, want = bad / "ce" / "seed0", ref / "ce" / "seed0"
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want))  # run_config.txt too
+    for name in ("classifier.ltnn", "metrics.csv"):
+        assert (got / name).read_bytes() == (want / name).read_bytes()
+    assert main(["crt", *small, *diverge]) == 3
+    assert not (got / "classifier_crt.ltnn").exists()
+    assert (got / "metrics.csv").read_bytes() == (want / "metrics.csv").read_bytes()
+
+
 # -------------------------------------------------------------------- ensemble
 
 def test_ensemble_existing_writes_summary(runs_dir, tmp_path):

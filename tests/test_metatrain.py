@@ -286,11 +286,13 @@ def test_one_iteration_replicated_by_hand():
     acc = per_class_accuracy(model0, meta_set, "meta")
 
     g_theta = meta_gradient(dnet0, model0, acc, bx, by, mx, my, cfg.alpha, cfg.lam)
-    dnet_net1, _ = optimizer_step(cfg.dnet_opt.build(), dnet0.net, g_theta)
+    # optimizer_step updates in place: step copies, and keep the nets at
+    # step 0 for the stale-weights check below
+    dnet_net1, _ = optimizer_step(cfg.dnet_opt.build(), dnet0.net.copy(), g_theta)
     dnet1 = replace(dnet0, net=dnet_net1)
     w = weights_from_difficulty(dnet_forward(dnet1, acc), by)  # refreshed theta
     grads = backward(model0, bx, by, w)
-    model_net1, _ = optimizer_step(cfg.classifier_opt.build(), model0.net, grads)
+    model_net1, _ = optimizer_step(cfg.classifier_opt.build(), model0.net.copy(), grads)
 
     for a, b in zip(got_dnet.net.layers, dnet1.net.layers):
         assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
@@ -300,7 +302,7 @@ def test_one_iteration_replicated_by_hand():
 
     # stale weights would have produced a different classifier
     w_stale = weights_from_difficulty(dnet_forward(dnet0, acc), by)
-    stale_net, _ = optimizer_step(cfg.classifier_opt.build(), model0.net,
+    stale_net, _ = optimizer_step(cfg.classifier_opt.build(), model0.net.copy(),
                                   backward(model0, bx, by, w_stale))
     assert any(not np.array_equal(a.w, b.w)
                for a, b in zip(stale_net.layers, model_net1.layers))
@@ -315,6 +317,20 @@ def test_t_zero_returns_inputs_unchanged():
     )
     assert out_model is model and out_dnet is dnet
     assert metrics.epochs == [] and metrics.weight_trace == []
+
+
+def test_train_leaves_the_callers_nets_unchanged():
+    # the optimizers update in place, on copies train makes once
+    train_set, meta_set = tiny_data()
+    model = tiny_model(seed=24)
+    dnet = dnet_init(3, seed=25)
+    before = model.net.params.tobytes(), dnet.net.params.tobytes()
+    out_model, out_dnet, _ = train(
+        cfg_for(train_set, T=3, variant="dnet", seed=0), train_set, meta_set, model, dnet
+    )
+    assert (model.net.params.tobytes(), dnet.net.params.tobytes()) == before
+    assert out_model.net.params.tobytes() != before[0]
+    assert out_dnet.net.params.tobytes() != before[1]
 
 
 def test_same_seed_bit_identical():

@@ -3,6 +3,7 @@ accuracy evaluation, the flat parameter vector and the binary checkpoint
 format."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ltlab.nnet import (
     Layer,
     MLP,
     backward,
+    ce_logit_cotangent,
     classifier_logits,
     forward_tape,
     init_mlp,
@@ -22,6 +24,7 @@ from ltlab.nnet import (
     per_class_accuracy,
     per_sample_grad_dots,
     save_checkpoint,
+    softmax,
     weighted_ce_loss,
 )
 from ltlab.rng import consumer_rng
@@ -196,6 +199,48 @@ def test_per_sample_dots_match_materialized():
             assert np.isclose(dots[i], want, rtol=1e-10, atol=1e-12), (head, i)
 
 
+def reference_dots(model, x, y, direction):
+    """Per-sample dots of a [in, hidden, C] relu net, written out as the walk
+    over the net computes them, with the CE residual from its own softmax."""
+    (w1, b1), (w2, _) = ((l.w, l.b) for l in model.net.layers)
+    (vw1, vb1), (vw2, vb2) = model.net.split(direction)
+    z1 = x @ w1.T + b1
+    h1 = np.maximum(z1, 0.0)
+    g = softmax(classifier_logits(model, x))
+    g[np.arange(y.size), y] -= 1.0
+    dots = np.zeros(y.size)
+    if model.head == "cosine":
+        r_f = np.maximum(np.linalg.norm(h1, axis=1, keepdims=True), 1e-12)
+        f_hat = h1 / r_f
+        r_w = np.maximum(np.linalg.norm(w2, axis=1, keepdims=True), 1e-12)
+        w_hat = w2 / r_w
+        gs = model.scale * g
+        u = (w_hat * vw2).sum(axis=1)
+        dots += (gs * (f_hat @ vw2.T - (f_hat @ w_hat.T) * u[None, :]) / r_w.T).sum(axis=1)
+        d_hat = gs @ w_hat
+        d_post = (d_hat - (d_hat * f_hat).sum(axis=1, keepdims=True) * f_hat) / r_f
+    else:
+        dots += ((h1 @ vw2.T) * g).sum(axis=1) + g @ vb2
+        d_post = g @ w2
+    dz = d_post * (z1 > 0.0).astype(np.float64)
+    return dots + (((x @ vw1.T) * dz).sum(axis=1) + dz @ vb1)
+
+
+@pytest.mark.parametrize("head", ["linear", "cosine"])
+def test_tape_keeps_the_ce_residual_bit_for_bit(head):
+    rng = np.random.default_rng(9)
+    net = small_net([4, 6, 3], seed=9)
+    model = Classifier(net, head, scale=3.0)
+    x = rng.standard_normal((7, 4))
+    y = rng.integers(0, 3, 7)
+    w = rng.random(7)
+    tape = forward_tape(model, x).with_labels(y)
+    assert tape.cotangent(w).tobytes() == ce_logit_cotangent(tape.logits, y, w).tobytes()
+    assert tape.ce.tobytes() == weighted_ce_loss(tape.logits, y, np.ones(7))[1].tobytes()
+    direction = rng.standard_normal(net.params.size)
+    assert tape.dots(direction).tobytes() == reference_dots(model, x, y, direction).tobytes()
+
+
 def test_per_sample_dot_zero_direction():
     net = small_net([3, 4, 2], seed=7)
     model = Classifier(net, "linear")
@@ -314,6 +359,24 @@ def test_optimizer_step_bit_identical_to_per_layer_rules(kind):
     for g in flat_seq:
         net, state = optimizer_step(state, net, g)
     assert net.params.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "adam"])
+def test_optimizer_step_allocates_no_vector_after_the_first(kind):
+    net = small_net([32, 64, 10], seed=23)
+    g = np.random.default_rng(23).standard_normal(net.params.size)
+    state = make_optimizer(kind, 0.05, weight_decay=1e-2)
+    params = net.params
+    assert optimizer_step(state, net, g) == (net, state)  # the objects given, updated
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            optimizer_step(state, net, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.params is params
+    assert peak < params.nbytes
 
 
 def test_unknown_optimizer_kind_rejected():
