@@ -21,7 +21,7 @@ from .baselines import cdb_weights, crt_retrain, effective_number_weights, ensem
 from .data import Dataset, atomic_write, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
 from .difficulty import DifficultyHead, head_init
 from .metatrain import (
-    VARIANTS,
+    ConfigError,
     EpochRecord,
     NumericError,
     OptSpec,
@@ -31,27 +31,31 @@ from .metatrain import (
     evaluate_splits,
     train,
 )
-from .nnet import Classifier, init_mlp, load_checkpoint, per_class_accuracy, save_checkpoint, score_accuracy
+from .nnet import (
+    HEADS,
+    OPTIMIZERS,
+    Classifier,
+    init_mlp,
+    load_checkpoint,
+    per_class_accuracy,
+    save_checkpoint,
+    score_accuracy,
+)
 from .rng import consumer_rng
-
-
-class ConfigError(ValueError):
-    """Bad configuration; rejected before any run starts."""
 
 
 @dataclass(frozen=True)
 class Method:
-    """How a method trains: its metatrain.train variant and, for a fixed
+    """How a method trains: the kind of difficulty head; for a fixed
     weighting scheme, the rule from (config, train class counts, accuracies)
-    to class weights. Without a rule a fixed head gives uniform weights."""
+    to class weights (uniform without one); whether the driver term is on
+    (off means lam = 0); and whether the classifier loss is focal rather
+    than weighted CE."""
 
-    variant: str
+    kind: str
     rule: Callable[["ExperimentConfig", np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    @property
-    def kind(self) -> str:
-        """The kind of difficulty head the method trains."""
-        return VARIANTS[self.variant]
+    driver: bool = True
+    focal: bool = False
 
 
 METHODS = {
@@ -59,11 +63,11 @@ METHODS = {
     "invfreq": Method("fixed", lambda cfg, n, acc: inverse_frequency_weights(n)),
     "effnum": Method("fixed", lambda cfg, n, acc: effective_number_weights(n, cfg.effnum_beta)),
     "cdb": Method("fixed", lambda cfg, n, acc: cdb_weights(acc, cfg.cdb_tau)),
-    "focal": Method("focal"),
-    "dnet": Method("dnet"),
+    "focal": Method("fixed", focal=True),
+    "dnet": Method("class"),
     "dnet-abs": Method("abs"),
     "dnet-sample": Method("sample"),
-    "dnet-nodriver": Method("nodriver"),
+    "dnet-nodriver": Method("class", driver=False),
     "dnet-nometa": Method("nometa"),
 }
 
@@ -207,10 +211,10 @@ def _validate(cfg: ExperimentConfig) -> None:
 
     need(cfg.method in METHODS, f"method must be one of {tuple(METHODS)}, got {cfg.method!r}")
     need(cfg.stage2 in ("none", "crt"), "stage2 must be 'none' or 'crt'")
-    need(cfg.head in ("linear", "cosine"), "head must be 'linear' or 'cosine'")
+    need(cfg.head in HEADS, f"head must be one of {HEADS}")
     need(cfg.head != "cosine" or cfg.cosine_scale > 0, "cosine_scale must be positive")
-    need(cfg.classifier_optimizer in ("sgd", "momentum", "adam"), "bad classifier_optimizer")
-    need(cfg.dnet_optimizer in ("sgd", "momentum", "adam"), "bad dnet_optimizer")
+    need(cfg.classifier_optimizer in OPTIMIZERS, f"classifier_optimizer must be one of {OPTIMIZERS}")
+    need(cfg.dnet_optimizer in OPTIMIZERS, f"dnet_optimizer must be one of {OPTIMIZERS}")
     need(bool(cfg.seeds), "seeds must list at least one seed")
     need(cfg.epochs >= 0, "epochs must be non-negative")
     need(cfg.batch_size >= 1 and cfg.meta_batch_size >= 1, "batch sizes must be positive")
@@ -301,30 +305,27 @@ def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
     return tuple(cfg.trace_classes)
 
 
-def _train_config(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> TrainConfig:
+def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int) -> TrainConfig:
+    """The method's stage-1 settings, its flags as plain values: lam 0
+    without the driver term, focal_gamma None unless the loss is focal."""
+    method = METHODS[cfg.method]
     spe = train_set.size // cfg.batch_size
-    if spe < 1:
-        raise ConfigError("batch_size exceeds the train set")
-    if cfg.meta_batch_size > meta_set.size:
-        raise ConfigError(f"meta_batch_size {cfg.meta_batch_size} exceeds the meta set "
-                          f"of {meta_set.size}")
     return TrainConfig(
         T=cfg.epochs * spe,
         b=cfg.batch_size,
         m=cfg.meta_batch_size,
         alpha=cfg.alpha,
-        lam=cfg.lam,
-        variant=METHODS[cfg.method].variant,
-        seed=seed,
+        lam=cfg.lam if method.driver else 0.0,
         classifier_opt=OptSpec(cfg.classifier_optimizer, cfg.alpha,
                                cfg.classifier_momentum, cfg.classifier_weight_decay),
         dnet_opt=OptSpec(cfg.dnet_optimizer, cfg.beta, 0.9, cfg.dnet_weight_decay),
-        steps_per_epoch=spe,
-        trace_classes=_resolve_trace(cfg, train_set.class_count),
         many_min=cfg.many_min,
         few_max=cfg.few_max,
+        focal_gamma=cfg.focal_gamma if method.focal else None,
+        seed=seed,
+        steps_per_epoch=spe,
+        trace_classes=_resolve_trace(cfg, train_set.class_count),
         record_losses=cfg.record_losses,
-        focal_gamma=cfg.focal_gamma,
     )
 
 
@@ -397,17 +398,19 @@ def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed
     """Stage-1 training for one (method, seed); returns (model, head, metrics)
     with the method's trained DifficultyHead."""
     model = _build_model(cfg, train_set.dim, train_set.class_count, seed)
-    tc = _train_config(cfg, train_set, meta_set, seed)
+    tc = _train_config(cfg, train_set, seed)
     return train(tc, train_set, meta_set, model, _difficulty_head(cfg, train_set, seed))
 
 
 def _stage2(cfg: ExperimentConfig, run_dir: str, model, head, train_set: Dataset,
             meta_set: Dataset, seed: int, epoch: int) -> EpochRecord:
-    """Retrain the final layer, save it, and evaluate it as record epoch."""
+    """Retrain the final layer, evaluate it as record epoch, and save it."""
     model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                         OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
+    rec = evaluate_epoch(epoch, model, head, train_set, meta_set, (cfg.many_min, cfg.few_max),
+                         cfg.crt_steps - 1)[1]
     save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
-    return evaluate_epoch(epoch, model, head, train_set, meta_set, (cfg.many_min, cfg.few_max))[1]
+    return rec
 
 
 def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> ReportRow:

@@ -25,13 +25,13 @@ from .difficulty import (
     DifficultyHead,
     difficulty_entropy,
     dnet_forward,
-    head_init,
     head_signal,
     target_fit_loss,
 )
-from .nnet import (
+from .nnet import (  # ConfigError and NumericError re-exported: the loop raises them
     Classifier,
-    NumericError,  # re-exported: the loop raises it and callers import it from here
+    ConfigError,
+    NumericError,
     OptimizerState,
     as_classifier,
     backward,
@@ -42,11 +42,6 @@ from .nnet import (
     per_class_accuracy,
 )
 from .rng import consumer_rng
-
-# variant -> the kind of difficulty head it trains; nodriver is the class
-# kind with the driver term off, focal the fixed kind with the focal loss
-VARIANTS = {"dnet": "class", "abs": "abs", "sample": "sample", "nodriver": "class",
-            "nometa": "nometa", "fixed": "fixed", "focal": "fixed"}
 
 
 @dataclass(frozen=True)
@@ -66,31 +61,23 @@ class OptSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Stage-1 settings, built from a validated ExperimentConfig, which owns
+    their defaults; train checks the ones that depend on the data."""
+
     T: int  # total iterations
     b: int  # train batch size
     m: int  # meta batch size
-    alpha: float = 0.1  # virtual (and usually actual) classifier step size
-    lam: float = 0.3  # driver loss coefficient; 0.3 is the recommended default
-    variant: str = "dnet"
+    alpha: float  # virtual (and usually actual) classifier step size
+    lam: float  # driver loss coefficient; 0 turns the driver term off
+    classifier_opt: OptSpec
+    dnet_opt: OptSpec
+    many_min: int
+    few_max: int
+    focal_gamma: float | None  # None: weighted CE; a gamma: the focal loss
     seed: int = 0
-    classifier_opt: OptSpec = field(default_factory=lambda: OptSpec("momentum", 0.1, 0.9, 1e-4))
-    dnet_opt: OptSpec = field(default_factory=lambda: OptSpec("adam", 1e-3, 0.9, 1e-4))
     steps_per_epoch: int | None = None  # default: train_size // b
     trace_classes: tuple[int, ...] = ()
-    many_min: int = 100
-    few_max: int = 20
     record_losses: bool = False
-    focal_gamma: float = 1.0  # the focal variant's gamma
-
-    def __post_init__(self):
-        if self.T < 0 or self.b < 1 or self.m < 1:
-            raise ValueError("T must be >= 0 and batch sizes >= 1")
-        if self.alpha <= 0 or self.lam < 0:
-            raise ValueError("alpha must be positive and lam non-negative")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
-        if self.many_min <= self.few_max:
-            raise ValueError("many_min must exceed few_max")
 
 
 @dataclass(frozen=True)
@@ -101,7 +88,7 @@ class SplitAccuracy:
     few: float | None
 
 
-def evaluate_splits(acc, counts, thresholds=(100, 20)) -> SplitAccuracy:
+def evaluate_splits(acc, counts, thresholds) -> SplitAccuracy:
     """Unweighted split means: many (count > many_min), few (count < few_max),
     medium (in between, inclusive). Empty splits come back as None."""
     many_min, few_max = thresholds
@@ -202,11 +189,13 @@ def classifier_objective(tape, weights, focal_gamma=None):
     return float((weights * per_sample).mean()), cot * weights[:, None]
 
 
-def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set, thresholds):
+def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set, thresholds,
+                   step: int, metrics=None):
     """Per-class meta-set accuracy and the epoch's record: split means, and
     the class difficulty snapshot with its entropy when the head records
-    them. Returns (AccuracyVector, EpochRecord)."""
-    acc = per_class_accuracy(model, meta_set, "meta")
+    them. Returns (AccuracyVector, EpochRecord). Non-finite logits raise
+    NumericError in the evaluation phase at step, carrying metrics."""
+    acc = per_class_accuracy(model, meta_set, "meta", step, metrics)
     splits = evaluate_splits(acc.per_class, train_set.per_class_counts, thresholds)
     d = dnet_forward(head, acc) if head.records else None
     return acc, EpochRecord(
@@ -221,40 +210,33 @@ def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set,
     )
 
 
-def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
+def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHead):
     """Run cfg.T iterations of the three-update step (the classifier step
     alone for heads without a net), with batching, a per-epoch accuracy
-    refresh and metric records.
+    refresh and metric records. The head's kind decides the step; plain CE
+    is head_init("fixed", C, seed).
 
-    dnet is a DifficultyHead of the variant's kind; nometa and the fixed
-    variants default to theirs (the fixed one gives uniform weights).
-    Returns (classifier, the trained head or None if none was passed,
-    RunMetrics). The optimizers update in place, so for T > 0 both nets are
-    copied once here and the caller's are never written; T=0 returns the
-    inputs themselves with empty metrics.
+    Returns (classifier, the trained head, RunMetrics). The optimizers
+    update in place, so for T > 0 both nets are copied once here and the
+    caller's are never written; T=0 returns the inputs themselves with
+    empty metrics. Settings that do not fit the data raise ConfigError.
     """
-    kind = VARIANTS[cfg.variant]
-    head = dnet
-    if head is None and kind in ("nometa", "fixed"):
-        head = head_init(kind, train_set.class_count, cfg.seed)
-    if head is None:
-        raise ValueError(f"variant {cfg.variant!r} requires a difficulty net")
-    if head.kind != kind:
-        raise ValueError(f"variant {cfg.variant!r} got a {head.kind} head")
-    if kind == "sample" and cfg.b > head.width:
-        raise ValueError("batch size exceeds the sample net width")
-    counts = meta_set.per_class_counts
-    if head.net is not None and counts.min() != counts.max():
-        raise ValueError("meta set must be class-balanced")
     n = train_set.size
     spe = cfg.steps_per_epoch if cfg.steps_per_epoch is not None else n // cfg.b
     if spe < 1 or spe * cfg.b > n:
-        raise ValueError("steps_per_epoch * b must fit inside the train set")
+        raise ConfigError(f"batch_size {cfg.b} and steps_per_epoch {spe} do not fit "
+                          f"the train set of {n}")
     if cfg.m > meta_set.size:
-        raise ValueError("meta batch larger than the meta set")
+        raise ConfigError(f"meta batch of {cfg.m} (meta_batch_size) exceeds the meta set "
+                          f"of {meta_set.size}")
+    if head.kind == "sample" and cfg.b > head.width:
+        raise ConfigError(f"batch_size {cfg.b} exceeds the sample net width {head.width}")
+    counts = meta_set.per_class_counts
+    if head.net is not None and counts.min() != counts.max():
+        raise ConfigError("meta set must be class-balanced")
     bad = [c for c in cfg.trace_classes if not 0 <= c < train_set.class_count]
     if bad:
-        raise ValueError(f"trace classes outside [0, C): {bad}")
+        raise ConfigError(f"trace classes outside [0, C): {bad}")
 
     model = as_classifier(classifier)
     if cfg.T > 0:
@@ -263,11 +245,9 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
             head = replace(head, net=head.net.copy())
     clf_opt = cfg.classifier_opt.build()
     dn_opt = cfg.dnet_opt.build() if head.net is not None else None
-    lam = 0.0 if cfg.variant == "nodriver" else cfg.lam
-    gamma = cfg.focal_gamma if cfg.variant == "focal" else None
     rng = consumer_rng(cfg.seed, "batch")
     metrics = RunMetrics(records=head.records)
-    acc = per_class_accuracy(model, meta_set, "meta")
+    acc = per_class_accuracy(model, meta_set, "meta", 0, metrics)
     perm = np.empty(0, dtype=np.int64)
     for t in range(cfg.T):
         pos = t % spe
@@ -285,13 +265,13 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
         tape = forward_tape(model, bx).with_labels(by)
         signal = acc if head.per_class else tape.ce
         if head.net is not None:
-            g_theta = _meta_gradient(head, tape, signal, mx, my, cfg.alpha, lam)
+            g_theta = _meta_gradient(head, tape, signal, mx, my, cfg.alpha, cfg.lam)
             check_finite(g_theta, "meta", t, "difficulty-net gradient", metrics)
             optimizer_step(dn_opt, head.net, g_theta)
         # weights re-computed with the updated net before the actual step
         d = dnet_forward(head, signal)
         check_finite(d, "weighting", t, "difficulty vector", metrics)
-        loss, cot = classifier_objective(tape, head.weights(d, by), gamma)
+        loss, cot = classifier_objective(tape, head.weights(d, by), cfg.focal_gamma)
         grads = tape.grads(cot)
         check_finite(grads, "classifier", t, "classifier gradient", metrics)
         check_finite(loss, "classifier", t, "training loss", metrics)
@@ -306,7 +286,7 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, dnet=None):
 
         if pos == spe - 1 or t == cfg.T - 1:
             acc, rec = evaluate_epoch(t // spe, model, head, train_set, meta_set,
-                                      (cfg.many_min, cfg.few_max))
+                                      (cfg.many_min, cfg.few_max), t, metrics)
             metrics.epochs.append(rec)
     out_model = model if isinstance(classifier, Classifier) else model.net
-    return out_model, head if dnet is not None else None, metrics
+    return out_model, head, metrics

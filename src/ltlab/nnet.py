@@ -17,6 +17,12 @@ from .data import atomic_write
 
 NORM_EPS = 1e-12  # guard for cosine-head norms
 SIG_CLAMP = 1e-12  # sigmoid outputs stay inside (0, 1) even under underflow
+HEADS = ("linear", "cosine")
+OPTIMIZERS = ("sgd", "momentum", "adam")
+
+
+class ConfigError(ValueError):
+    """Bad configuration; rejected before any run starts."""
 
 
 class NumericError(ArithmeticError):
@@ -84,11 +90,11 @@ class Classifier:
     the last affine layer; cosine heads renormalize features and class rows."""
 
     net: MLP
-    head: str = "linear"  # "linear" | "cosine"
+    head: str = "linear"  # one of HEADS
     scale: float = 16.0
 
     def __post_init__(self):
-        if self.head not in ("linear", "cosine"):
+        if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "cosine" and self.scale <= 0:
             raise ValueError("scale must be positive")
@@ -397,7 +403,7 @@ class OptimizerState:
     moment m for momentum and adam; the second moment v and a scratch
     vector tmp for adam alone."""
 
-    kind: str  # "sgd" | "momentum" | "adam"
+    kind: str  # one of OPTIMIZERS
     lr: float
     weight_decay: float = 0.0
     momentum: float = 0.9
@@ -412,7 +418,7 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
-    if kind not in ("sgd", "momentum", "adam"):
+    if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
     if lr <= 0:
         raise ValueError("lr must be positive")
@@ -462,9 +468,14 @@ def optimizer_step(
 # evaluation and checkpoints
 
 
-def per_class_accuracy(model, eval_set, evaluated_on: str = "eval") -> AccuracyVector:
-    """Argmax accuracy per class of the model's logits on eval_set."""
-    return score_accuracy(classifier_logits(model, eval_set.features), eval_set, evaluated_on)
+def per_class_accuracy(model, eval_set, evaluated_on: str = "eval", step: int = 0,
+                       metrics=None) -> AccuracyVector:
+    """Argmax accuracy per class of the model's logits on eval_set. Logits
+    that are not finite rank nothing: they raise NumericError in the
+    evaluation phase at step, carrying metrics."""
+    logits = classifier_logits(model, eval_set.features)
+    check_finite(logits, "evaluation", step, f"{evaluated_on}-set logits", metrics)
+    return score_accuracy(logits, eval_set, evaluated_on)
 
 
 def score_accuracy(scores, eval_set, evaluated_on: str = "eval") -> AccuracyVector:

@@ -123,6 +123,7 @@ def test_missing_config_file_rejected(tmp_path):
         "classifier_optimizer=lbfgs",
         "seeds=",
         "epochs=-1",
+        "batch_size=0",
         "alpha=0",
         "lambda=-0.1",
         "many_min=20",  # equals few_max
@@ -255,13 +256,15 @@ def test_train_one_reaches_train_by_name(method, tmp_path, monkeypatch):
     real, calls = harness.train, []
 
     def spy(tc, *args, **kwargs):
-        calls.append(tc.variant)
+        calls.append(tc)
         return real(tc, *args, **kwargs)
 
     monkeypatch.setattr(harness, "train", spy)
     cfg = base_cfg(tmp_path, method=method, epochs=1)
     train_one(cfg, *build_datasets(cfg), 0)
-    assert calls == [METHODS[method].variant]
+    (tc,) = calls
+    assert (tc.lam == 0.0) == (method == "dnet-nodriver")
+    assert tc.focal_gamma == (cfg.focal_gamma if method == "focal" else None)
 
 
 def test_runs_are_byte_reproducible(tmp_path):
@@ -462,6 +465,23 @@ def test_stage2_divergence_exits_3_and_keeps_stage1_files(tmp_path):
     assert (got / "metrics.csv").read_bytes() == (want / "metrics.csv").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stage2_overflowing_evaluation_exits_3(tmp_path, capsys):
+    # one cRT step of lr 1e308 leaves a finite final layer whose meta-set
+    # logits overflow: its evaluation stops both commands before the
+    # stage-2 checkpoint is written
+    small = ["--set", "method=ce", "--set", "classes=3", "--set", "n_max=60",
+             "--set", "imbalance=10", "--set", "dim=4", "--set", "m_per_class=4",
+             "--set", "epochs=1", "--set", "batch_size=8", "--set", "meta_batch_size=8",
+             "--set", "hidden=8", "--set", "seeds=0", "--set", "crt_steps=1",
+             "--set", "crt_lr=1e308", "--set", f"out_dir={tmp_path}"]
+    assert main(["train", *small, "--set", "stage2=crt"]) == 3
+    assert "evaluation phase" in capsys.readouterr().err
+    assert main(["crt", *small]) == 3
+    assert "evaluation phase" in capsys.readouterr().err
+    assert not (tmp_path / "ce" / "seed0" / "classifier_crt.ltnn").exists()
+
+
 # -------------------------------------------------------------------- ensemble
 
 def test_ensemble_existing_writes_summary(runs_dir, tmp_path):
@@ -581,6 +601,21 @@ def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):
                  "--set", f"out_dir={tmp_path}"])
     assert code == 2
     assert "meta_batch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets,keyword", [
+    (("trace_classes=99",), "trace"),
+    (("method=dnet-sample", "sample_width=4"), "width"),
+], ids=["trace_classes", "sample_width"])
+def test_cli_config_that_does_not_fit_the_data_exits_2(sets, keyword, tmp_path, capsys):
+    # train checks these against the data; they exit 2 like any config error
+    out = tmp_path / "x"
+    argv = ["train", "--set", "epochs=1", "--set", "seeds=0", "--set", f"out_dir={out}"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert keyword in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_error_leaves_no_run_dir(tmp_path, capsys):

@@ -18,7 +18,6 @@ from ltlab.difficulty import (
     weights_from_difficulty,
 )
 from ltlab.metatrain import (
-    VARIANTS,
     NumericError,
     OptSpec,
     TrainConfig,
@@ -53,28 +52,24 @@ def tiny_model(dim=4, c=3, seed=0, head="linear"):
 
 
 def cfg_for(train_set, **kw):
+    """A TrainConfig for the tiny sets: one epoch of batches of 8, meta
+    batches of 6, lam 0.3, momentum SGD(0.1, wd 1e-4) for the classifier,
+    Adam(1e-3, wd 1e-4) for the difficulty net, thresholds (100, 20) and
+    weighted CE, each unless kw sets it."""
     kw.setdefault("T", train_set.size // kw.get("b", 8))
     kw.setdefault("b", 8)
     kw.setdefault("m", 6)
+    kw.setdefault("alpha", 0.1)
+    kw.setdefault("lam", 0.3)
+    kw.setdefault("classifier_opt", OptSpec("momentum", 0.1, 0.9, 1e-4))
+    kw.setdefault("dnet_opt", OptSpec("adam", 1e-3, 0.9, 1e-4))
+    kw.setdefault("many_min", 100)
+    kw.setdefault("few_max", 20)
+    kw.setdefault("focal_gamma", None)
     return TrainConfig(**kw)
 
 
-# ----------------------------------------------------------------- TrainConfig
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(T=-1, b=8, m=8)
-    with pytest.raises(ValueError):
-        TrainConfig(T=1, b=0, m=8)
-    with pytest.raises(ValueError):
-        TrainConfig(T=1, b=8, m=8, alpha=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(T=1, b=8, m=8, lam=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(T=1, b=8, m=8, variant="bogus")
-    with pytest.raises(ValueError):
-        TrainConfig(T=1, b=8, m=8, many_min=20, few_max=20)
-
+# ---------------------------------------------------------------------- OptSpec
 
 def test_optspec_builds_each_kind():
     for kind in ("sgd", "momentum", "adam"):
@@ -273,7 +268,7 @@ def test_one_iteration_replicated_by_hand():
     train_set, meta_set = tiny_data()
     model0 = tiny_model(seed=20)
     dnet0 = dnet_init(3, seed=21)
-    cfg = cfg_for(train_set, T=1, variant="dnet", seed=5, lam=0.3)
+    cfg = cfg_for(train_set, T=1, seed=5, lam=0.3)
 
     got_model, got_dnet, metrics = train(cfg, train_set, meta_set, model0, dnet0)
 
@@ -313,7 +308,7 @@ def test_t_zero_returns_inputs_unchanged():
     model = tiny_model(seed=22)
     dnet = dnet_init(3, seed=23)
     out_model, out_dnet, metrics = train(
-        cfg_for(train_set, T=0, variant="dnet", seed=0), train_set, meta_set, model, dnet
+        cfg_for(train_set, T=0, seed=0), train_set, meta_set, model, dnet
     )
     assert out_model is model and out_dnet is dnet
     assert metrics.epochs == [] and metrics.weight_trace == []
@@ -326,7 +321,7 @@ def test_train_leaves_the_callers_nets_unchanged():
     dnet = dnet_init(3, seed=25)
     before = model.net.params.tobytes(), dnet.net.params.tobytes()
     out_model, out_dnet, _ = train(
-        cfg_for(train_set, T=3, variant="dnet", seed=0), train_set, meta_set, model, dnet
+        cfg_for(train_set, T=3, seed=0), train_set, meta_set, model, dnet
     )
     assert (model.net.params.tobytes(), dnet.net.params.tobytes()) == before
     assert out_model.net.params.tobytes() != before[0]
@@ -339,7 +334,7 @@ def test_same_seed_bit_identical():
     for _ in range(2):
         model = tiny_model(seed=24)
         dnet = dnet_init(3, seed=25)
-        cfg = cfg_for(train_set, T=14, variant="dnet", seed=3,
+        cfg = cfg_for(train_set, T=14, seed=3,
                       trace_classes=(0, 2), record_losses=True)
         runs.append(train(cfg, train_set, meta_set, model, dnet))
     (m1, d1, r1), (m2, d2, r2) = runs
@@ -360,7 +355,7 @@ def test_different_seed_differs():
     for seed in (0, 1):
         model = tiny_model(seed=26)
         dnet = dnet_init(3, seed=27)
-        cfg = cfg_for(train_set, T=7, variant="dnet", seed=seed)
+        cfg = cfg_for(train_set, T=7, seed=seed)
         m, _, _ = train(cfg, train_set, meta_set, model, dnet)
         outs.append(m)
     assert any(not np.array_equal(a.w, b.w)
@@ -370,7 +365,7 @@ def test_different_seed_differs():
 def test_epoch_records_and_trace_shape():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=2 * spe, variant="dnet", seed=1, trace_classes=(0, 1, 2))
+    cfg = cfg_for(train_set, T=2 * spe, seed=1, trace_classes=(0, 1, 2))
     model = tiny_model(seed=28)
     _, _, metrics = train(cfg, train_set, meta_set, model, dnet_init(3, seed=29))
     assert [e.epoch for e in metrics.epochs] == [0, 1]
@@ -388,10 +383,10 @@ def test_epoch_records_and_trace_shape():
 def test_nometa_difficulty_constant_within_epoch():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=2 * spe, variant="nometa", seed=2, trace_classes=(0,))
+    cfg = cfg_for(train_set, T=2 * spe, seed=2, trace_classes=(0,))
     model = tiny_model(seed=31)
-    _, dnet, metrics = train(cfg, train_set, meta_set, model, None)
-    assert dnet is None
+    _, dnet, metrics = train(cfg, train_set, meta_set, model, head_init("nometa", 3, 2))
+    assert dnet.net is None
     vals = [v for _, _, v in metrics.weight_trace]
     first_epoch, second_epoch = vals[:spe], vals[spe:]
     assert len(set(first_epoch)) == 1  # accuracies frozen inside the epoch
@@ -401,7 +396,7 @@ def test_nometa_difficulty_constant_within_epoch():
 
 def test_sample_variant_runs_without_class_snapshots():
     train_set, meta_set = tiny_data()
-    cfg = cfg_for(train_set, T=6, variant="sample", seed=4)
+    cfg = cfg_for(train_set, T=6, seed=4)
     model = tiny_model(seed=32)
     sdnet = head_init("sample", 8, seed=33)
     _, out_sdnet, metrics = train(cfg, train_set, meta_set, model, sdnet)
@@ -412,8 +407,8 @@ def test_sample_variant_runs_without_class_snapshots():
                for a, b in zip(out_sdnet.net.layers, sdnet.net.layers))
 
 
-@pytest.mark.parametrize("variant", ["dnet", "abs", "sample"])
-def test_one_forward_per_net_and_batch_per_step(variant, monkeypatch):
+@pytest.mark.parametrize("kind", ["class", "abs", "sample"], ids=["dnet", "abs", "sample"])
+def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     # per step the classifier runs forward once over the train batch (the
     # virtual step, the per-sample dots and the actual step share it) and
     # once over the meta batch; the difficulty net once before its update
@@ -427,8 +422,8 @@ def test_one_forward_per_net_and_batch_per_step(variant, monkeypatch):
     for mod in (nnet, metatrain, difficulty):
         monkeypatch.setattr(mod, "forward_tape", spy, raising=False)
     train_set, meta_set = tiny_data()  # meta set of 12 rows: evaluation
-    cfg = cfg_for(train_set, T=5, b=8, m=6, steps_per_epoch=2, variant=variant, seed=5)
-    head = head_init(VARIANTS[variant], 8 if variant == "sample" else 3, seed=6)
+    cfg = cfg_for(train_set, T=5, b=8, m=6, steps_per_epoch=2, seed=5)
+    head = head_init(kind, 8 if kind == "sample" else 3, seed=6)
     train(cfg, train_set, meta_set, tiny_model(seed=39), head)
     evals = 3 if head.records else 0  # the class snapshot at each epoch's end
     assert seen.count(8) == cfg.T
@@ -436,22 +431,11 @@ def test_one_forward_per_net_and_batch_per_step(variant, monkeypatch):
     assert seen.count("dnet") == 2 * cfg.T + evals
 
 
-def test_variant_net_type_checked():
-    train_set, meta_set = tiny_data()
-    model = tiny_model(seed=34)
-    with pytest.raises(ValueError, match="variant"):
-        train(cfg_for(train_set, T=1, variant="dnet", seed=0),
-              train_set, meta_set, model, head_init("abs", 3, seed=0))
-    with pytest.raises(ValueError, match="difficulty net"):
-        train(cfg_for(train_set, T=1, variant="dnet", seed=0),
-              train_set, meta_set, model, None)
-
-
 def test_sample_width_must_cover_batch():
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=35)
     with pytest.raises(ValueError, match="width"):
-        train(cfg_for(train_set, T=1, b=8, variant="sample", seed=0),
+        train(cfg_for(train_set, T=1, b=8, seed=0),
               train_set, meta_set, model, head_init("sample", 4, seed=0))
 
 
@@ -459,7 +443,7 @@ def test_meta_set_must_be_balanced():
     train_set, _ = tiny_data()
     skewed = Dataset(np.zeros((3, 4)), np.array([0, 1, 1]), 3)
     with pytest.raises(ValueError, match="balanced"):
-        train(cfg_for(train_set, T=1, variant="dnet", seed=0),
+        train(cfg_for(train_set, T=1, m=3, seed=0),
               train_set, skewed, tiny_model(seed=36), dnet_init(3, seed=0))
 
 
@@ -468,34 +452,46 @@ def test_loop_bounds_validated():
     model = tiny_model(seed=37)
     dnet = dnet_init(3, seed=38)
     with pytest.raises(ValueError, match="steps_per_epoch"):
-        train(cfg_for(train_set, T=1, variant="dnet", seed=0,
+        train(cfg_for(train_set, T=1, seed=0,
                       steps_per_epoch=train_set.size),
               train_set, meta_set, model, dnet)
     with pytest.raises(ValueError, match="meta batch"):
-        train(cfg_for(train_set, T=1, m=meta_set.size + 1, variant="dnet", seed=0),
+        train(cfg_for(train_set, T=1, m=meta_set.size + 1, seed=0),
               train_set, meta_set, model, dnet)
     with pytest.raises(ValueError, match="trace"):
-        train(cfg_for(train_set, T=1, variant="dnet", seed=0, trace_classes=(3,)),
+        train(cfg_for(train_set, T=1, seed=0, trace_classes=(3,)),
               train_set, meta_set, model, dnet)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_numeric_error_with_partial_metrics():
     train_set, meta_set = tiny_data()
-    cfg = cfg_for(train_set, T=4, variant="nometa", seed=0, record_losses=True,
+    cfg = cfg_for(train_set, T=4, seed=0, record_losses=True,
                   classifier_opt=OptSpec("adam", 1e308))
     with pytest.raises(NumericError) as info:
-        train(cfg, train_set, meta_set, tiny_model(seed=39), None)
+        train(cfg, train_set, meta_set, tiny_model(seed=39), head_init("nometa", 3, 0))
     metrics = info.value.metrics
     assert metrics is not None
     assert len(metrics.step_losses) >= 1  # work before the blow-up is kept
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_evaluation_raises_numeric_error():
+    # one SGD step of lr 1e308 leaves parameters near 6.6e307: still finite,
+    # but the evaluation's logits overflow, so nothing can be ranked
+    train_set, meta_set = tiny_data()
+    cfg = cfg_for(train_set, T=1, classifier_opt=OptSpec("sgd", 1e308))
+    with pytest.raises(NumericError) as info:
+        train(cfg, train_set, meta_set, tiny_model(seed=0), head_init("fixed", 3, 0))
+    assert (info.value.phase, info.value.step) == ("evaluation", 0)
+    assert info.value.metrics is not None and info.value.metrics.epochs == []
+
+
 def test_train_fixed_plain_ce_decreases_loss():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=6 * spe, variant="fixed", seed=0, record_losses=True)
-    _, _, metrics = train(cfg, train_set, meta_set, tiny_model(seed=40))
+    cfg = cfg_for(train_set, T=6 * spe, seed=0, record_losses=True)
+    _, _, metrics = train(cfg, train_set, meta_set, tiny_model(seed=40), head_init("fixed", 3, 0))
     first = np.mean(metrics.step_losses[:spe])
     last = np.mean(metrics.step_losses[-spe:])
     assert last < first
@@ -510,7 +506,7 @@ def test_train_fixed_rule_receives_refreshed_accuracy():
         seen.append(acc.copy())
         return np.ones(train_set.class_count)
 
-    cfg = cfg_for(train_set, T=2 * spe, variant="fixed", seed=0)
+    cfg = cfg_for(train_set, T=2 * spe, seed=0)
     head = head_init("fixed", train_set.class_count, 0, spy_weights)
     train(cfg, train_set, meta_set, tiny_model(seed=41), head)
     assert len(seen) == 2 * spe
