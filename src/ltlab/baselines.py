@@ -1,4 +1,6 @@
-"""Comparison weighting schemes and the decoupled-learning second stage."""
+"""Comparison weighting schemes, the decoupled-learning second stage and
+probability ensembling. The focal loss is a classifier objective and lives
+with the training step (ltlab.metatrain.classifier_objective)."""
 
 from __future__ import annotations
 
@@ -11,11 +13,9 @@ from .nnet import (
     Layer,
     MLP,
     accuracy_array,
-    as_classifier,
     backward,
     check_finite,
     classifier_logits,
-    log_softmax,
     optimizer_step,
     softmax,
 )
@@ -50,39 +50,6 @@ def effective_number_weights(counts, beta: float) -> np.ndarray:
     return w / w.mean()
 
 
-def focal_loss(logits, labels, gamma: float) -> tuple[float, np.ndarray]:
-    """Per-sample (1 - p_y)^gamma * CE and its batch mean; gamma=0 is plain CE."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = logits.shape[0]
-    ce = -log_softmax(logits)[np.arange(n), labels]
-    p_y = np.exp(-ce)
-    per_sample = (1.0 - p_y) ** gamma * ce
-    return float(per_sample.mean()), per_sample
-
-
-def focal_logit_cotangent(logits, labels, gamma: float) -> np.ndarray:
-    """d(mean focal)/dlogits. The softmax-CE cotangent picks up a per-sample
-    factor s = (1-p)^g + g*(1-p)^(g-1)*p*CE; both terms vanish as p -> 1."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = logits.shape[0]
-    probs = softmax(logits)
-    p_y = probs[np.arange(n), labels]
-    ce = -np.log(np.maximum(p_y, 1e-300))
-    one_m = 1.0 - p_y
-    scale = one_m**gamma
-    if gamma > 0:
-        mask = one_m > 0
-        scale = scale.copy()
-        scale[mask] += gamma * one_m[mask] ** (gamma - 1.0) * p_y[mask] * ce[mask]
-    g = probs
-    g[np.arange(n), labels] -= 1.0
-    return g * (scale / n)[:, None]
-
-
 def class_balanced_batches(dataset, batch_size: int, seed: int):
     """Endless index batches: class uniform, then instance uniform within it,
     with replacement across batches. Deterministic for a given seed."""
@@ -104,7 +71,7 @@ def class_balanced_batches(dataset, batch_size: int, seed: int):
         yield table[classes, within]
 
 
-def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: int):
+def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_spec, seed: int):
     """Classifier retraining: freeze every feature layer bit-for-bit, re-init
     the final layer, and train it alone with class-balanced batches and plain
     CE. steps=0 hands the model back untouched. A non-finite gradient or
@@ -113,17 +80,16 @@ def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: i
         raise ValueError("steps must be non-negative")
     if steps == 0:
         return model
-    clf = as_classifier(model)
-    old = clf.net.layers[-1]
+    old = model.net.layers[-1]
     rng = consumer_rng(seed, "init", "crt")
     bound = 1.0 / np.sqrt(old.w.shape[1])
     fresh = Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)
     # the features copied bit for bit; the optimizer steps a net over the
     # final layer's slice of the parameter vector
-    net = MLP(clf.net.layers[:-1] + [fresh])
+    net = MLP(model.net.layers[:-1] + [fresh])
     start = net.params.size - fresh.w.size - fresh.b.size
     head = MLP([fresh], net.params[start:])
-    current = replace(clf, net=net)
+    current = replace(model, net=net)
     opt = opt_spec.build()
     batches = class_balanced_batches(train_set, batch_size, seed)
     for step in range(steps):
@@ -134,7 +100,7 @@ def crt_retrain(model, train_set, steps: int, batch_size: int, opt_spec, seed: i
         optimizer_step(opt, head, grads)
     # the last update has no gradient after it to catch an overflow
     check_finite(head.params, "stage2", steps - 1, "classifier parameters")
-    return current if isinstance(model, Classifier) else net
+    return current
 
 
 def ensemble_predict(members, inputs) -> np.ndarray:

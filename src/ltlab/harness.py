@@ -226,6 +226,9 @@ def _validate(cfg: ExperimentConfig) -> None:
          "train_file and meta_file must be given together")
     need(cfg.sample_width >= 0, "sample_width must be non-negative")
     need(cfg.crt_steps >= 0 and cfg.crt_batch_size >= 1 and cfg.crt_lr > 0, "bad crt settings")
+    need(cfg.focal_gamma >= 0, "focal_gamma must be non-negative")
+    need(cfg.cdb_tau >= 0, "cdb_tau must be non-negative")
+    need(0 <= cfg.effnum_beta < 1, "effnum_beta must lie in [0, 1)")
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -309,9 +312,8 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int) -> Train
     """The method's stage-1 settings, its flags as plain values: lam 0
     without the driver term, focal_gamma None unless the loss is focal."""
     method = METHODS[cfg.method]
-    spe = train_set.size // cfg.batch_size
     return TrainConfig(
-        T=cfg.epochs * spe,
+        T=cfg.epochs * (train_set.size // cfg.batch_size),
         b=cfg.batch_size,
         m=cfg.meta_batch_size,
         alpha=cfg.alpha,
@@ -323,7 +325,6 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int) -> Train
         few_max=cfg.few_max,
         focal_gamma=cfg.focal_gamma if method.focal else None,
         seed=seed,
-        steps_per_epoch=spe,
         trace_classes=_resolve_trace(cfg, train_set.class_count),
         record_losses=cfg.record_losses,
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import focal_logit_cotangent, focal_loss
 from .difficulty import (
     DifficultyHead,
     difficulty_entropy,
@@ -28,35 +27,18 @@ from .difficulty import (
     head_signal,
     target_fit_loss,
 )
-from .nnet import (  # ConfigError and NumericError re-exported: the loop raises them
+from .nnet import (  # re-exported: ConfigError and NumericError (train raises them), OptSpec
     Classifier,
     ConfigError,
     NumericError,
-    OptimizerState,
-    as_classifier,
+    OptSpec,
     backward,
     check_finite,
     forward_tape,
-    make_optimizer,
     optimizer_step,
     per_class_accuracy,
 )
 from .rng import consumer_rng
-
-
-@dataclass(frozen=True)
-class OptSpec:
-    """Optimizer settings; build() turns them into fresh mutable state."""
-
-    kind: str = "momentum"
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-
-    def build(self) -> OptimizerState:
-        return make_optimizer(
-            self.kind, self.lr, momentum=self.momentum, weight_decay=self.weight_decay
-        )
 
 
 @dataclass(frozen=True)
@@ -75,7 +57,6 @@ class TrainConfig:
     few_max: int
     focal_gamma: float | None  # None: weighted CE; a gamma: the focal loss
     seed: int = 0
-    steps_per_epoch: int | None = None  # default: train_size // b
     trace_classes: tuple[int, ...] = ()
     record_losses: bool = False
 
@@ -128,11 +109,10 @@ class RunMetrics:
     step_losses: list[float] = field(default_factory=list)
 
 
-def virtual_step(model, batch_x, batch_y, weights, alpha: float):
-    """One plain-SGD lookahead on the weighted CE; returns the same kind of
-    model it was given and never touches optimizer state."""
-    looked = _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha)
-    return looked if isinstance(model, Classifier) else looked.net
+def virtual_step(model: Classifier, batch_x, batch_y, weights, alpha: float) -> Classifier:
+    """One plain-SGD lookahead on the weighted CE; returns the looked-ahead
+    classifier and never touches optimizer state."""
+    return _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha)
 
 
 def _lookahead(tape, weights, alpha: float) -> Classifier:
@@ -181,12 +161,25 @@ def _meta_gradient(head, tape, signal, meta_x, meta_y, alpha, lam):
 def classifier_objective(tape, weights, focal_gamma=None):
     """Mean weighted loss over the labelled tape's batch and its logit
     cotangent: w_i * CE_i, or with focal_gamma the focal loss
-    w_i * (1 - p_i)^gamma * CE_i."""
+    w_i * (1 - p_i)^gamma * CE_i (Lin et al., 2017).
+
+    The focal loss reads p_i as exp(-CE_i) and its cotangent reads the
+    softmax p_i; the two round differently, and both are kept so that
+    focal runs reproduce bit for bit. The cotangent is the CE residual
+    scaled by s_i = (1-p)^g + g*(1-p)^(g-1)*p*CE_i; both terms vanish as
+    p -> 1, so samples with p == 1 keep only the first.
+    """
     if focal_gamma is None:
         return float((weights * tape.ce).mean()), tape.cotangent(weights)
-    _, per_sample = focal_loss(tape.logits, tape.labels, focal_gamma)
-    cot = focal_logit_cotangent(tape.logits, tape.labels, focal_gamma)
-    return float((weights * per_sample).mean()), cot * weights[:, None]
+    gamma, p, ce = focal_gamma, tape.p, tape.ce
+    loss = float((weights * ((1.0 - np.exp(-ce)) ** gamma * ce)).mean())
+    ce_p = -np.log(np.maximum(p, 1e-300))
+    one_m = 1.0 - p
+    scale = one_m**gamma
+    if gamma > 0:
+        mask = one_m > 0
+        scale[mask] += gamma * one_m[mask] ** (gamma - 1.0) * p[mask] * ce_p[mask]
+    return loss, tape.resid * (scale / p.size)[:, None] * weights[:, None]
 
 
 def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set, thresholds,
@@ -216,16 +209,16 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHea
     refresh and metric records. The head's kind decides the step; plain CE
     is head_init("fixed", C, seed).
 
+    An epoch is train_set.size // cfg.b batches drawn from one permutation.
     Returns (classifier, the trained head, RunMetrics). The optimizers
     update in place, so for T > 0 both nets are copied once here and the
     caller's are never written; T=0 returns the inputs themselves with
     empty metrics. Settings that do not fit the data raise ConfigError.
     """
     n = train_set.size
-    spe = cfg.steps_per_epoch if cfg.steps_per_epoch is not None else n // cfg.b
-    if spe < 1 or spe * cfg.b > n:
-        raise ConfigError(f"batch_size {cfg.b} and steps_per_epoch {spe} do not fit "
-                          f"the train set of {n}")
+    if cfg.b > n:
+        raise ConfigError(f"batch_size {cfg.b} exceeds the train set of {n}")
+    spe = n // cfg.b
     if cfg.m > meta_set.size:
         raise ConfigError(f"meta batch of {cfg.m} (meta_batch_size) exceeds the meta set "
                           f"of {meta_set.size}")
@@ -238,7 +231,7 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHea
     if bad:
         raise ConfigError(f"trace classes outside [0, C): {bad}")
 
-    model = as_classifier(classifier)
+    model = classifier
     if cfg.T > 0:
         model = replace(model, net=model.net.copy())
         if head.net is not None:
@@ -288,5 +281,4 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHea
             acc, rec = evaluate_epoch(t // spe, model, head, train_set, meta_set,
                                       (cfg.many_min, cfg.few_max), t, metrics)
             metrics.epochs.append(rec)
-    out_model = model if isinstance(classifier, Classifier) else model.net
-    return out_model, head, metrics
+    return model, head, metrics

@@ -195,11 +195,6 @@ def _cosine_parts(last: Layer, feats, scale):
     return r_f, f_hat, r_w, w_hat, scale * f_hat @ w_hat.T
 
 
-def as_classifier(model) -> Classifier:
-    """A bare MLP as a linear-head Classifier; a Classifier as it is."""
-    return model if isinstance(model, Classifier) else Classifier(model)
-
-
 def classifier_logits(model, inputs: np.ndarray) -> np.ndarray:
     return forward_tape(model, inputs).logits
 
@@ -241,7 +236,8 @@ class Tape:
     any logit cotangent and the per-sample gradient dots all share it:
     per-layer (input, activation derivative) steps, the cosine head's parts
     (None for linear heads), and the logits. with_labels() adds the batch's
-    labels with the CE residual softmax - onehot and the per-sample CE."""
+    labels with the CE residual softmax - onehot, the per-sample CE and the
+    true-class probability p."""
 
     clf: Classifier
     steps: list
@@ -250,10 +246,12 @@ class Tape:
     labels: np.ndarray | None = None
     resid: np.ndarray | None = None
     ce: np.ndarray | None = None
+    p: np.ndarray | None = None
 
     def with_labels(self, labels) -> Tape:
-        """Check the batch's labels once and keep the CE residual and the
-        per-sample CE -log softmax[y], both from one exp. Returns the tape."""
+        """Check the batch's labels once and keep the CE residual, the
+        per-sample CE -log softmax[y] and p = softmax[y], all from one exp.
+        Returns the tape."""
         self.labels = labels = _check_labels(labels, self.logits)
         rows = np.arange(labels.size)
         z = self.logits - self.logits.max(axis=1, keepdims=True)
@@ -261,6 +259,7 @@ class Tape:
         total = e.sum(axis=1, keepdims=True)
         self.ce = -(z[rows, labels] - np.log(total)[:, 0])
         e /= total
+        self.p = e[rows, labels]
         e[rows, labels] -= 1.0
         self.resid = e
         return self
@@ -308,8 +307,9 @@ class Tape:
 
 
 def forward_tape(model, x) -> Tape:
-    """The classifier's forward pass over batch x, kept as a Tape."""
-    clf = as_classifier(model)
+    """The classifier's forward pass over batch x, kept as a Tape. A bare
+    MLP, such as a difficulty net, runs as a linear-head Classifier."""
+    clf = model if isinstance(model, Classifier) else Classifier(model)
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != clf.net.in_dim:
         raise ValueError(f"inputs must be (n, {clf.net.in_dim}), got {x.shape}")
@@ -386,13 +386,30 @@ def backward(model, batch, labels, weights) -> np.ndarray:
     return tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
 
 
-def per_sample_grad_dots(model, batch, labels, direction: np.ndarray) -> np.ndarray:
-    """<grad_phi CE_i, direction> for every sample i, unweighted."""
-    return forward_tape(model, batch).with_labels(labels).dots(direction)
-
-
 # ---------------------------------------------------------------------------
 # optimizers
+
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+@dataclass(frozen=True)
+class OptSpec:
+    """Optimizer settings; build() checks them and turns them into fresh
+    mutable state."""
+
+    kind: str = "momentum"  # one of OPTIMIZERS
+    lr: float = 0.1
+    momentum: float = 0.9
+    weight_decay: float = 0.0
+
+    def build(self) -> OptimizerState:
+        if self.kind not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.kind!r}")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        return OptimizerState(self)
 
 
 @dataclass
@@ -403,26 +420,12 @@ class OptimizerState:
     moment m for momentum and adam; the second moment v and a scratch
     vector tmp for adam alone."""
 
-    kind: str  # one of OPTIMIZERS
-    lr: float
-    weight_decay: float = 0.0
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    spec: OptSpec
     step: int = 0
     g: np.ndarray | None = None
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     tmp: np.ndarray | None = None
-
-
-def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {kind!r}")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    return OptimizerState(kind=kind, lr=lr, **kwargs)
 
 
 def optimizer_step(
@@ -432,35 +435,35 @@ def optimizer_step(
     after the first step it allocates none. Returns (net, state), the
     objects given. Weight decay enters every rule as gradient += wd * param;
     moments start at zero."""
-    p = net.params
+    spec, p = state.spec, net.params
     if state.g is None:
         state.g = np.empty_like(p)
-        if state.kind != "sgd":
+        if spec.kind != "sgd":
             state.m = np.zeros_like(p)
-        if state.kind == "adam":
+        if spec.kind == "adam":
             state.v, state.tmp = np.zeros_like(p), np.empty_like(p)
     elif state.g.shape != p.shape:
         raise ValueError(f"optimizer state is for {state.g.size} parameters, not {p.size}")
-    g = np.multiply(state.weight_decay, p, out=state.g)
+    g = np.multiply(spec.weight_decay, p, out=state.g)
     np.add(grads, g, out=g)
     state.step = t = state.step + 1
     update = g
-    if state.kind == "momentum":
+    if spec.kind == "momentum":
         update = state.m
-        update *= state.momentum
+        update *= spec.momentum
         update += g
-    elif state.kind == "adam":  # with bias correction; the update is built in g
+    elif spec.kind == "adam":  # with bias correction; the update is built in g
         m, v, tmp = state.m, state.v, state.tmp
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = ADAM_BETAS
         m *= b1
         m += np.multiply(1 - b1, g, out=tmp)
         v *= b2
         v += np.multiply(1 - b2, np.square(g, out=tmp), out=tmp)
         c1, c2 = 1 - b1**t, 1 - b2**t
         np.sqrt(np.divide(v, c2, out=g), out=g)
-        g += state.eps
+        g += ADAM_EPS
         np.divide(np.divide(m, c1, out=tmp), g, out=g)
-    p += np.multiply(-state.lr, update, out=g)
+    p += np.multiply(-spec.lr, update, out=g)
     return net, state
 
 

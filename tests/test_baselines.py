@@ -1,5 +1,5 @@
-"""Fixed weighting schemes, focal loss, balanced batching, classifier
-retraining, and probability ensembling."""
+"""Fixed weighting schemes, the focal objective, balanced batching,
+classifier retraining, and probability ensembling."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,23 @@ from ltlab.baselines import (
     crt_retrain,
     effective_number_weights,
     ensemble_predict,
-    focal_logit_cotangent,
-    focal_loss,
     inverse_frequency_weights,
 )
 from ltlab.data import Dataset, exp_profile, synth_gaussian
-from ltlab.metatrain import OptSpec
-from ltlab.nnet import Classifier, classifier_logits, init_mlp, softmax, weighted_ce_loss
+from ltlab.metatrain import OptSpec, classifier_objective
+from ltlab.nnet import (
+    Classifier,
+    Layer,
+    MLP,
+    classifier_logits,
+    forward_tape,
+    init_mlp,
+    log_softmax,
+    softmax,
+)
 from ltlab.rng import consumer_rng
+
+from conftest import fd_param_grads, max_rel_err
 
 
 def small_model(dim=4, c=3, seed=0, head="linear"):
@@ -74,51 +83,92 @@ def test_effective_number_rejects_bad_args():
 
 # ------------------------------------------------------------------- focal
 
+def logit_tape(logits, labels):
+    """A labelled tape whose logits are exactly the given ones: an identity
+    layer over them as inputs."""
+    c = logits.shape[1]
+    clf = Classifier(MLP([Layer(np.eye(c), np.zeros(c), "identity")]))
+    return forward_tape(clf, logits).with_labels(labels)
+
+
+def reference_focal(logits, labels, weights, gamma):
+    """The focal loss and its logit cotangent, each from its own softmax:
+    the per-sample loss (1 - p)^g * CE with p = exp(-CE), and the CE
+    residual scaled by s = (1-p)^g + g*(1-p)^(g-1)*p*CE with p the softmax."""
+    n = logits.shape[0]
+    ce = -log_softmax(logits)[np.arange(n), labels]
+    per_sample = (1.0 - np.exp(-ce)) ** gamma * ce
+    probs = softmax(logits)
+    p_y = probs[np.arange(n), labels]
+    ce_p = -np.log(np.maximum(p_y, 1e-300))
+    one_m = 1.0 - p_y
+    scale = (one_m**gamma).copy()
+    if gamma > 0:
+        mask = one_m > 0
+        scale[mask] += gamma * one_m[mask] ** (gamma - 1.0) * p_y[mask] * ce_p[mask]
+    probs[np.arange(n), labels] -= 1.0
+    return float((weights * per_sample).mean()), probs * (scale / n)[:, None] * weights[:, None]
+
+
 def test_focal_frozen_value():
-    loss, per = focal_loss(np.array([[0.0, 0.0]]), np.array([0]), gamma=2.0)
+    loss, cot = classifier_objective(logit_tape(np.array([[0.0, 0.0]]), np.array([0])),
+                                     np.ones(1), 2.0)
     assert np.isclose(loss, 0.25 * np.log(2.0), atol=1e-15)
-    assert per.shape == (1,)
+    assert cot.shape == (1, 2)
 
 
 def test_focal_gamma_zero_is_ce():
     rng = np.random.default_rng(0)
-    logits = rng.standard_normal((6, 4))
-    labels = rng.integers(0, 4, 6)
-    f, f_per = focal_loss(logits, labels, 0.0)
-    ce, ce_per = weighted_ce_loss(logits, labels, np.ones(6))
+    tape = logit_tape(rng.standard_normal((6, 4)), rng.integers(0, 4, 6))
+    w = rng.random(6)
+    f, f_cot = classifier_objective(tape, w, 0.0)
+    ce, ce_cot = classifier_objective(tape, w, None)
     assert np.isclose(f, ce, rtol=1e-12)
-    assert np.allclose(f_per, ce_per, rtol=1e-12)
+    assert np.allclose(f_cot, ce_cot, rtol=1e-12, atol=0.0)
 
 
-def test_focal_rejects_negative_gamma():
-    with pytest.raises(ValueError):
-        focal_loss(np.zeros((1, 2)), np.array([0]), -0.5)
+@pytest.mark.parametrize("head", ["linear", "cosine"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+def test_focal_objective_bit_identical_to_reference(head, gamma):
+    rng = np.random.default_rng(3)
+    model = small_model(c=5, seed=3, head=head)
+    x = 2.0 * rng.standard_normal((9, 4))
+    y = rng.integers(0, 5, 9)
+    w = rng.random(9)
+    tape = forward_tape(model, x).with_labels(y)
+    loss, cot = classifier_objective(tape, w, gamma)
+    want_loss, want_cot = reference_focal(tape.logits, y, w, gamma)
+    assert loss == want_loss
+    assert cot.tobytes() == want_cot.tobytes()
+    for i in range(9):  # one row at a time, where the mean cannot hide a last-bit change
+        row = forward_tape(model, x[i : i + 1]).with_labels(y[i : i + 1])
+        got = classifier_objective(row, w[i : i + 1], gamma)[0]
+        assert got == reference_focal(row.logits, y[i : i + 1], w[i : i + 1], gamma)[0], i
 
 
 def test_focal_cotangent_matches_fd():
+    # the parameter gradient through the focal cotangent, for both heads
     rng = np.random.default_rng(1)
-    logits = rng.standard_normal((5, 3))
-    labels = rng.integers(0, 3, 5)
-    for gamma in (0.0, 1.0, 2.0):
-        got = focal_logit_cotangent(logits.copy(), labels, gamma)
-        fd = np.zeros_like(logits)
-        h = 1e-6
-        work = logits.copy()
-        for i in range(5):
-            for j in range(3):
-                work[i, j] += h
-                up, _ = focal_loss(work, labels, gamma)
-                work[i, j] -= 2 * h
-                dn, _ = focal_loss(work, labels, gamma)
-                work[i, j] += h
-                fd[i, j] = (up - dn) / (2 * h)
-        assert np.allclose(got, fd, atol=1e-7), gamma
+    x = rng.standard_normal((5, 4))
+    y = rng.integers(0, 3, 5)
+    w = rng.random(5) + 0.5
+    for head in ("linear", "cosine"):
+        model = small_model(seed=1, head=head)
+        for gamma in (0.0, 0.5, 2.0):
+            _, cot = classifier_objective(forward_tape(model, x).with_labels(y), w, gamma)
+            grads = forward_tape(model, x).grads(cot)
+
+            def loss():
+                return classifier_objective(forward_tape(model, x).with_labels(y), w, gamma)[0]
+
+            fd = fd_param_grads(loss, model.net, h=1e-6)
+            assert max_rel_err(grads, fd) < 1e-6, (head, gamma)
 
 
 def test_focal_cotangent_finite_when_confident():
     # p_y -> 1 sends both cotangent factors to zero, not to nan
-    logits = np.array([[60.0, -60.0]])
-    g = focal_logit_cotangent(logits, np.array([0]), 2.0)
+    _, g = classifier_objective(logit_tape(np.array([[60.0, -60.0]]), np.array([0])),
+                                np.ones(1), 2.0)
     assert np.all(np.isfinite(g))
     assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -189,14 +239,6 @@ def test_crt_deterministic_and_head_actually_trains():
 def test_crt_rejects_negative_steps():
     with pytest.raises(ValueError):
         crt_retrain(small_model(), balanced_pool(), -1, 8, OptSpec("sgd", 0.1), seed=0)
-
-
-def test_crt_returns_plain_net_for_plain_net():
-    pool = balanced_pool()
-    net = small_model(c=10).net
-    out = crt_retrain(net, pool, 5, 16, OptSpec("sgd", 0.1), seed=0)
-    assert not isinstance(out, Classifier)
-    assert len(out.layers) == len(net.layers)
 
 
 # ------------------------------------------------------------------ ensemble

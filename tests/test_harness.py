@@ -129,6 +129,9 @@ def test_missing_config_file_rejected(tmp_path):
         "many_min=20",  # equals few_max
         "train_file=only_one.ltds",
         "crt_lr=0",
+        "focal_gamma=-1",
+        "cdb_tau=-1",
+        "effnum_beta=1.5",
     ],
 )
 def test_validation_rejects(override):
@@ -632,6 +635,15 @@ def test_cli_non_positive_cosine_scale_exits_2(tmp_path, capsys):
                  "--set", "seeds=0", "--set", f"out_dir={out}"])
     assert code == 2
     assert "cosine_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_focal_gamma_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["train", "--set", "method=focal", "--set", "focal_gamma=-1", "--set", "epochs=1",
+                 "--set", "seeds=0", "--set", f"out_dir={out}"])
+    assert code == 2
+    assert "focal_gamma" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -422,10 +422,12 @@ def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     for mod in (nnet, metatrain, difficulty):
         monkeypatch.setattr(mod, "forward_tape", spy, raising=False)
     train_set, meta_set = tiny_data()  # meta set of 12 rows: evaluation
-    cfg = cfg_for(train_set, T=5, b=8, m=6, steps_per_epoch=2, seed=5)
+    cfg = cfg_for(train_set, T=10, b=8, m=6, seed=5)
+    spe = train_set.size // cfg.b
+    assert cfg.T % spe  # the last, partial epoch ends at step T - 1
     head = head_init(kind, 8 if kind == "sample" else 3, seed=6)
     train(cfg, train_set, meta_set, tiny_model(seed=39), head)
-    evals = 3 if head.records else 0  # the class snapshot at each epoch's end
+    evals = -(-cfg.T // spe) if head.records else 0  # the class snapshot at each epoch's end
     assert seen.count(8) == cfg.T
     assert seen.count(6) == cfg.T
     assert seen.count("dnet") == 2 * cfg.T + evals
@@ -451,9 +453,8 @@ def test_loop_bounds_validated():
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=37)
     dnet = dnet_init(3, seed=38)
-    with pytest.raises(ValueError, match="steps_per_epoch"):
-        train(cfg_for(train_set, T=1, seed=0,
-                      steps_per_epoch=train_set.size),
+    with pytest.raises(ValueError, match="exceeds the train set"):
+        train(cfg_for(train_set, T=1, b=train_set.size + 1, seed=0),
               train_set, meta_set, model, dnet)
     with pytest.raises(ValueError, match="meta batch"):
         train(cfg_for(train_set, T=1, m=meta_set.size + 1, seed=0),

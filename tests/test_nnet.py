@@ -18,11 +18,10 @@ from ltlab.nnet import (
     classifier_logits,
     forward_tape,
     init_mlp,
+    OptSpec,
     load_checkpoint,
-    make_optimizer,
     optimizer_step,
     per_class_accuracy,
-    per_sample_grad_dots,
     save_checkpoint,
     softmax,
     weighted_ce_loss,
@@ -193,7 +192,7 @@ def test_per_sample_dots_match_materialized():
         direction = np.concatenate([np.concatenate([rng.standard_normal(l.w.shape).ravel(),
                                                     rng.standard_normal(l.b.shape)])
                                     for l in net.layers])
-        dots = per_sample_grad_dots(model, x, y, direction)
+        dots = forward_tape(model, x).with_labels(y).dots(direction)
         for i in range(5):
             want = materialized_dot(model, x[i], y[i], direction)
             assert np.isclose(dots[i], want, rtol=1e-10, atol=1e-12), (head, i)
@@ -237,6 +236,7 @@ def test_tape_keeps_the_ce_residual_bit_for_bit(head):
     tape = forward_tape(model, x).with_labels(y)
     assert tape.cotangent(w).tobytes() == ce_logit_cotangent(tape.logits, y, w).tobytes()
     assert tape.ce.tobytes() == weighted_ce_loss(tape.logits, y, np.ones(7))[1].tobytes()
+    assert tape.p.tobytes() == softmax(tape.logits)[np.arange(7), y].tobytes()
     direction = rng.standard_normal(net.params.size)
     assert tape.dots(direction).tobytes() == reference_dots(model, x, y, direction).tobytes()
 
@@ -244,7 +244,8 @@ def test_tape_keeps_the_ce_residual_bit_for_bit(head):
 def test_per_sample_dot_zero_direction():
     net = small_net([3, 4, 2], seed=7)
     model = Classifier(net, "linear")
-    dots = per_sample_grad_dots(model, np.ones((1, 3)), np.array([1]), np.zeros_like(net.params))
+    dots = forward_tape(model, np.ones((1, 3))).with_labels(np.array([1])).dots(
+        np.zeros_like(net.params))
     assert dots[0] == 0.0
 
 
@@ -253,7 +254,7 @@ def test_per_sample_dot_own_gradient_non_negative():
     model = Classifier(net, "linear")
     x = np.array([0.3, -1.2, 0.7])
     own = backward(model, x.reshape(1, -1), np.array([0]), np.array([1.0]))
-    val = per_sample_grad_dots(model, x.reshape(1, -1), np.array([0]), own)[0]
+    val = forward_tape(model, x.reshape(1, -1)).with_labels(np.array([0])).dots(own)[0]
     assert val >= 0.0
     assert np.isclose(val, float(np.vdot(own, own)), rtol=1e-12)
 
@@ -269,13 +270,13 @@ def grads_of(value):
 
 
 def test_sgd_step_frozen():
-    state = make_optimizer("sgd", 0.1)
+    state = OptSpec("sgd", 0.1).build()
     net, _ = optimizer_step(state, one_layer_net(1.0), grads_of(2.0))
     assert np.isclose(net.layers[0].w[0, 0], 0.8, rtol=0, atol=1e-15)
 
 
 def test_zero_gradient_no_decay_is_identity():
-    state = make_optimizer("momentum", 0.1, momentum=0.9, weight_decay=0.0)
+    state = OptSpec("momentum", 0.1, momentum=0.9, weight_decay=0.0).build()
     net = one_layer_net(0.7)
     out, _ = optimizer_step(state, net, grads_of(0.0))
     assert out.layers[0].w[0, 0] == 0.7
@@ -283,7 +284,7 @@ def test_zero_gradient_no_decay_is_identity():
 
 def test_momentum_two_steps_recurrence():
     lr, mu, g = 0.1, 0.9, 2.0
-    state = make_optimizer("momentum", lr, momentum=mu)
+    state = OptSpec("momentum", lr, momentum=mu).build()
     net = one_layer_net(1.0)
     net, state = optimizer_step(state, net, grads_of(g))
     # m1 = g, p1 = 1 - lr*g
@@ -296,12 +297,12 @@ def test_momentum_two_steps_recurrence():
 
 def test_adam_first_step_is_signed_lr():
     lr = 0.001
-    state = make_optimizer("adam", lr)
+    state = OptSpec("adam", lr).build()
     net, _ = optimizer_step(state, one_layer_net(0.5), grads_of(3.0))
     # bias-corrected first step: lr * g / (|g| + eps) ~ lr * sign(g)
     assert abs(net.layers[0].w[0, 0] - (0.5 - lr)) < 1e-8
 
-    state = make_optimizer("adam", lr)
+    state = OptSpec("adam", lr).build()
     net, _ = optimizer_step(state, one_layer_net(0.5), grads_of(-3.0))
     assert abs(net.layers[0].w[0, 0] - (0.5 + lr)) < 1e-8
 
@@ -309,16 +310,16 @@ def test_adam_first_step_is_signed_lr():
 def test_weight_decay_additive_in_gradient():
     # decay folds into the gradient: same as stepping on g + wd*p
     p, g, lr, wd = 2.0, 0.5, 0.1, 0.01
-    with_wd = make_optimizer("sgd", lr, weight_decay=wd)
+    with_wd = OptSpec("sgd", lr, weight_decay=wd).build()
     net, _ = optimizer_step(with_wd, one_layer_net(p), grads_of(g))
-    plain = make_optimizer("sgd", lr)
+    plain = OptSpec("sgd", lr).build()
     want, _ = optimizer_step(plain, one_layer_net(p), grads_of(g + wd * p))
     assert np.isclose(net.layers[0].w[0, 0], want.layers[0].w[0, 0], atol=1e-15)
 
 
 def test_optimizer_deterministic():
-    a = make_optimizer("adam", 0.01, weight_decay=1e-4)
-    b = make_optimizer("adam", 0.01, weight_decay=1e-4)
+    a = OptSpec("adam", 0.01, weight_decay=1e-4).build()
+    b = OptSpec("adam", 0.01, weight_decay=1e-4).build()
     net_a, net_b = one_layer_net(1.0), one_layer_net(1.0)
     for _ in range(5):
         net_a, a = optimizer_step(a, net_a, grads_of(0.3))
@@ -355,7 +356,7 @@ def test_optimizer_step_bit_identical_to_per_layer_rules(kind):
     flat_seq = [rng.standard_normal(net.params.size) for _ in range(4)]
     want = per_layer_steps(kind, net, [[a for pair in net.split(g) for a in pair]
                                        for g in flat_seq], 0.05, 1e-2)
-    state = make_optimizer(kind, 0.05, weight_decay=1e-2)
+    state = OptSpec(kind, 0.05, weight_decay=1e-2).build()
     for g in flat_seq:
         net, state = optimizer_step(state, net, g)
     assert net.params.tobytes() == want.tobytes()
@@ -365,7 +366,7 @@ def test_optimizer_step_bit_identical_to_per_layer_rules(kind):
 def test_optimizer_step_allocates_no_vector_after_the_first(kind):
     net = small_net([32, 64, 10], seed=23)
     g = np.random.default_rng(23).standard_normal(net.params.size)
-    state = make_optimizer(kind, 0.05, weight_decay=1e-2)
+    state = OptSpec(kind, 0.05, weight_decay=1e-2).build()
     params = net.params
     assert optimizer_step(state, net, g) == (net, state)  # the objects given, updated
     tracemalloc.start()
@@ -381,7 +382,7 @@ def test_optimizer_step_allocates_no_vector_after_the_first(kind):
 
 def test_unknown_optimizer_kind_rejected():
     with pytest.raises(ValueError):
-        make_optimizer("rmsprop", 0.1)
+        OptSpec("rmsprop", 0.1).build()
 
 
 # ------------------------------------------------------------------- accuracy
