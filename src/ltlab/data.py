@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +209,10 @@ def load_dataset(path: str) -> Dataset:
         if class_count < 1 or dim < 1:
             raise FormatError("header C and DIM must be positive", line=1)
 
-        labels, rows = [], []
+        # Rows go straight into typed buffers: no per-row lists are kept and
+        # the arrays below are views of the buffers, not copies.
+        labels, values = array("q"), array("d")
+        isfinite = math.isfinite
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -221,26 +225,26 @@ def load_dataset(path: str) -> Dataset:
                 )
             try:
                 label = int(fields[0])
-                values = [float(v) for v in fields[1:]]
+                row = list(map(float, fields[1:]))
             except ValueError:
                 raise FormatError("non-numeric field", line=lineno) from None
             if not (0 <= label < class_count):
                 raise FormatError(
                     f"label {label} outside [0, {class_count})", line=lineno
                 )
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(isfinite, row)):
                 raise FormatError("non-finite feature value", line=lineno)
             labels.append(label)
-            rows.append(values)
+            values.extend(row)
 
-    if not rows:
+    if not labels:
         raise FormatError("no data rows")
     if max(labels) != class_count - 1:
         raise FormatError(
             f"header C={class_count} does not match max label {max(labels)}"
         )
     return Dataset(
-        np.asarray(rows, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64),
+        np.frombuffer(values, dtype=np.float64).reshape(-1, dim),
+        np.frombuffer(labels, dtype=np.int64),
         class_count,
     )

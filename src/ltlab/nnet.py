@@ -265,8 +265,8 @@ class Tape:
         return self
 
     def cotangent(self, weights) -> np.ndarray:
-        """ce_logit_cotangent of the tape's logits and labels: the residual
-        scaled by w_i / b."""
+        """d/dlogits of (1/b) * sum_i w_i * CE_i over the tape's logits and
+        labels: the residual scaled by w_i / b."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != self.labels.shape:
             raise ValueError("weights must be (n,)")
@@ -278,10 +278,11 @@ class Tape:
         if cot.shape != self.logits.shape:
             raise ValueError(f"cotangent must be {self.logits.shape}, got {cot.shape}")
         net = self.clf.net
-        grads = np.zeros_like(net.params)
+        grads = np.empty_like(net.params)  # the walks write every view
         views = net.split(grads)
-        if self.clf.head == "cosine":  # its bias takes no part and keeps a zero grad
+        if self.clf.head == "cosine":  # its bias takes no part and gets a zero grad
             views[-1][0][...], d_f = _cosine_grads(self.cos, self.clf.scale * cot)
+            views[-1][1][...] = 0.0
             _walk_grads(net.layers[:-1], self.steps, d_f, views)
         else:
             _walk_grads(net.layers, self.steps, cot, views)
@@ -330,26 +331,16 @@ def _check_labels(labels, logits) -> np.ndarray:
     return labels
 
 
-def ce_logit_cotangent(logits, labels, weights) -> np.ndarray:
-    """d/dlogits of (1/b) * sum_i w_i * CE_i: (softmax - onehot) * w_i / b."""
-    labels = _check_labels(labels, logits)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != labels.shape:
-        raise ValueError("weights must be (n,)")
-    n = logits.shape[0]
-    g = softmax(logits)
-    g[np.arange(n), labels] -= 1.0
-    g *= (weights / n)[:, None]
-    return g
-
-
 def _walk_grads(layers, steps, d_post, views) -> None:
     """Cotangent wrt a layer slice's post-activation output -> summed grads,
     written into the slice's (dW, db) views."""
     for k in reversed(range(len(layers))):
         h_in, deriv = steps[k]
         dz = d_post if deriv is None else d_post * deriv
-        np.matmul(dz.T, h_in, out=views[k][0])
+        if h_in.shape[0] == 1:  # the difficulty nets' one row: an outer product beats a k=1 matmul
+            np.multiply(dz.T, h_in, out=views[k][0])
+        else:
+            np.matmul(dz.T, h_in, out=views[k][0])
         np.add.reduce(dz, axis=0, out=views[k][1])
         if k:  # the first layer's input cotangent is never read
             d_post = dz @ layers[k].w
@@ -382,8 +373,8 @@ def _normalize_vjp(d_hat, hat, r):
 
 def backward(model, batch, labels, weights) -> np.ndarray:
     """Gradient of (1/b) * sum_i w_i * CE_i wrt the net's params."""
-    tape = forward_tape(model, batch)
-    return tape.grads(ce_logit_cotangent(tape.logits, labels, weights))
+    tape = forward_tape(model, batch).with_labels(labels)
+    return tape.grads(tape.cotangent(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Dataset synthesis, splitting, and the text serialization format."""
 
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +238,184 @@ def test_load_rejects_non_finite(tmp_path):
     path = _write(tmp_path, "#LTDS C=2 DIM=1\n0,1.0\n1,inf\n")
     with pytest.raises(FormatError, match="line 3"):
         load_dataset(path)
+
+
+def test_load_peak_memory_is_near_the_arrays(tmp_path):
+    # Rows are parsed into typed buffers, so the traced peak stays near the
+    # size of the arrays returned; a parser keeping per-row float lists peaks
+    # at 5.5 times that.
+    rng = np.random.default_rng(0)
+    n, dim = 6000, 16
+    path = tmp_path / "big.ltds"
+    save_dataset(Dataset(rng.standard_normal((n, dim)), np.arange(n) % 7, 7), path)
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.size == n
+    assert peak < 2 * (back.features.nbytes + back.labels.nbytes)
+
+
+# --------------------------------------------- load_dataset against an oracle
+
+def list_loader(path):
+    """The loader as it was before rows went into typed buffers, frozen: every
+    row a list of Python floats, copied into arrays at the end."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline()
+        if not header:
+            raise FormatError("empty file", line=1)
+        parts = header.strip().split()
+        if (
+            len(parts) != 3
+            or parts[0] != "#LTDS"
+            or not parts[1].startswith("C=")
+            or not parts[2].startswith("DIM=")
+        ):
+            raise FormatError("expected header '#LTDS C=<int> DIM=<int>'", line=1)
+        try:
+            class_count = int(parts[1][2:])
+            dim = int(parts[2][4:])
+        except ValueError:
+            raise FormatError("header C and DIM must be integers", line=1) from None
+        if class_count < 1 or dim < 1:
+            raise FormatError("header C and DIM must be positive", line=1)
+
+        labels, rows = [], []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                raise FormatError("blank line inside data section", line=lineno)
+            fields = line.split(",")
+            if len(fields) != dim + 1:
+                raise FormatError(
+                    f"expected {dim + 1} comma-separated fields, got {len(fields)}",
+                    line=lineno,
+                )
+            try:
+                label = int(fields[0])
+                values = [float(v) for v in fields[1:]]
+            except ValueError:
+                raise FormatError("non-numeric field", line=lineno) from None
+            if not (0 <= label < class_count):
+                raise FormatError(
+                    f"label {label} outside [0, {class_count})", line=lineno
+                )
+            if not all(math.isfinite(v) for v in values):
+                raise FormatError("non-finite feature value", line=lineno)
+            labels.append(label)
+            rows.append(values)
+
+    if not rows:
+        raise FormatError("no data rows")
+    if max(labels) != class_count - 1:
+        raise FormatError(
+            f"header C={class_count} does not match max label {max(labels)}"
+        )
+    return Dataset(
+        np.asarray(rows, dtype=np.float64),
+        np.asarray(labels, dtype=np.int64),
+        class_count,
+    )
+
+
+def outcome(loader, path):
+    """What a loader makes of a file: its arrays' dtypes, shapes, bytes and
+    writeable flags, or the FormatError's message and line."""
+    try:
+        d = loader(path)
+    except FormatError as e:
+        return "error", str(e), e.line
+    return ("ok", d.class_count) + tuple(
+        (a.dtype.str, a.shape, a.tobytes(), a.flags.writeable) for a in (d.features, d.labels))
+
+
+_PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "0.0", "-0.0", "-0", "5e-324", "-5e-324", "2.2250738585072009e-308",
+        "1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e+308",
+        "1_0", "1_000.5", "1e1_0", "+.5", "5.", "1E5", "00.25",
+    ]),
+)
+_LABEL_TEXT = {"plain": str, "signed": lambda c: f"+{c}", "zeros": lambda c: f"0{c}"}
+_NON_NUMERIC = ["zap", "", "1..2", "0x10", "1e", "--1", "1_", "_1", "1 2"]
+_NON_FINITE = ["nan", "-nan", "inf", "-inf", "Infinity", "1e309", "-1e400"]
+_DEFECTS = ("blank", "fields", "non_numeric", "label_range", "non_finite",
+            "no_rows", "max_label")
+
+
+def _padded(draw, text):
+    return draw(_PAD) + text + draw(_PAD)
+
+
+@st.composite
+def ltds_texts(draw, defects=()):
+    """An LTDS file's text. Without defects it is valid, with varied spellings
+    of the same numbers; each defect named is applied once."""
+    class_count, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, class_count - 1), min_size=1, max_size=8))
+    labels[draw(st.integers(0, len(labels) - 1))] = class_count - 1
+    rows = []
+    for label in labels:
+        spell = _LABEL_TEXT[draw(st.sampled_from(sorted(_LABEL_TEXT)))]
+        rows.append([_padded(draw, spell(label))]
+                    + [_padded(draw, draw(_FLOAT_TEXT)) for _ in range(dim)])
+    header_c = class_count
+    for defect in defects:
+        i = draw(st.integers(0, len(rows) - 1))
+        if defect == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", " ", "\t"]))])
+        elif defect == "fields":
+            if len(rows[i]) > 2 and draw(st.booleans()):
+                rows[i].pop()
+            else:
+                rows[i].append(draw(_FLOAT_TEXT))
+        elif defect == "non_numeric":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_NON_NUMERIC))
+        elif defect == "label_range":
+            rows[i][0] = str(draw(st.sampled_from([-1, class_count, class_count + 5])))
+        elif defect == "non_finite":
+            row = rows[i] if len(rows[i]) > 1 else rows[i] + [""]  # a blank line's one field
+            row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(_NON_FINITE))
+            rows[i] = row
+        elif defect == "no_rows":
+            rows = []
+        elif defect == "max_label":
+            header_c = class_count + draw(st.integers(1, 3))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"#LTDS C={header_c} DIM={dim}"] + [",".join(r) for r in rows]
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _same_outcome(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle.ltds"
+    path.write_bytes(text.encode("ascii"))
+    got, want = outcome(load_dataset, path), outcome(list_loader, path)
+    assert got == want
+    return got
+
+
+@given(text=ltds_texts())
+@settings(max_examples=300, deadline=None)
+def test_load_matches_list_oracle_on_valid_files(tmp_path_factory, text):
+    assert _same_outcome(tmp_path_factory, text)[0] == "ok"
+
+
+@given(text=st.sampled_from(_DEFECTS).flatmap(lambda d: ltds_texts(defects=(d,))))
+@settings(max_examples=300, deadline=None)
+def test_load_matches_list_oracle_on_malformed_files(tmp_path_factory, text):
+    assert _same_outcome(tmp_path_factory, text)[0] == "error"
+
+
+@given(text=ltds_texts(defects=_DEFECTS[:5]))
+@settings(max_examples=100, deadline=None)
+def test_load_reports_the_first_defect_like_the_oracle(tmp_path_factory, text):
+    assert _same_outcome(tmp_path_factory, text)[0] == "error"
 
 
 # ------------------------------------------------------------------- Dataset

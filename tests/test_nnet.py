@@ -14,7 +14,6 @@ from ltlab.nnet import (
     Layer,
     MLP,
     backward,
-    ce_logit_cotangent,
     classifier_logits,
     forward_tape,
     init_mlp,
@@ -33,6 +32,16 @@ from conftest import fd_param_grads, max_rel_err
 
 def small_net(sizes, out_act="identity", seed=0):
     return init_mlp(sizes, out_act, consumer_rng(seed, "test", "net"))
+
+
+def ce_logit_cotangent(logits, labels, weights):
+    """Oracle for Tape.cotangent, from its own softmax:
+    d/dlogits of (1/b) * sum_i w_i * CE_i = (softmax - onehot) * w_i / b."""
+    n = logits.shape[0]
+    g = softmax(logits)
+    g[np.arange(n), labels] -= 1.0
+    g *= (np.asarray(weights, dtype=np.float64) / n)[:, None]
+    return g
 
 
 # -------------------------------------------------------------------- forward
@@ -166,6 +175,35 @@ def test_backward_duplicated_batch_mean_invariance():
     for (a, ab), (b, bb) in zip(net.split(g1), net.split(g2)):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
         assert np.allclose(ab, bb, rtol=1e-12, atol=1e-15)
+
+
+def test_one_row_grads_equal_the_matmul_walk():
+    # A one-row batch, the difficulty nets' case, takes the walk's outer
+    # product branch. Written out with matmul over the same forward pass, the
+    # grads agree to the bit up to the sign of zero.
+    rng = np.random.default_rng(12)
+    net = small_net([4, 6, 3], seed=12)
+    (w1, b1), (w2, _) = ((l.w, l.b) for l in net.layers)
+    x = rng.standard_normal((1, 4))
+    x[0, 1] = 0.0
+    cot = rng.standard_normal((1, 3))
+    z1 = x @ w1.T + b1
+    h1 = np.maximum(z1, 0.0)
+    dz1 = (cot @ w2) * (z1 > 0.0)
+    want = np.concatenate([np.matmul(dz1.T, x).ravel(), dz1.sum(axis=0),
+                           np.matmul(cot.T, h1).ravel(), cot.sum(axis=0)])
+    assert np.array_equal(forward_tape(net, x).grads(cot), want)
+
+
+def test_cosine_bias_grad_is_zero_in_a_reused_buffer():
+    net = small_net([3, 4, 2], seed=13)
+    model = Classifier(net, "cosine", scale=2.0)
+    for _ in range(3):  # freed NaN blocks of the same size are what empty_like may get
+        junk = np.full(net.params.size, np.nan)
+        del junk
+        grads = forward_tape(model, np.ones((2, 3))).grads(np.ones((2, 2)))
+        assert np.isfinite(grads).all()
+        assert np.array_equal(net.split(grads)[-1][1], np.zeros(2))
 
 
 def test_tape_grads_validate_cotangent_shape():
