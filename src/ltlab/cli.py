@@ -22,7 +22,7 @@ from .harness import (
     run,
     summarize,
 )
-from .metatrain import NumericError
+from .metatrain import SPLITS, NumericError
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
@@ -62,7 +62,7 @@ def _fmt_split(v) -> str:
     return "-" if v is None else f"{v:.4f}"
 
 
-def _splits(row, names=("overall", "many", "medium", "few")) -> str:
+def _splits(row, names=SPLITS) -> str:
     """name=value for each of a row's splits."""
     return " ".join(f"{n}={_fmt_split(getattr(row, n))}" for n in names)
 

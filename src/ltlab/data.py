@@ -234,7 +234,10 @@ def load_dataset(path: str) -> Dataset:
                 )
             if not all(map(isfinite, row)):
                 raise FormatError("non-finite feature value", line=lineno)
-            labels.append(label)
+            try:
+                labels.append(label)
+            except OverflowError:  # only a header C beyond int64 lets one through
+                raise FormatError(f"label {label} does not fit int64", line=lineno) from None
             values.extend(row)
 
     if not labels:

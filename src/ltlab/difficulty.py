@@ -89,7 +89,7 @@ class DifficultyHead:
 
     def target(self, x: np.ndarray) -> np.ndarray:
         """Driver target: 1 - normalized accuracy, or its per-sample analogue."""
-        return 1.0 - normalized_accuracy(x) if self.per_class else sample_driver_targets(x)
+        return class_driver_targets(x) if self.per_class else sample_driver_targets(x)
 
 
 def head_init(kind: str, width: int, seed: int,
@@ -135,7 +135,7 @@ def head_signal(head: DifficultyHead, signal) -> np.ndarray:
 
 def nometa_difficulty(acc) -> np.ndarray:
     """1 - normalized accuracy, clamped at 1e-12 so the entropy log stays finite."""
-    return np.clip(1.0 - normalized_accuracy(acc), 1e-12, None)
+    return np.clip(class_driver_targets(acc), 1e-12, None)
 
 
 def uniform_weights(acc) -> np.ndarray:
@@ -177,8 +177,12 @@ def target_fit_loss(d: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarra
 
 def driver_loss(d: np.ndarray, acc) -> tuple[float, np.ndarray]:
     """Anchor difficulties at 1 - normalized accuracy. Returns (value, dL/dd)."""
-    target = 1.0 - normalized_accuracy(acc)
-    return target_fit_loss(d, target)
+    return target_fit_loss(d, class_driver_targets(acc))
+
+
+def class_driver_targets(acc) -> np.ndarray:
+    """The driver target of class-level heads: 1 - normalized accuracy."""
+    return 1.0 - normalized_accuracy(acc)
 
 
 def sample_driver_targets(losses: np.ndarray) -> np.ndarray:

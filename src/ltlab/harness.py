@@ -21,6 +21,7 @@ from .baselines import cdb_weights, crt_retrain, effective_number_weights, ensem
 from .data import Dataset, atomic_write, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
 from .difficulty import DifficultyHead, head_init
 from .metatrain import (
+    SPLITS,
     ConfigError,
     EpochRecord,
     NumericError,
@@ -331,34 +332,35 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int) -> Train
 
 
 def _fmt(value) -> str:
+    """A CSV cell: the float's repr, or empty for None (an empty split)."""
     if value is None:
         return ""
     return repr(float(value))
 
 
-def _metrics_row(rec: EpochRecord) -> str:
-    """One CSV row; records with a difficulty snapshot fill the extended columns."""
-    row = [str(rec.epoch), _fmt(rec.overall), _fmt(rec.many), _fmt(rec.medium), _fmt(rec.few)]
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Every CSV file ltlab writes: the header, then one line per row of
+    cells, ASCII with LF line ends, replacing path atomically."""
+    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
+
+
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """A CSV file as _write_csv wrote it: (header, rows), blank lines skipped."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip().split(",")
+        return header, [line.strip().split(",") for line in fh if line.strip()]
+
+
+def _metrics_row(rec: EpochRecord) -> list[str]:
+    """One metrics.csv row; records with a difficulty snapshot fill the
+    extended columns."""
+    row = [str(rec.epoch), *(_fmt(getattr(rec, name)) for name in SPLITS)]
     if rec.difficulty is not None:
         row.append(_fmt(rec.entropy))
         row += [_fmt(v) for v in rec.difficulty]
-    return ",".join(row) + "\n"
-
-
-def _write_metrics_csv(path: str, records: list[EpochRecord], extended: bool, class_count: int) -> None:
-    cols = ["epoch", "overall", "many", "medium", "few"]
-    if extended:
-        cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]
-    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(_metrics_row(rec) for rec in records)
-
-
-def _write_trace_csv(path: str, metrics: RunMetrics) -> None:
-    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("step,class,normalized_weight\n")
-        for step, cls, w in metrics.weight_trace:
-            fh.write(f"{step},{cls},{repr(float(w))}\n")
+    return row
 
 
 def _build_model(cfg: ExperimentConfig, dim: int, class_count: int, seed: int) -> Classifier:
@@ -420,43 +422,55 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
     try:
         model, head, metrics = train_one(cfg, train_set, meta_set, seed)
     except NumericError as e:
-        _flush_run(cfg, run_dir, e.metrics.epochs, e.metrics, train_set.class_count, seed, started)
+        _flush_run(cfg, run_dir, e.metrics, train_set.class_count, seed, started)
         raise
 
     # made only after training, so that a rejected config leaves no directory
     os.makedirs(run_dir, exist_ok=True)
-    records = list(metrics.epochs)
     save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
     if head.net is not None:
         save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
     if cfg.stage2 == "crt":
         try:
-            records.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed,
-                                   len(records)))
+            metrics.epochs.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed,
+                                          len(metrics.epochs)))
         except NumericError:
             # the stage-1 files stay; a stage-2 checkpoint of an earlier run goes
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(run_dir, "classifier_crt.ltnn"))
-            _flush_run(cfg, run_dir, records, metrics, train_set.class_count, seed, started)
+            _flush_run(cfg, run_dir, metrics, train_set.class_count, seed, started)
             raise
 
-    _flush_run(cfg, run_dir, records, metrics, train_set.class_count, seed, started)
-    return _report_row(cfg.method, seed, records[-1] if records else None, started)
+    _flush_run(cfg, run_dir, metrics, train_set.class_count, seed, started)
+    final = vars(metrics.epochs[-1]) if metrics.epochs else None
+    return _report_row(cfg.method, seed, final, time.time() - started)
 
 
-def _report_row(method: str, seed: int, final: EpochRecord | None, started: float) -> ReportRow:
-    """A run's result row from its final record; no record reads as nan."""
-    if final is None:
-        return ReportRow(method, seed, float("nan"), None, None, None, None, time.time() - started)
-    return ReportRow(method, seed, final.overall, final.many, final.medium, final.few,
-                     final.entropy, time.time() - started)
+def _report_row(method: str, seed: int, final: dict | None, wall: float) -> ReportRow:
+    """A run's result row from the fields of its final record: vars() of an
+    EpochRecord, or a metrics.csv row by column name, where an empty cell
+    is an empty split. Without a record, overall reads as nan."""
+    final = final or {}
+
+    def value(name, missing=None):
+        v = final.get(name)
+        return missing if v is None or v == "" else float(v)
+
+    return ReportRow(method, seed, value("overall", float("nan")),
+                     *(value(name) for name in SPLITS[1:]), value("entropy"), wall)
 
 
-def _flush_run(cfg, run_dir, records, metrics: RunMetrics, class_count, seed, started) -> None:
+def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed, started) -> None:
+    """Write a run's metrics.csv (one row per record in metrics.epochs),
+    weights_trace.csv for heads that record, run_config.txt and manifest.json."""
     os.makedirs(run_dir, exist_ok=True)
-    _write_metrics_csv(os.path.join(run_dir, "metrics.csv"), records, metrics.records, class_count)
+    cols = ["epoch", *SPLITS]
     if metrics.records:
-        _write_trace_csv(os.path.join(run_dir, "weights_trace.csv"), metrics)
+        cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]
+    _write_csv(os.path.join(run_dir, "metrics.csv"), cols, map(_metrics_row, metrics.epochs))
+    if metrics.records:
+        _write_csv(os.path.join(run_dir, "weights_trace.csv"), ["step", "class", "normalized_weight"],
+                   ([str(step), str(cls), _fmt(w)] for step, cls, w in metrics.weight_trace))
     with atomic_write(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8",
                       newline="\n") as fh:
         fh.write(config_text(replace(cfg, seeds=(seed,))))
@@ -490,12 +504,11 @@ def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
         train_set, meta_set = datasets(_data_config(rcfg))
         head = _difficulty_head(rcfg, train_set, seed, run_dir)
         metrics_path = os.path.join(run_dir, "metrics.csv")
-        with open(metrics_path, "r", encoding="ascii") as fh:
-            stage1 = fh.readlines()[: 1 + rcfg.epochs]  # header, one row per epoch
-        rec = _stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(stage1) - 1)
-        with atomic_write(metrics_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines(stage1 + [_metrics_row(rec)])
-        rows.append(_report_row(rcfg.method, seed, rec, started))
+        header, stage1 = _read_csv(metrics_path)
+        stage1 = stage1[: rcfg.epochs]  # one row per epoch
+        rec = _stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(stage1))
+        _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
+        rows.append(_report_row(rcfg.method, seed, vars(rec), time.time() - started))
     return rows
 
 
@@ -529,29 +542,14 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
     rows.append(("ensemble", result["ensemble"]))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "ensemble_metrics.csv")
-    with atomic_write(out_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("name,overall,many,medium,few\n")
-        fh.writelines(f"{n},{_fmt(s.overall)},{_fmt(s.many)},{_fmt(s.medium)},{_fmt(s.few)}\n"
-                      for n, s in rows)
+    _write_csv(out_path, ["name", *SPLITS],
+               ([n, *(_fmt(getattr(s, name)) for name in SPLITS)] for n, s in rows))
     result["csv_path"] = out_path
     return result
 
 
 # ---------------------------------------------------------------------------
 # reporting
-
-
-def _read_final_row(metrics_path: str) -> dict | None:
-    with open(metrics_path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        last = None
-        for line in fh:
-            if line.strip():
-                last = line.strip().split(",")
-    if last is None:
-        return None
-    row = dict(zip(header, last))
-    return row
 
 
 def collect_rows(paths: list[str]) -> list[ReportRow]:
@@ -576,24 +574,15 @@ def collect_rows(paths: list[str]) -> list[ReportRow]:
             method = os.path.basename(os.path.dirname(run_dir))
             name = os.path.basename(run_dir)
             seed = int(name.removeprefix("seed")) if name.startswith("seed") else -1
-        final = _read_final_row(mf)
-        if final is None:
+        header, body = _read_csv(mf)
+        if not body:
             continue
         wall = 0.0
         man = os.path.join(run_dir, "manifest.json")
         if os.path.exists(man):
             with open(man, "r", encoding="utf-8") as fh:
                 wall = float(json.load(fh).get("wall_seconds", 0.0))
-
-        def grab(col):
-            v = final.get(col, "")
-            return float(v) if v else None
-
-        overall = grab("overall")
-        rows.append(ReportRow(method, seed,
-                              overall if overall is not None else float("nan"),
-                              grab("many"), grab("medium"), grab("few"),
-                              grab("entropy"), wall))
+        rows.append(_report_row(method, seed, dict(zip(header, body[-1])), wall))
     return rows
 
 
@@ -614,7 +603,7 @@ def summarize(rows: list[ReportRow]) -> list[MethodSummary]:
     for method in sorted(by_method):
         group = by_method[method]
         medians, iqrs = {}, {}
-        for name in ("overall", "many", "medium", "few"):
+        for name in SPLITS:
             vals = [getattr(r, name) for r in group if getattr(r, name) is not None]
             if vals:
                 medians[name] = float(np.median(vals))
@@ -628,12 +617,12 @@ def summarize(rows: list[ReportRow]) -> list[MethodSummary]:
 
 def report_text(summaries: list[MethodSummary]) -> str:
     head = f"{'method':<14} {'seeds':>5}  " + "  ".join(
-        f"{name:>15}" for name in ("overall", "many", "medium", "few")
+        f"{name:>15}" for name in SPLITS
     )
     lines = [head, "-" * len(head)]
     for s in summaries:
         cells = []
-        for name in ("overall", "many", "medium", "few"):
+        for name in SPLITS:
             if s.medians[name] is None:
                 cells.append(f"{'-':>15}")
             else:
@@ -643,13 +632,14 @@ def report_text(summaries: list[MethodSummary]) -> str:
 
 
 def report_csv(summaries: list[MethodSummary], path: str) -> None:
-    with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
-        cols = ["method", "seeds"]
-        for name in ("overall", "many", "medium", "few"):
-            cols += [f"{name}_median", f"{name}_iqr"]
-        fh.write(",".join(cols) + "\n")
-        for s in summaries:
-            row = [s.method, str(s.seeds)]
-            for name in ("overall", "many", "medium", "few"):
-                row += [_fmt(s.medians[name]), _fmt(s.iqrs[name])]
-            fh.write(",".join(row) + "\n")
+    """The summary table as CSV: a median and an IQR column per split."""
+    cols = ["method", "seeds"]
+    for name in SPLITS:
+        cols += [f"{name}_median", f"{name}_iqr"]
+    rows = []
+    for s in summaries:
+        row = [s.method, str(s.seeds)]
+        for name in SPLITS:
+            row += [_fmt(s.medians[name]), _fmt(s.iqrs[name])]
+        rows.append(row)
+    _write_csv(path, cols, rows)

@@ -16,7 +16,7 @@ Per-class accuracies feeding the difficulty head are refreshed once per epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class SplitAccuracy:
     many: float | None
     medium: float | None
     few: float | None
+
+
+# the split names, in the order every report and CSV column lists them
+SPLITS = tuple(f.name for f in fields(SplitAccuracy))
 
 
 def evaluate_splits(acc, counts, thresholds) -> SplitAccuracy:
@@ -191,16 +195,9 @@ def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set,
     acc = per_class_accuracy(model, meta_set, "meta", step, metrics)
     splits = evaluate_splits(acc.per_class, train_set.per_class_counts, thresholds)
     d = dnet_forward(head, acc) if head.records else None
-    return acc, EpochRecord(
-        epoch=epoch,
-        accuracy=acc.per_class,
-        overall=splits.overall,
-        many=splits.many,
-        medium=splits.medium,
-        few=splits.few,
-        entropy=difficulty_entropy(d) if d is not None else None,
-        difficulty=d,
-    )
+    return acc, EpochRecord(epoch=epoch, accuracy=acc.per_class, **vars(splits),
+                            entropy=difficulty_entropy(d) if d is not None else None,
+                            difficulty=d)
 
 
 def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHead):

@@ -555,6 +555,22 @@ def test_collect_and_summarize(runs_dir):
     assert "-" in text  # the empty many column
 
 
+@pytest.mark.parametrize("stage2", ["none", "crt"])
+def test_run_rows_equal_collected_rows(stage2, tmp_path):
+    # run's rows and report's rows come from one builder, through the CSV
+    # for report: every value survives the round trip, empty splits included
+    out = tmp_path / stage2
+    returned = run(base_cfg(out, method="dnet", seeds=(0, 1), stage2=stage2))
+    collected = collect_rows([str(out)])
+    names = ("method", "seed", "overall", "many", "medium", "few", "entropy")
+
+    def key(r):
+        return tuple(getattr(r, n) for n in names)
+
+    assert sorted(map(key, collected)) == sorted(map(key, returned))
+    assert all(r.many is None and r.entropy is not None for r in returned)
+
+
 def test_collect_rows_direct_run_dir(runs_dir):
     rows = collect_rows([str(runs_dir / "dnet" / "seed0")])
     assert len(rows) == 1
@@ -582,7 +598,8 @@ def test_cli_report(runs_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "method" in out and "dnet" in out
     header = csv_path.read_text("ascii").splitlines()[0]
-    assert header.startswith("method,seeds,overall_median,overall_iqr")
+    assert header == ("method,seeds,overall_median,overall_iqr,many_median,many_iqr,"
+                      "medium_median,medium_iqr,few_median,few_iqr")
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
@@ -596,6 +613,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                  "--set", f"meta_file={bad}"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_label_beyond_int64_exits_2(tmp_path, capsys):
+    # a header C beyond int64 lets such a label pass the range check
+    path = tmp_path / "huge.ltds"
+    path.write_text("#LTDS C=100000000000000000000 DIM=1\n99999999999999999999,1.0\n",
+                    encoding="ascii")
+    assert main(["train", "--set", f"train_file={path}", "--set", f"meta_file={path}",
+                 "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+    assert "line 2: label 99999999999999999999 does not fit int64" in capsys.readouterr().err
 
 
 def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):

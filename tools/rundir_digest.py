@@ -5,9 +5,12 @@
 For each of three configs (C=10 linear with seeds 0 and 1 and 4 epochs,
 C=10 cosine with 3 epochs, C=100 with 1 epoch), this trains every method
 with stage2 = none and with stage2 = crt, copies the stage2 = none runs and
-runs `ltlab crt` over the copy. It then prints one "sha256  path" line per
-file under OUT, paths relative to OUT, leaving out manifest.json (the only
-file with wall-clock times). The package is imported from the src/
+runs `ltlab crt` over the copy. Per config it then runs `ltlab ensemble` over
+two members (a stage2 = crt dnet run and a stage2 = none ce run) and
+`ltlab report --csv` over all of the config's runs, keeping the stdout of
+both next to their CSV files. It prints one "sha256  path" line per file
+under OUT, paths relative to OUT, leaving out manifest.json (the only file
+with wall-clock times). The package is imported from the src/
 directory next to this script, so two checkouts compare with one diff:
 
     python3 a/tools/rundir_digest.py /tmp/a > a.txt
@@ -38,11 +41,19 @@ CONFIGS = {
 }
 
 
-def ltlab(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def ltlab(*argv: str) -> str:
+    """Run one ltlab command; returns its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = main(list(argv))
     if code != 0:
         sys.exit(f"ltlab {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def save(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def with_sets(command: str, *items: str) -> list[str]:
@@ -62,6 +73,10 @@ def main_digest(out: str) -> None:
                                  f"out_dir={name}/{stage2}"))
             shutil.copytree(f"{name}/none/{method}", f"{name}/none+crt/{method}")
             ltlab(*with_sets("crt", *keys, f"method={method}", f"out_dir={name}/none+crt"))
+        members = f"{name}/crt/dnet/seed0,{name}/none/ce/seed0"
+        save(f"{name}/ensemble.out", ltlab(*with_sets("ensemble", *keys, f"ensemble_members={members}",
+                                                      f"out_dir={name}")))
+        save(f"{name}/report.out", ltlab("report", name, "--csv", f"{name}/summary.csv"))
     for root, dirs, files in os.walk("."):
         dirs.sort()
         for f in sorted(files):
