@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nnet import MLP, accuracy_array, forward_tape, init_mlp
+from .nnet import MLP, Tape, accuracy_array, forward_tape, init_mlp
 from .rng import consumer_rng
 
 
@@ -70,6 +70,11 @@ class DifficultyHead:
             x = out
         return x[None, :]
 
+    def forward(self, x: np.ndarray) -> Tape:
+        """The net's pass over a checked signal x, kept as a Tape: its
+        logits read back as the difficulties, and backprop runs on it."""
+        return forward_tape(self.net, self.embed(x))
+
     def read(self, out: np.ndarray, n: int) -> np.ndarray:
         """The net's output rows back as n difficulties."""
         return out[:, 0] if self.kind == "abs" else out[0, :n]
@@ -80,12 +85,9 @@ class DifficultyHead:
         return d[labels] if self.per_class else d
 
     def reduce(self, dots: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
-        """Per-sample values summed onto the difficulties they were weighted by."""
-        if not self.per_class:
-            return dots
-        v = np.zeros(size)
-        np.add.at(v, labels, dots)
-        return v
+        """Per-sample values summed onto the difficulties they were weighted
+        by, in sample order."""
+        return np.bincount(labels, weights=dots, minlength=size) if self.per_class else dots
 
     def target(self, x: np.ndarray) -> np.ndarray:
         """Driver target: 1 - normalized accuracy, or its per-sample analogue."""
@@ -115,12 +117,14 @@ def dnet_init(class_count: int, seed: int) -> DifficultyHead:
     return head_init("class", class_count, seed)
 
 
-def dnet_forward(head: DifficultyHead, signal) -> np.ndarray:
-    """Difficulties for one signal: accuracies, or a batch's per-sample losses."""
+def dnet_forward(head: DifficultyHead, signal, tape: Tape | None = None) -> np.ndarray:
+    """Difficulties for one signal: accuracies, or a batch's per-sample
+    losses. A tape of the net's pass over this signal, head.forward(x), is
+    read instead of running the net again."""
     x = head_signal(head, signal)
     if head.net is None:
         return head.rule(x)
-    return head.read(forward_tape(head.net, head.embed(x)).logits, x.size)
+    return head.read((head.forward(x) if tape is None else tape).logits, x.size)
 
 
 def head_signal(head: DifficultyHead, signal) -> np.ndarray:

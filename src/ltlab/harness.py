@@ -422,6 +422,8 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
     try:
         model, head, metrics = train_one(cfg, train_set, meta_set, seed)
     except NumericError as e:
+        # no checkpoint of an earlier run outlives the metrics of this one
+        _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
         _flush_run(cfg, run_dir, e.metrics, train_set.class_count, seed, started)
         raise
 
@@ -430,20 +432,25 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
     save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
     if head.net is not None:
         save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
+    # a stage-2 checkpoint of an earlier run retrained another stage 1
+    _remove(run_dir, "classifier_crt.ltnn")
     if cfg.stage2 == "crt":
         try:
             metrics.epochs.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed,
                                           len(metrics.epochs)))
         except NumericError:
-            # the stage-1 files stay; a stage-2 checkpoint of an earlier run goes
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(run_dir, "classifier_crt.ltnn"))
             _flush_run(cfg, run_dir, metrics, train_set.class_count, seed, started)
             raise
 
     _flush_run(cfg, run_dir, metrics, train_set.class_count, seed, started)
     final = vars(metrics.epochs[-1]) if metrics.epochs else None
     return _report_row(cfg.method, seed, final, time.time() - started)
+
+
+def _remove(run_dir: str, *names: str) -> None:
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, name))
 
 
 def _report_row(method: str, seed: int, final: dict | None, wall: float) -> ReportRow:

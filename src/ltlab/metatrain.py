@@ -12,6 +12,9 @@ One iteration does three updates in order:
 Heads without a net (nometa and the fixed weighting schemes) skip 1 and 2.
 
 Per-class accuracies feeding the difficulty head are refreshed once per epoch.
+Inside an epoch a class-level net's input is fixed, so the net's pass that
+weights step t's update 3 is also the pass that step t+1's updates 1 and 2
+run on; only the first step of an epoch runs the net twice.
 """
 
 from __future__ import annotations
@@ -135,28 +138,28 @@ def meta_gradient(
     """Gradient wrt the head's net of lam * driver + mean meta CE at the
     virtual step phi_hat(theta). signal is the accuracy vector, or for the
     sample kind the batch's per-sample losses."""
-    return _meta_gradient(head, forward_tape(model, batch_x).with_labels(batch_y), signal,
-                          meta_x, meta_y, alpha, lam)
+    x = head_signal(head, signal)
+    return _meta_gradient(head, forward_tape(model, batch_x).with_labels(batch_y), x,
+                          head.target(x), head.forward(x), meta_x, meta_y, alpha, lam)
 
 
-def _meta_gradient(head, tape, signal, meta_x, meta_y, alpha, lam):
+def _meta_gradient(head, tape, x, target, d_tape, meta_x, meta_y, alpha, lam):
     """meta_gradient from the classifier's labelled tape over the train batch
-    at phi.
+    at phi, the checked signal x with its driver target, and d_tape, the
+    net's pass over x at the current theta.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
     cotangent v = -(alpha/b) * <g_i, g_meta>, summed per class for class-level
-    kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>. The head's one
-    forward pass gives d and is the tape that backprop runs on.
+    kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>. d_tape gives d
+    and is the tape that backprop runs on.
     """
-    x = head_signal(head, signal)
-    d_tape = forward_tape(head.net, head.embed(x))
     d = head.read(d_tape.logits, x.size)
     labels = tape.labels
     looked = _lookahead(tape, head.weights(d, labels), alpha)
     g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.size))
     v = head.reduce(tape.dots(g_meta), labels, d.size) * -(alpha / labels.size)
-    _, driver_cot = target_fit_loss(d, head.target(x))
+    _, driver_cot = target_fit_loss(d, target)
     u = lam * driver_cot + v
     # padding outputs of the sample kind are discarded: zero cotangent
     return d_tape.grads(head.embed(u, pad=0.0))
@@ -253,13 +256,20 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHea
         # its labels checked once: the virtual step, the per-sample dots,
         # the actual step and the sample kind's loss signal all reuse it
         tape = forward_tape(model, bx).with_labels(by)
-        signal = acc if head.per_class else tape.ce
+        if pos == 0 or not head.per_class:
+            # a new signal, the refreshed accuracies or this batch's losses:
+            # no pass of the net over it yet
+            x, d_tape = head_signal(head, acc if head.per_class else tape.ce), None
         if head.net is not None:
-            g_theta = _meta_gradient(head, tape, signal, mx, my, cfg.alpha, cfg.lam)
+            if d_tape is None:
+                target, d_tape = head.target(x), head.forward(x)
+            g_theta = _meta_gradient(head, tape, x, target, d_tape, mx, my, cfg.alpha, cfg.lam)
             check_finite(g_theta, "meta", t, "difficulty-net gradient", metrics)
             optimizer_step(dn_opt, head.net, g_theta)
-        # weights re-computed with the updated net before the actual step
-        d = dnet_forward(head, signal)
+            # the updated net's pass: this step's weights, and while x holds,
+            # the next step's pass before its update
+            d_tape = head.forward(x)
+        d = dnet_forward(head, x, d_tape)
         check_finite(d, "weighting", t, "difficulty vector", metrics)
         loss, cot = classifier_objective(tape, head.weights(d, by), cfg.focal_gamma)
         grads = tape.grads(cot)

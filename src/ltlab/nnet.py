@@ -156,12 +156,12 @@ def init_mlp(sizes: list[int], out_act: str, rng: np.random.Generator) -> MLP:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from one
+    e = exp(-|z|), so neither exp overflows. min(z, -z) is -|z| that keeps
+    a NaN's sign, as exp(z) did on the negative branch."""
+    e = np.exp(np.minimum(z, -z))
+    den = 1.0 + e
+    return np.where(z >= 0, 1.0 / den, e / den)
 
 
 def _cache_layers(layers, x):

@@ -244,3 +244,30 @@ def test_sample_driver_targets_rank_agreement():
     assert ((t > 0) & (t < 1)).all()
     # harder samples (larger loss) get larger targets
     assert np.array_equal(np.argsort(t), np.argsort(losses))
+
+
+def test_reduce_bit_identical_to_add_at():
+    # repeated labels and magnitudes 1e-300 to 1e300, summed in sample order
+    rng = np.random.default_rng(18)
+    labels = rng.integers(0, 5, 200)
+    labels[:3] = 0  # a class whose sum depends on its order
+    dots = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+    dots[:3] = [1e16, 1.0, -1e16]
+    for kind in ("class", "abs"):
+        head = head_init(kind, 6, seed=19)  # class 5 never occurs
+        want = np.zeros(6)
+        np.add.at(want, labels, dots)
+        got = head.reduce(dots, labels, 6)
+        assert got.tobytes() == want.tobytes()
+    per_sample = dots[:8]  # the sample kind weights each sample by its own difficulty
+    assert head_init("sample", 8, seed=19).reduce(per_sample, labels[:8], 8) is per_sample
+
+
+def test_dnet_forward_reads_a_given_tape():
+    for kind, width in (("class", 4), ("abs", 4), ("sample", 8)):
+        head = head_init(kind, width, seed=20)
+        x = np.linspace(0.1, 0.9, width if kind != "sample" else 5)
+        tape = head.forward(x)
+        assert dnet_forward(head, x, tape).tobytes() == dnet_forward(head, x).tobytes()
+        tape.logits = tape.logits * 0.0  # the given tape is read, no pass is run
+        assert (dnet_forward(head, x, tape) == 0.0).all()

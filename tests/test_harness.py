@@ -468,6 +468,35 @@ def test_stage2_divergence_exits_3_and_keeps_stage1_files(tmp_path):
     assert (got / "metrics.csv").read_bytes() == (want / "metrics.csv").read_bytes()
 
 
+def test_rerun_without_stage2_leaves_no_stage2_checkpoint(tmp_path):
+    # ensemble prefers classifier_crt.ltnn: one left by an earlier stage2=crt
+    # run would score a model that this run's metrics.csv does not describe
+    old, ref = tmp_path / "old", tmp_path / "ref"
+    run(base_cfg(old, method="ce", stage2="crt"))
+    assert (old / "ce" / "seed0" / "classifier_crt.ltnn").exists()
+    run(base_cfg(old, method="ce", epochs=1))
+    run(base_cfg(ref, method="ce", epochs=1))
+    got, want = old / "ce" / "seed0", ref / "ce" / "seed0"
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want))
+    assert (got / "classifier.ltnn").read_bytes() == (want / "classifier.ltnn").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_rerun_leaves_no_checkpoint_of_the_earlier_run(tmp_path):
+    # the failed run's metrics.csv and run_config.txt replace the good run's,
+    # so none of the good run's models may stay for crt or ensemble to use
+    run(base_cfg(tmp_path, method="dnet", stage2="crt"))
+    d = tmp_path / "dnet" / "seed0"
+    models = {"classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn"}
+    assert models <= set(os.listdir(d))
+    with pytest.raises(NumericError):
+        run(base_cfg(tmp_path, method="dnet", alpha=1e200, classifier_optimizer="adam"))
+    assert not models & set(os.listdir(d))
+    assert (d / "metrics.csv").exists()
+    with pytest.raises(ConfigError, match="checkpoint"):
+        crt_existing(base_cfg(tmp_path, method="dnet"))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stage2_overflowing_evaluation_exits_3(tmp_path, capsys):
     # one cRT step of lr 1e308 leaves a finite final layer whose meta-set

@@ -261,46 +261,80 @@ def test_sample_meta_gradient_matches_fd():
 
 # ------------------------------------------------------------------ the loop
 
-def test_one_iteration_replicated_by_hand():
-    """T=1 equals an explicit transcription of the three-step update, which
-    pins the batch stream, the same-batch rule, the theta update order, and
-    the weight recomputation with the updated difficulty net."""
-    train_set, meta_set = tiny_data()
-    model0 = tiny_model(seed=20)
-    dnet0 = dnet_init(3, seed=21)
-    cfg = cfg_for(train_set, T=1, seed=5, lam=0.3)
-
-    got_model, got_dnet, metrics = train(cfg, train_set, meta_set, model0, dnet0)
-
-    # replay the loop's single iteration
+def replay(cfg, train_set, meta_set, model0, head0):
+    """train transcribed step by step from the public meta_gradient and
+    dnet_forward, each of which runs its own pass of the difficulty net:
+    the same batch stream, the same-batch rule, the theta update first, the
+    weights re-computed with the updated net and the accuracies refreshed
+    at each epoch's end. Returns (model, head, epoch records, weight trace)."""
+    model = replace(model0, net=model0.net.copy())
+    head = replace(head0, net=head0.net.copy())
+    clf_opt, dn_opt = cfg.classifier_opt.build(), cfg.dnet_opt.build()
     rng = consumer_rng(cfg.seed, "batch")
-    idx = rng.permutation(train_set.size)[: cfg.b]
-    midx = rng.choice(meta_set.size, size=cfg.m, replace=False)
-    bx, by = train_set.features[idx], train_set.labels[idx]
-    mx, my = meta_set.features[midx], meta_set.labels[midx]
-    acc = per_class_accuracy(model0, meta_set, "meta")
+    spe = train_set.size // cfg.b
+    acc = per_class_accuracy(model, meta_set, "meta")
+    records, trace = [], []
+    for t in range(cfg.T):
+        pos = t % spe
+        if pos == 0:
+            perm = rng.permutation(train_set.size)
+        idx = perm[pos * cfg.b : (pos + 1) * cfg.b]
+        midx = rng.choice(meta_set.size, size=cfg.m, replace=False)
+        bx, by = train_set.features[idx], train_set.labels[idx]
+        mx, my = meta_set.features[midx], meta_set.labels[midx]
+        signal = acc
+        if not head.per_class:
+            _, signal = weighted_ce_loss(classifier_logits(model, bx), by, np.ones(cfg.b))
 
-    g_theta = meta_gradient(dnet0, model0, acc, bx, by, mx, my, cfg.alpha, cfg.lam)
-    # optimizer_step updates in place: step copies, and keep the nets at
-    # step 0 for the stale-weights check below
-    dnet_net1, _ = optimizer_step(cfg.dnet_opt.build(), dnet0.net.copy(), g_theta)
-    dnet1 = replace(dnet0, net=dnet_net1)
-    w = weights_from_difficulty(dnet_forward(dnet1, acc), by)  # refreshed theta
-    grads = backward(model0, bx, by, w)
-    model_net1, _ = optimizer_step(cfg.classifier_opt.build(), model0.net.copy(), grads)
+        stale = dnet_forward(head, signal)
+        g_theta = meta_gradient(head, model, signal, bx, by, mx, my, cfg.alpha, cfg.lam)
+        optimizer_step(dn_opt, head.net, g_theta)
+        d = dnet_forward(head, signal)  # refreshed theta
+        assert not np.array_equal(d, stale)  # stale weights would train another classifier
+        w = weights_from_difficulty(d, by) if head.per_class else d
+        optimizer_step(clf_opt, model.net, backward(model, bx, by, w))
+        if head.records:
+            trace += [(t, c, float(d[c] / d.sum())) for c in cfg.trace_classes]
+        if pos == spe - 1 or t == cfg.T - 1:
+            acc, rec = metatrain.evaluate_epoch(t // spe, model, head, train_set, meta_set,
+                                                (cfg.many_min, cfg.few_max), t)
+            records.append(rec)
+    return model, head, records, trace
 
-    for a, b in zip(got_dnet.net.layers, dnet1.net.layers):
-        assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
-    for a, b in zip(got_model.net.layers, model_net1.layers):
-        assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
-    assert len(metrics.epochs) == 1  # T=1 closes out as the final record
 
-    # stale weights would have produced a different classifier
-    w_stale = weights_from_difficulty(dnet_forward(dnet0, acc), by)
-    stale_net, _ = optimizer_step(cfg.classifier_opt.build(), model0.net.copy(),
-                                  backward(model0, bx, by, w_stale))
-    assert any(not np.array_equal(a.w, b.w)
-               for a, b in zip(stale_net.layers, model_net1.layers))
+@pytest.mark.parametrize("kind, lam", [("class", 0.3), ("abs", 0.3), ("abs", 0.0),
+                                       ("sample", 0.3)],
+                         ids=["class", "abs", "abs-lam0", "sample"])
+def test_steps_replicated_by_hand(kind, lam):
+    """T steps over two epoch boundaries, ending mid-epoch, equal the
+    transcription bit for bit: both nets, every epoch record and the weight
+    trace. The loop runs a class-level net once per step where the
+    transcription runs it twice, so this pins the reuse of a pass to the
+    steps where the accuracies it saw still hold."""
+    train_set, meta_set = tiny_data()
+    spe = train_set.size // 8
+    cfg = cfg_for(train_set, T=2 * spe + 3, seed=5, lam=lam, trace_classes=(0, 2))
+    model0 = tiny_model(seed=21)
+    head0 = head_init(kind, 8 if kind == "sample" else 3, seed=22)
+
+    got_model, got_head, metrics = train(cfg, train_set, meta_set, model0, head0)
+    model, head, records, trace = replay(cfg, train_set, meta_set, model0, head0)
+    # the accuracies change at both boundaries, so a pass kept across one shows
+    accs = [per_class_accuracy(model0, meta_set).per_class] + [r.accuracy for r in records[:2]]
+    assert accs[0].tobytes() != accs[1].tobytes() != accs[2].tobytes()
+
+    assert got_head.net.params.tobytes() == head.net.params.tobytes()
+    assert got_model.net.params.tobytes() == model.net.params.tobytes()
+    assert [r.epoch for r in metrics.epochs] == [0, 1, 2]
+    for got, want in zip(metrics.epochs, records, strict=True):
+        for name in vars(want):
+            a, b = getattr(got, name), getattr(want, name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), name
+            else:
+                assert a == b, name
+    assert metrics.weight_trace == trace
+    assert len(trace) == (2 * cfg.T if head.records else 0)
 
 
 def test_t_zero_returns_inputs_unchanged():
@@ -411,8 +445,11 @@ def test_sample_variant_runs_without_class_snapshots():
 def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     # per step the classifier runs forward once over the train batch (the
     # virtual step, the per-sample dots and the actual step share it) and
-    # once over the meta batch; the difficulty net once before its update
-    # and once after
+    # once over the meta batch. The difficulty net runs once after its
+    # update; a class-level net's pass is also the next step's pass before
+    # the update, so it runs before the update only on an epoch's first
+    # step, when the accuracies are new, while the sample kind's signal is
+    # new every step
     real, seen = nnet.forward_tape, []
 
     def spy(model, x):
@@ -427,10 +464,13 @@ def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     assert cfg.T % spe  # the last, partial epoch ends at step T - 1
     head = head_init(kind, 8 if kind == "sample" else 3, seed=6)
     train(cfg, train_set, meta_set, tiny_model(seed=39), head)
-    evals = -(-cfg.T // spe) if head.records else 0  # the class snapshot at each epoch's end
+    epochs = -(-cfg.T // spe)
     assert seen.count(8) == cfg.T
     assert seen.count(6) == cfg.T
-    assert seen.count("dnet") == 2 * cfg.T + evals
+    if head.per_class:  # one more pass per epoch for the class snapshot at its end
+        assert seen.count("dnet") == cfg.T + 2 * epochs
+    else:
+        assert seen.count("dnet") == 2 * cfg.T
 
 
 def test_sample_width_must_cover_batch():

@@ -22,6 +22,7 @@ from ltlab.nnet import (
     optimizer_step,
     per_class_accuracy,
     save_checkpoint,
+    sigmoid,
     softmax,
     weighted_ce_loss,
 )
@@ -64,6 +65,26 @@ def test_forward_sigmoid_codomain_strict():
     net = small_net([4, 8, 8, 3], out_act="sigmoid")
     out = classifier_logits(net, np.linspace(-50, 50, 24).reshape(6, 4))
     assert (out > 0).all() and (out < 1).all()
+
+
+def masked_sigmoid(z):
+    """The two-branch sigmoid written with boolean-mask scatters."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_identical_to_the_masked_form():
+    edges = [0.0, 5e-324, 1.0, 36.7, 709.0, 746.0, np.inf, np.nan]
+    z = np.array(edges + [-v for v in edges])
+    rng = np.random.default_rng(17)
+    for x in (z, z.reshape(2, 8), rng.normal(0.0, 20.0, (5, 33))):
+        got = sigmoid(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == masked_sigmoid(x).tobytes()
 
 
 def test_forward_rejects_wrong_width():
