@@ -166,17 +166,19 @@ def weights_from_difficulty(d: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def target_fit_loss(d: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared pull of d toward target, with its cotangent wrt d.
-
-    value = (1/C) * sum_c (target_c - d_c)^2
-    dvalue/dd_c = -(2/C) * (target_c - d_c)
-    """
+    """Mean squared pull of d toward target, with its cotangent wrt d:
+    value = (1/C) * sum_c (target_c - d_c)^2."""
     d = np.asarray(d, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if d.shape != target.shape or d.ndim != 1:
         raise ValueError("d and target must be matching vectors")
-    diff = target - d
-    return float((diff**2).mean()), -(2.0 / d.size) * diff
+    return float(((target - d) ** 2).mean()), target_fit_cotangent(d, target)
+
+
+def target_fit_cotangent(d: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """dvalue/dd_c = -(2/C) * (target_c - d_c) of target_fit_loss, for
+    matching float64 vectors."""
+    return -(2.0 / d.size) * (target - d)
 
 
 def driver_loss(d: np.ndarray, acc) -> tuple[float, np.ndarray]:

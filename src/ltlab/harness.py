@@ -81,25 +81,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
+def _parse_list(raw: str, cast: Callable[[str], object] = str) -> tuple:
+    """Comma-separated items, each stripped and cast; empty text is ()."""
     raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(p.strip()) for p in raw.split(","))
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(p.strip() for p in raw.split(","))
+    return tuple(cast(p.strip()) for p in raw.split(",")) if raw else ()
 
 
 def _parse_trace(raw: str):
     raw = raw.strip()
     if raw in ("auto", "none"):
         return raw
-    return _parse_int_list(raw)
+    return _parse_list(raw, int)
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,7 @@ class ExperimentConfig:
 
 
 # fields whose parser is not their default's type
-_PARSERS = {"seeds": _parse_int_list, "ensemble_members": _parse_str_list,
+_PARSERS = {"seeds": functools.partial(_parse_list, cast=int), "ensemble_members": _parse_list,
             "trace_classes": _parse_trace}
 
 # config-file key -> (dataclass attr, parser). "lambda" is a Python keyword,
@@ -405,26 +397,42 @@ def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed
     return train(tc, train_set, meta_set, model, _difficulty_head(cfg, train_set, seed))
 
 
-def _stage2(cfg: ExperimentConfig, run_dir: str, model, head, train_set: Dataset,
-            meta_set: Dataset, seed: int, epoch: int) -> EpochRecord:
-    """Retrain the final layer, evaluate it as record epoch, and save it."""
+def _run_dir(cfg: ExperimentConfig, seed: int) -> str:
+    return os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
+
+
+def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> ReportRow:
+    """Stage 2 of one trained run: load its stage-1 checkpoint, head and
+    data (datasets maps _data_config of its run_config.txt to the train and
+    meta sets) as the run recorded them, retrain the final layer, save it,
+    and rewrite metrics.csv as the stage-1 rows plus one stage-2 row, so
+    running this again gives the same files."""
+    started = time.time()
+    rcfg, model = _load_run(run_dir, "classifier.ltnn")
+    train_set, meta_set = datasets(_data_config(rcfg))
+    head = _difficulty_head(rcfg, train_set, seed, run_dir)
+    metrics_path = os.path.join(run_dir, "metrics.csv")
+    header, stage1 = _read_csv(metrics_path)
+    stage1 = stage1[: rcfg.epochs]  # one row per epoch
     model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                         OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
-    rec = evaluate_epoch(epoch, model, head, train_set, meta_set, (cfg.many_min, cfg.few_max),
-                         cfg.crt_steps - 1)[1]
+    rec = evaluate_epoch(len(stage1), model, head, train_set, meta_set,
+                         (cfg.many_min, cfg.few_max), cfg.crt_steps - 1)[1]
     save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
-    return rec
+    _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
+    return _report_row(rcfg.method, seed, vars(rec), time.time() - started)
 
 
 def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> ReportRow:
     started = time.time()
-    run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
+    run_dir = _run_dir(cfg, seed)
     try:
         model, head, metrics = train_one(cfg, train_set, meta_set, seed)
     except NumericError as e:
         # no checkpoint of an earlier run outlives the metrics of this one
         _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
-        _flush_run(cfg, run_dir, e.metrics, train_set.class_count, seed, started)
+        _flush_run(cfg, run_dir, e.metrics, train_set.class_count, seed)
+        _write_manifest(run_dir, started)
         raise
 
     # made only after training, so that a rejected config leaves no directory
@@ -434,17 +442,18 @@ def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, se
         save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
     # a stage-2 checkpoint of an earlier run retrained another stage 1
     _remove(run_dir, "classifier_crt.ltnn")
-    if cfg.stage2 == "crt":
-        try:
-            metrics.epochs.append(_stage2(cfg, run_dir, model, head, train_set, meta_set, seed,
-                                          len(metrics.epochs)))
-        except NumericError:
-            _flush_run(cfg, run_dir, metrics, train_set.class_count, seed, started)
-            raise
-
-    _flush_run(cfg, run_dir, metrics, train_set.class_count, seed, started)
-    final = vars(metrics.epochs[-1]) if metrics.epochs else None
-    return _report_row(cfg.method, seed, final, time.time() - started)
+    _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
+    try:
+        if cfg.stage2 == "crt":
+            row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))
+        else:
+            final = vars(metrics.epochs[-1]) if metrics.epochs else None
+            row = _report_row(cfg.method, seed, final, 0.0)
+    finally:
+        # last, so that its times cover stage 2 too, also when stage 2 fails
+        _write_manifest(run_dir, started)
+    row.wall_seconds = time.time() - started
+    return row
 
 
 def _remove(run_dir: str, *names: str) -> None:
@@ -467,9 +476,9 @@ def _report_row(method: str, seed: int, final: dict | None, wall: float) -> Repo
                      *(value(name) for name in SPLITS[1:]), value("entropy"), wall)
 
 
-def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed, started) -> None:
+def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed) -> None:
     """Write a run's metrics.csv (one row per record in metrics.epochs),
-    weights_trace.csv for heads that record, run_config.txt and manifest.json."""
+    weights_trace.csv for heads that record, and run_config.txt."""
     os.makedirs(run_dir, exist_ok=True)
     cols = ["epoch", *SPLITS]
     if metrics.records:
@@ -481,6 +490,10 @@ def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed, started) ->
     with atomic_write(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8",
                       newline="\n") as fh:
         fh.write(config_text(replace(cfg, seeds=(seed,))))
+
+
+def _write_manifest(run_dir: str, started: float) -> None:
+    """manifest.json: the run's wall-clock start, end and duration."""
     manifest = {
         "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(started)),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -498,25 +511,9 @@ def run(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Second stage over already-trained runs: load each seed's stage-1
-    checkpoint and data as its run_config.txt describes them, retrain the
-    head, save it, and rewrite metrics.csv as the stage-1 rows plus one
-    stage-2 row, so running this again gives the same files."""
+    """Second stage over already-trained runs: _crt_run for each seed's run."""
     datasets = functools.lru_cache(build_datasets)  # runs on the same data share it
-    rows = []
-    for seed in cfg.seeds:
-        started = time.time()
-        run_dir = os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
-        rcfg, model = _load_run(run_dir, "classifier.ltnn")
-        train_set, meta_set = datasets(_data_config(rcfg))
-        head = _difficulty_head(rcfg, train_set, seed, run_dir)
-        metrics_path = os.path.join(run_dir, "metrics.csv")
-        header, stage1 = _read_csv(metrics_path)
-        stage1 = stage1[: rcfg.epochs]  # one row per epoch
-        rec = _stage2(cfg, run_dir, model, head, train_set, meta_set, seed, len(stage1))
-        _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
-        rows.append(_report_row(rcfg.method, seed, vars(rec), time.time() - started))
-    return rows
+    return [_crt_run(cfg, _run_dir(cfg, seed), seed, datasets) for seed in cfg.seeds]
 
 
 def ensemble_existing(cfg: ExperimentConfig) -> dict:

@@ -28,7 +28,7 @@ from .difficulty import (
     difficulty_entropy,
     dnet_forward,
     head_signal,
-    target_fit_loss,
+    target_fit_cotangent,
 )
 from .nnet import (  # re-exported: ConfigError and NumericError (train raises them), OptSpec
     Classifier,
@@ -159,8 +159,7 @@ def _meta_gradient(head, tape, x, target, d_tape, meta_x, meta_y, alpha, lam):
     looked = _lookahead(tape, head.weights(d, labels), alpha)
     g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.size))
     v = head.reduce(tape.dots(g_meta), labels, d.size) * -(alpha / labels.size)
-    _, driver_cot = target_fit_loss(d, target)
-    u = lam * driver_cot + v
+    u = lam * target_fit_cotangent(d, target) + v
     # padding outputs of the sample kind are discarded: zero cotangent
     return d_tape.grads(head.embed(u, pad=0.0))
 

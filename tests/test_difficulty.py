@@ -15,6 +15,7 @@ from ltlab.difficulty import (
     hidden_width_for,
     normalized_accuracy,
     sample_driver_targets,
+    target_fit_cotangent,
     target_fit_loss,
     weights_from_difficulty,
 )
@@ -135,6 +136,13 @@ def test_target_fit_loss_matches_driver_on_driver_targets():
     v2, c2 = driver_loss(d, a)
     assert np.isclose(v1, v2, rtol=1e-15)
     assert np.allclose(c1, c2, rtol=1e-15)
+
+
+def test_target_fit_cotangent_matches_finite_differences():
+    rng = np.random.default_rng(0)
+    d, target = rng.random(7), rng.random(7)
+    fd = fd_vector_grad(lambda dd: target_fit_loss(dd, target)[0], d)
+    assert np.abs(target_fit_cotangent(d, target) - fd).max() < 1e-8
 
 
 # ---------------------------------------------------------------------weights

@@ -514,6 +514,47 @@ def test_stage2_overflowing_evaluation_exits_3(tmp_path, capsys):
     assert not (tmp_path / "ce" / "seed0" / "classifier_crt.ltnn").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_manifest_is_written_last_and_only_by_train(tmp_path, monkeypatch):
+    # manifest.json times the whole run: `ltlab train` writes it after stage
+    # 2, also after a stage 2 that fails; `ltlab crt` leaves it as it was
+    writes = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            writes.append(os.path.basename(args[1] if name == "save_checkpoint" else args[0]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapped)
+
+    spy("atomic_write", harness.atomic_write)
+    spy("save_checkpoint", harness.save_checkpoint)
+    real_retrain = harness.crt_retrain
+
+    def retrain(*args, **kwargs):
+        writes.append("stage 2")
+        return real_retrain(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "crt_retrain", retrain)
+    run(base_cfg(tmp_path, method="ce", stage2="crt"))
+    assert writes.count("manifest.json") == 1 and writes[-1] == "manifest.json"
+    assert writes.index("classifier_crt.ltnn") < writes.index("manifest.json")
+
+    writes.clear()
+    with pytest.raises(NumericError):
+        run(base_cfg(tmp_path, method="ce", stage2="crt", crt_lr=1e300))
+    assert "classifier_crt.ltnn" not in writes
+    assert writes.count("manifest.json") == 1 and writes[-1] == "manifest.json"
+    assert writes.index("stage 2") < writes.index("manifest.json")
+
+    manifest = tmp_path / "ce" / "seed0" / "manifest.json"
+    before = manifest.read_bytes()
+    writes.clear()
+    crt_existing(base_cfg(tmp_path, method="ce"))
+    assert "classifier_crt.ltnn" in writes and "manifest.json" not in writes
+    assert manifest.read_bytes() == before
+
+
 # -------------------------------------------------------------------- ensemble
 
 def test_ensemble_existing_writes_summary(runs_dir, tmp_path):
@@ -605,6 +646,19 @@ def test_collect_rows_direct_run_dir(runs_dir):
     assert len(rows) == 1
     assert rows[0].method == "dnet" and rows[0].seed == 0
     assert rows[0].entropy is not None
+
+
+def test_collect_rows_without_run_config_reads_the_layout(runs_dir, tmp_path):
+    # a metrics.csv without run_config.txt: <method>/seed<k> names the method
+    # and the seed, and a directory not named seed<k> reports seed -1
+    src = runs_dir / "ce" / "seed0" / "metrics.csv"
+    for d in ("focal/seed3", "focal/latest"):
+        (tmp_path / d).mkdir(parents=True)
+        shutil.copy(src, tmp_path / d / "metrics.csv")
+    rows = collect_rows([str(tmp_path)])
+    assert sorted((r.method, r.seed) for r in rows) == [("focal", -1), ("focal", 3)]
+    want = collect_rows([str(runs_dir / "ce" / "seed0")])[0]
+    assert all(r.overall == want.overall and r.wall_seconds == 0.0 for r in rows)
 
 
 # ------------------------------------------------------------------------ CLI

@@ -5,10 +5,11 @@
 For each of three configs (C=10 linear with seeds 0 and 1 and 4 epochs,
 C=10 cosine with 3 epochs, C=100 with 1 epoch), this trains every method
 with stage2 = none and with stage2 = crt, copies the stage2 = none runs and
-runs `ltlab crt` over the copy. Per config it then runs `ltlab ensemble` over
-two members (a stage2 = crt dnet run and a stage2 = none ce run) and
-`ltlab report --csv` over all of the config's runs, keeping the stdout of
-both next to their CSV files. It prints one "sha256  path" line per file
+runs `ltlab crt` over the copy twice, so that the digest also pins that a
+second `ltlab crt` leaves the files as the first one left them. Per config
+it then runs `ltlab ensemble` over two members (a stage2 = crt dnet run and
+a stage2 = none ce run) and `ltlab report --csv` over all of the config's
+runs, keeping the stdout of both next to their CSV files. It prints one "sha256  path" line per file
 under OUT, paths relative to OUT, leaving out manifest.json (the only file
 with wall-clock times). The package is imported from the src/
 directory next to this script, so two checkouts compare with one diff:
@@ -72,7 +73,8 @@ def main_digest(out: str) -> None:
                 ltlab(*with_sets("train", *keys, f"method={method}", f"stage2={stage2}",
                                  f"out_dir={name}/{stage2}"))
             shutil.copytree(f"{name}/none/{method}", f"{name}/none+crt/{method}")
-            ltlab(*with_sets("crt", *keys, f"method={method}", f"out_dir={name}/none+crt"))
+            for _ in range(2):
+                ltlab(*with_sets("crt", *keys, f"method={method}", f"out_dir={name}/none+crt"))
         members = f"{name}/crt/dnet/seed0,{name}/none/ce/seed0"
         save(f"{name}/ensemble.out", ltlab(*with_sets("ensemble", *keys, f"ensemble_members={members}",
                                                       f"out_dir={name}")))
