@@ -3,10 +3,15 @@ difficulty scores in (0, 1) that weight the classifier's loss.
 
 A head's net is an MLP with two hidden layers of width H, where H is the
 smallest power of two strictly above the class count: 2^(n-1) <= C < 2^n.
+
+A head may hold a stack of S nets, one per seed (nnet's leading axis). Its
+signals, difficulties and per-sample values then carry the same leading
+axis, one row per seed, and every row is computed as a lone head computes it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +44,8 @@ class DifficultyHead:
     fixed   no net: a hand-set rule maps the accuracy vector to class weights
 
     width is the class count, or for sample the padded batch width. Net-less
-    heads apply rule to the signal instead of a net.
+    heads apply rule to the signal instead of a net, to each seed's row of
+    a stacked signal on its own.
     """
 
     kind: str
@@ -63,12 +69,14 @@ class DifficultyHead:
         """A signal-length vector as the net's input rows (or, with pad=0, an
         output cotangent in the net's output shape)."""
         if self.kind == "abs":
-            return x[:, None]
+            return x[..., :, None]
         if self.kind == "sample":
-            out = np.full(self.width, x.mean() if pad is None else pad)
-            out[: x.size] = x
+            n = x.shape[-1]
+            out = np.empty(x.shape[:-1] + (self.width,))
+            out[..., n:] = x.mean(axis=-1, keepdims=True) if pad is None else pad
+            out[..., :n] = x
             x = out
-        return x[None, :]
+        return x[..., None, :]
 
     def forward(self, x: np.ndarray) -> Tape:
         """The net's pass over a checked signal x, kept as a Tape: its
@@ -77,17 +85,22 @@ class DifficultyHead:
 
     def read(self, out: np.ndarray, n: int) -> np.ndarray:
         """The net's output rows back as n difficulties."""
-        return out[:, 0] if self.kind == "abs" else out[0, :n]
+        return out[..., 0] if self.kind == "abs" else out[..., 0, :n]
 
     def weights(self, d: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-sample loss weights for labels already checked against the
-        classifier: d[y_i], or for the sample kind d itself."""
-        return d[labels] if self.per_class else d
+        classifier and given as seed_labels: d[y_i], or for the sample kind
+        d itself."""
+        return d.ravel()[labels] if self.per_class else d
 
     def reduce(self, dots: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
         """Per-sample values summed onto the difficulties they were weighted
-        by, in sample order."""
-        return np.bincount(labels, weights=dots, minlength=size) if self.per_class else dots
+        by, in sample order: one bincount over seed_labels for all seeds."""
+        if not self.per_class:
+            return dots
+        rows = dots.shape[:-1]
+        return np.bincount(labels.ravel(), weights=dots.ravel(),
+                           minlength=size * math.prod(rows)).reshape(rows + (size,))
 
     def target(self, x: np.ndarray) -> np.ndarray:
         """Driver target: 1 - normalized accuracy, or its per-sample analogue."""
@@ -117,23 +130,35 @@ def dnet_init(class_count: int, seed: int) -> DifficultyHead:
     return head_init("class", class_count, seed)
 
 
+def seed_labels(labels: np.ndarray, size: int) -> np.ndarray:
+    """Class labels as indices into the flattened difficulties: a lone
+    batch's labels as they are, and for a stack of batches (S, n), row s's
+    labels offset by s * size, so that one gather and one bincount serve
+    every seed."""
+    if labels.ndim == 1:
+        return labels
+    return labels + size * np.arange(labels.shape[0])[:, None]
+
+
 def dnet_forward(head: DifficultyHead, signal, tape: Tape | None = None) -> np.ndarray:
     """Difficulties for one signal: accuracies, or a batch's per-sample
     losses. A tape of the net's pass over this signal, head.forward(x), is
     read instead of running the net again."""
     x = head_signal(head, signal)
     if head.net is None:
-        return head.rule(x)
-    return head.read((head.forward(x) if tape is None else tape).logits, x.size)
+        return head.rule(x) if x.ndim == 1 else np.stack([head.rule(row) for row in x])
+    return head.read((head.forward(x) if tape is None else tape).logits, x.shape[-1])
 
 
 def head_signal(head: DifficultyHead, signal) -> np.ndarray:
-    """The signal as a checked float64 vector of a length the head accepts."""
+    """The signal as a checked float64 vector of a length the head accepts,
+    or a stack of them, one per seed."""
     x = accuracy_array(signal)
-    if head.kind == "class" and x.size != head.width:
-        raise ValueError(f"expected {head.width} accuracies, got {x.size}")
-    if head.kind == "sample" and not 0 < x.size <= head.width:
-        raise ValueError(f"batch of {x.size} must be non-empty and fit width {head.width}")
+    n = x.shape[-1]
+    if head.kind == "class" and n != head.width:
+        raise ValueError(f"expected {head.width} accuracies, got {n}")
+    if head.kind == "sample" and not 0 < n <= head.width:
+        raise ValueError(f"batch of {n} must be non-empty and fit width {head.width}")
     return x
 
 
@@ -150,10 +175,8 @@ def uniform_weights(acc) -> np.ndarray:
 def normalized_accuracy(acc) -> np.ndarray:
     """a_c / sum_k a_k; the all-zero vector maps to the uniform 1/C."""
     a = accuracy_array(acc)
-    total = a.sum()
-    if total == 0.0:
-        return np.full(a.size, 1.0 / a.size)
-    return a / total
+    total = a.sum(axis=-1, keepdims=True)
+    return np.divide(a, total, out=np.full(a.shape, 1.0 / a.shape[-1]), where=total != 0.0)
 
 
 def weights_from_difficulty(d: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -177,8 +200,8 @@ def target_fit_loss(d: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarra
 
 def target_fit_cotangent(d: np.ndarray, target: np.ndarray) -> np.ndarray:
     """dvalue/dd_c = -(2/C) * (target_c - d_c) of target_fit_loss, for
-    matching float64 vectors."""
-    return -(2.0 / d.size) * (target - d)
+    matching float64 vectors or stacks of them."""
+    return -(2.0 / d.shape[-1]) * (target - d)
 
 
 def driver_loss(d: np.ndarray, acc) -> tuple[float, np.ndarray]:
@@ -197,7 +220,7 @@ def sample_driver_targets(losses: np.ndarray) -> np.ndarray:
     return 1 minus its normalized value. Monotone increasing in the loss."""
     l = np.asarray(losses, dtype=np.float64)
     p = np.exp(-l)
-    return 1.0 - p / p.sum()
+    return 1.0 - p / p.sum(axis=-1, keepdims=True)
 
 
 def difficulty_entropy(d: np.ndarray) -> float:

@@ -31,6 +31,7 @@ from .metatrain import (
     evaluate_epoch,
     evaluate_splits,
     train,
+    train_seeds,
 )
 from .nnet import (
     HEADS,
@@ -301,7 +302,7 @@ def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
     return tuple(cfg.trace_classes)
 
 
-def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int) -> TrainConfig:
+def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int = 0) -> TrainConfig:
     """The method's stage-1 settings, its flags as plain values: lam 0
     without the driver term, focal_gamma None unless the loss is focal."""
     method = METHODS[cfg.method]
@@ -397,6 +398,16 @@ def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed
     return train(tc, train_set, meta_set, model, _difficulty_head(cfg, train_set, seed))
 
 
+def train_all(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset) -> list:
+    """Stage-1 training for cfg.method and every seed of cfg.seeds in one
+    stacked call; per seed, what train_one returns for it, or the
+    NumericError that stopped it."""
+    seeds = cfg.seeds
+    return train_seeds(_train_config(cfg, train_set), train_set, meta_set,
+                       [_build_model(cfg, train_set.dim, train_set.class_count, s) for s in seeds],
+                       [_difficulty_head(cfg, train_set, s) for s in seeds], seeds)
+
+
 def _run_dir(cfg: ExperimentConfig, seed: int) -> str:
     return os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
 
@@ -416,25 +427,30 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
     stage1 = stage1[: rcfg.epochs]  # one row per epoch
     model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                         OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
-    rec = evaluate_epoch(len(stage1), model, head, train_set, meta_set,
-                         (cfg.many_min, cfg.few_max), cfg.crt_steps - 1)[1]
+    (rec,) = evaluate_epoch(len(stage1), [model], head, train_set, meta_set,
+                            (cfg.many_min, cfg.few_max), cfg.crt_steps - 1)[2]
+    if isinstance(rec, NumericError):
+        raise rec
     save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
     _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
     return _report_row(rcfg.method, seed, vars(rec), time.time() - started)
 
 
-def _run_single(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int) -> ReportRow:
-    started = time.time()
+def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int,
+               trained, started: float) -> ReportRow:
+    """One seed's run directory from what train_all returned for it, with
+    stage 2 when configured; a seed that failed leaves its flushed metrics
+    and raises its NumericError. started is when the command's training
+    started."""
     run_dir = _run_dir(cfg, seed)
-    try:
-        model, head, metrics = train_one(cfg, train_set, meta_set, seed)
-    except NumericError as e:
+    if isinstance(trained, NumericError):
         # no checkpoint of an earlier run outlives the metrics of this one
         _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
-        _flush_run(cfg, run_dir, e.metrics, train_set.class_count, seed)
+        _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
         _write_manifest(run_dir, started)
-        raise
+        raise trained
 
+    model, head, metrics = trained
     # made only after training, so that a rejected config leaves no directory
     os.makedirs(run_dir, exist_ok=True)
     save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
@@ -505,9 +521,21 @@ def _write_manifest(run_dir: str, started: float) -> None:
 
 
 def run(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Train cfg.method for every seed, one after another in this thread."""
+    """Train cfg.method for every seed in one stacked call on this thread,
+    then write each seed's run directory. A seed that fails stops alone:
+    the others train on and write their files, and the first failure is
+    raised once every seed's directory is written."""
     train_set, meta_set = build_datasets(cfg)
-    return [_run_single(cfg, train_set, meta_set, s) for s in cfg.seeds]
+    started = time.time()
+    rows, failure = [], None
+    for seed, trained in zip(cfg.seeds, train_all(cfg, train_set, meta_set)):
+        try:
+            rows.append(_write_run(cfg, train_set, meta_set, seed, trained, started))
+        except NumericError as e:
+            failure = failure or e
+    if failure is not None:
+        raise failure
+    return rows
 
 
 def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -577,7 +605,8 @@ def collect_rows(paths: list[str]) -> list[ReportRow]:
         else:
             method = os.path.basename(os.path.dirname(run_dir))
             name = os.path.basename(run_dir)
-            seed = int(name.removeprefix("seed")) if name.startswith("seed") else -1
+            digits = name.removeprefix("seed")
+            seed = int(digits) if name.startswith("seed") and digits.isdecimal() else -1
         header, body = _read_csv(mf)
         if not body:
             continue

@@ -14,7 +14,12 @@ Heads without a net (nometa and the fixed weighting schemes) skip 1 and 2.
 Per-class accuracies feeding the difficulty head are refreshed once per epoch.
 Inside an epoch a class-level net's input is fixed, so the net's pass that
 weights step t's update 3 is also the pass that step t+1's updates 1 and 2
-run on; only the first step of an epoch runs the net twice.
+run on, and the pass that records the epoch's difficulties at its end is
+the one the next epoch's first step runs on.
+
+train_seeds trains the seeds of one command together: their nets are one
+stack with a leading seed axis (see nnet), each seed draws its own batches
+from its own stream, and a seed whose values stop being finite stops alone.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .difficulty import (
     difficulty_entropy,
     dnet_forward,
     head_signal,
+    seed_labels,
     target_fit_cotangent,
 )
 from .nnet import (  # re-exported: ConfigError and NumericError (train raises them), OptSpec
@@ -59,7 +65,7 @@ class TrainConfig:
     many_min: int
     few_max: int
     focal_gamma: float | None  # None: weighted CE; a gamma: the focal loss
-    seed: int = 0
+    seed: int = 0  # train's batch stream; train_seeds takes one seed per run
     trace_classes: tuple[int, ...] = ()
     record_losses: bool = False
 
@@ -139,14 +145,16 @@ def meta_gradient(
     virtual step phi_hat(theta). signal is the accuracy vector, or for the
     sample kind the batch's per-sample losses."""
     x = head_signal(head, signal)
-    return _meta_gradient(head, forward_tape(model, batch_x).with_labels(batch_y), x,
+    tape = forward_tape(model, batch_x).with_labels(batch_y)
+    return _meta_gradient(head, tape, seed_labels(tape.labels, head.width), x,
                           head.target(x), head.forward(x), meta_x, meta_y, alpha, lam)
 
 
-def _meta_gradient(head, tape, x, target, d_tape, meta_x, meta_y, alpha, lam):
+def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha, lam):
     """meta_gradient from the classifier's labelled tape over the train batch
-    at phi, the checked signal x with its driver target, and d_tape, the
-    net's pass over x at the current theta.
+    at phi, its labels as seed_labels, the checked signal x with its driver
+    target, and d_tape, the net's pass over x at the current theta. For a
+    stack of seeds every argument carries the seed axis.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
@@ -154,11 +162,10 @@ def _meta_gradient(head, tape, x, target, d_tape, meta_x, meta_y, alpha, lam):
     kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>. d_tape gives d
     and is the tape that backprop runs on.
     """
-    d = head.read(d_tape.logits, x.size)
-    labels = tape.labels
+    d = head.read(d_tape.logits, x.shape[-1])
     looked = _lookahead(tape, head.weights(d, labels), alpha)
-    g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.size))
-    v = head.reduce(tape.dots(g_meta), labels, d.size) * -(alpha / labels.size)
+    g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.shape))
+    v = head.reduce(tape.dots(g_meta), labels, d.shape[-1]) * -(alpha / labels.shape[-1])
     u = lam * target_fit_cotangent(d, target) + v
     # padding outputs of the sample kind are discarded: zero cotangent
     return d_tape.grads(head.embed(u, pad=0.0))
@@ -175,45 +182,112 @@ def classifier_objective(tape, weights, focal_gamma=None):
     scaled by s_i = (1-p)^g + g*(1-p)^(g-1)*p*CE_i; both terms vanish as
     p -> 1, so samples with p == 1 keep only the first.
     """
+    # a mean over the batch axis, as a sum and one division: what mean()
+    # computes, without its overhead
+    n = tape.ce.shape[-1]
     if focal_gamma is None:
-        return float((weights * tape.ce).mean()), tape.cotangent(weights)
+        return (weights * tape.ce).sum(axis=-1) / n, tape.cotangent(weights)
     gamma, p, ce = focal_gamma, tape.p, tape.ce
-    loss = float((weights * ((1.0 - np.exp(-ce)) ** gamma * ce)).mean())
+    loss = (weights * ((1.0 - np.exp(-ce)) ** gamma * ce)).sum(axis=-1) / n
     ce_p = -np.log(np.maximum(p, 1e-300))
     one_m = 1.0 - p
     scale = one_m**gamma
     if gamma > 0:
         mask = one_m > 0
         scale[mask] += gamma * one_m[mask] ** (gamma - 1.0) * p[mask] * ce_p[mask]
-    return loss, tape.resid * (scale / p.size)[:, None] * weights[:, None]
+    return loss, tape.resid * (scale / n)[..., None] * weights[..., None]
 
 
-def evaluate_epoch(epoch: int, model, head: DifficultyHead, train_set, meta_set, thresholds,
+def _stack(rows):
+    """Per-seed arrays as one array with a leading seed axis. A single seed
+    keeps no seed axis, so that training one seed pays nothing for the
+    stack."""
+    return rows[0] if len(rows) == 1 else np.stack(rows)
+
+
+def _unstack(a, count: int) -> list:
+    """Each seed's slice of an array that _stack made for count seeds."""
+    return [a] if count == 1 else list(a)
+
+
+def _accuracies(models, meta_set, step: int, metrics) -> tuple[list, list]:
+    """per_class_accuracy on the meta set of every seed's classifier (None
+    for a seed that has stopped, whose row reads 0). Returns the rows and,
+    per seed, None or the NumericError of its evaluation."""
+    accs, errors = [], []
+    for model, seed_metrics in zip(models, metrics):
+        acc, error = np.zeros(meta_set.class_count), None
+        if model is not None:
+            try:
+                acc = per_class_accuracy(model, meta_set, "meta", step, seed_metrics).per_class
+            except NumericError as e:
+                error = e
+        accs.append(acc)
+        errors.append(error)
+    return accs, errors
+
+
+def evaluate_epoch(epoch: int, models, head: DifficultyHead, train_set, meta_set, thresholds,
                    step: int, metrics=None):
-    """Per-class meta-set accuracy and the epoch's record: split means, and
-    the class difficulty snapshot with its entropy when the head records
-    them. Returns (AccuracyVector, EpochRecord). Non-finite logits raise
-    NumericError in the evaluation phase at step, carrying metrics."""
-    acc = per_class_accuracy(model, meta_set, "meta", step, metrics)
-    splits = evaluate_splits(acc.per_class, train_set.per_class_counts, thresholds)
-    d = dnet_forward(head, acc) if head.records else None
-    return acc, EpochRecord(epoch=epoch, accuracy=acc.per_class, **vars(splits),
-                            entropy=difficulty_entropy(d) if d is not None else None,
-                            difficulty=d)
+    """The end of an epoch for every seed: the per-class meta-set accuracy
+    of each seed's classifier (None for a seed that has stopped), then for
+    heads that record them one pass of the head, stacked like the seeds,
+    over the accuracies for the class difficulty snapshots with their
+    entropy. metrics holds each seed's RunMetrics; without it (stage 2)
+    errors carry none.
+
+    Returns (acc, tape, outcomes): the accuracies, stacked like the
+    seeds, that pass's tape (None without one), which the next epoch's
+    first step runs on, and per seed its EpochRecord, the NumericError of
+    its evaluation at step, or None for a stopped seed."""
+    accs, outcomes = _accuracies(models, meta_set, step, metrics or [None] * len(models))
+    acc, tape, ds = _stack(accs), None, [None] * len(accs)
+    if head.records:
+        x = head_signal(head, acc)
+        tape = head.forward(x) if head.net is not None else None
+        ds = _unstack(dnet_forward(head, x, tape), len(accs))
+    for s, (model, row, d) in enumerate(zip(models, accs, ds)):
+        if model is None or outcomes[s] is not None:
+            continue
+        splits = evaluate_splits(row, train_set.per_class_counts, thresholds)
+        outcomes[s] = EpochRecord(epoch=epoch, accuracy=row, **vars(splits),
+                                  entropy=difficulty_entropy(d) if d is not None else None,
+                                  difficulty=d)
+    return acc, tape, outcomes
 
 
 def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHead):
-    """Run cfg.T iterations of the three-update step (the classifier step
-    alone for heads without a net), with batching, a per-epoch accuracy
-    refresh and metric records. The head's kind decides the step; plain CE
-    is head_init("fixed", C, seed).
+    """train_seeds for the one seed cfg.seed: (classifier, head, RunMetrics),
+    or the seed's NumericError raised."""
+    (out,) = train_seeds(cfg, train_set, meta_set, [classifier], [head], (cfg.seed,))
+    if isinstance(out, NumericError):
+        raise out
+    return out
 
-    An epoch is train_set.size // cfg.b batches drawn from one permutation.
-    Returns (classifier, the trained head, RunMetrics). The optimizers
-    update in place, so for T > 0 both nets are copied once here and the
-    caller's are never written; T=0 returns the inputs themselves with
-    empty metrics. Settings that do not fit the data raise ConfigError.
+
+def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds) -> list:
+    """Run cfg.T iterations of the three-update step (the classifier step
+    alone for heads without a net) for every seed at once, with batching, a
+    per-epoch accuracy refresh and metric records. classifiers and heads
+    hold one freshly built net of the same shapes per seed; the head's
+    kind decides the step, and plain CE is head_init("fixed", C, seed).
+
+    The seeds' nets train as one stack, each seed on the batches of its own
+    stream consumer_rng(seed, "batch"), and every slice of the stack
+    computes what that seed computes alone. An epoch is
+    train_set.size // cfg.b batches drawn from one permutation.
+
+    Returns per seed (classifier, trained head, RunMetrics), or the
+    NumericError that stopped it: a non-finite value in one seed's slice
+    stops that seed alone, in the phase and step that produced it, with its
+    metrics as they stood; the other seeds train on. The optimizers update
+    in place, so for T > 0 the nets are copied once here and the callers'
+    are never written; T=0 returns the inputs themselves with empty
+    metrics. Settings that do not fit the data raise ConfigError.
     """
+    head = heads[0]
+    if not len(classifiers) == len(heads) == len(seeds) > 0:
+        raise ValueError("train_seeds needs one classifier and one head per seed")
     n = train_set.size
     if cfg.b > n:
         raise ConfigError(f"batch_size {cfg.b} exceeds the train set of {n}")
@@ -230,61 +304,99 @@ def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHea
     if bad:
         raise ConfigError(f"trace classes outside [0, C): {bad}")
 
-    model = classifier
-    if cfg.T > 0:
-        model = replace(model, net=model.net.copy())
-        if head.net is not None:
-            head = replace(head, net=head.net.copy())
+    count = len(seeds)
+    metrics = [RunMetrics(records=head.records) for _ in seeds]
+    if cfg.T == 0:
+        errors = _accuracies(classifiers, meta_set, 0, metrics)[1]
+        return [e or (c, h, m) for e, c, h, m in zip(errors, classifiers, heads, metrics)]
+
+    model = classifiers[0]
+    model = replace(model, net=model.net.over(_stack([c.net.params for c in classifiers]).copy()))
+    models = [replace(model, net=model.net.over(p)) for p in _unstack(model.net.params, count)]
+    if head.net is not None:
+        head = replace(head, net=head.net.over(_stack([h.net.params for h in heads]).copy()))
     clf_opt = cfg.classifier_opt.build()
     dn_opt = cfg.dnet_opt.build() if head.net is not None else None
-    rng = consumer_rng(cfg.seed, "batch")
-    metrics = RunMetrics(records=head.records)
-    acc = per_class_accuracy(model, meta_set, "meta", 0, metrics)
+    rngs = [consumer_rng(seed, "batch") for seed in seeds]
+    accs, errors = _accuracies(models, meta_set, 0, metrics)
+    acc = _stack(accs)
+    live = [s for s in range(count) if errors[s] is None]
+
+    def check(value, phase: str, t: int, quantity: str) -> None:
+        """Stop each live seed whose slice of value is not finite."""
+        finite = np.isfinite(value)
+        if finite.all():
+            return
+        finite = finite.reshape(count, -1).all(axis=1)
+        for s in [s for s in live if not finite[s]]:
+            errors[s] = NumericError(phase, t, quantity, metrics[s])
+            live.remove(s)
+
+    d_tape = None  # the net's pass over the signal x, once there is one
     perm = np.empty(0, dtype=np.int64)
     for t in range(cfg.T):
+        if not live:
+            break
         pos = t % spe
         if pos == 0:
-            perm = rng.permutation(n)
-        idx = perm[pos * cfg.b : (pos + 1) * cfg.b]
+            perm = _stack([rng.permutation(n) for rng in rngs])
+        idx = perm[..., pos * cfg.b : (pos + 1) * cfg.b]
         bx, by = train_set.features[idx], train_set.labels[idx]
         # drawn for every head, so all methods see the same train batches
-        midx = rng.choice(meta_set.size, size=cfg.m, replace=False)
+        midx = _stack([rng.choice(meta_set.size, size=cfg.m, replace=False) for rng in rngs])
         mx, my = meta_set.features[midx], meta_set.labels[midx]
 
         # the classifier's one forward pass over the batch this step, with
         # its labels checked once: the virtual step, the per-sample dots,
         # the actual step and the sample kind's loss signal all reuse it
         tape = forward_tape(model, bx).with_labels(by)
+        labels = seed_labels(by, head.width)
         if pos == 0 or not head.per_class:
-            # a new signal, the refreshed accuracies or this batch's losses:
-            # no pass of the net over it yet
-            x, d_tape = head_signal(head, acc if head.per_class else tape.ce), None
+            # a new signal, the refreshed accuracies or this batch's losses;
+            # the accuracies' pass is the evaluation's, if one ran
+            x = head_signal(head, acc if head.per_class else tape.ce)
+            target = head.target(x)
+            if not head.per_class:
+                d_tape = None
         if head.net is not None:
             if d_tape is None:
-                target, d_tape = head.target(x), head.forward(x)
-            g_theta = _meta_gradient(head, tape, x, target, d_tape, mx, my, cfg.alpha, cfg.lam)
-            check_finite(g_theta, "meta", t, "difficulty-net gradient", metrics)
+                d_tape = head.forward(x)
+            g_theta = _meta_gradient(head, tape, labels, x, target, d_tape, mx, my,
+                                     cfg.alpha, cfg.lam)
+            check(g_theta, "meta", t, "difficulty-net gradient")
             optimizer_step(dn_opt, head.net, g_theta)
             # the updated net's pass: this step's weights, and while x holds,
             # the next step's pass before its update
             d_tape = head.forward(x)
         d = dnet_forward(head, x, d_tape)
-        check_finite(d, "weighting", t, "difficulty vector", metrics)
-        loss, cot = classifier_objective(tape, head.weights(d, by), cfg.focal_gamma)
+        check(d, "weighting", t, "difficulty vector")
+        loss, cot = classifier_objective(tape, head.weights(d, labels), cfg.focal_gamma)
         grads = tape.grads(cot)
-        check_finite(grads, "classifier", t, "classifier gradient", metrics)
-        check_finite(loss, "classifier", t, "training loss", metrics)
+        check(grads, "classifier", t, "classifier gradient")
+        check(loss, "classifier", t, "training loss")
         optimizer_step(clf_opt, model.net, grads)
 
         if cfg.record_losses:
-            metrics.step_losses.append(float(loss))
+            losses = _unstack(loss, count)
+            for s in live:
+                metrics[s].step_losses.append(float(losses[s]))
         if head.records and cfg.trace_classes:
-            norm = d / d.sum()
-            for c in cfg.trace_classes:
-                metrics.weight_trace.append((t, c, float(norm[c])))
+            norm = _unstack(d / d.sum(axis=-1, keepdims=True), count)
+            for s in live:
+                metrics[s].weight_trace += [(t, c, float(norm[s][c])) for c in cfg.trace_classes]
 
-        if pos == spe - 1 or t == cfg.T - 1:
-            acc, rec = evaluate_epoch(t // spe, model, head, train_set, meta_set,
-                                      (cfg.many_min, cfg.few_max), t, metrics)
-            metrics.epochs.append(rec)
-    return model, head, metrics
+        if live and (pos == spe - 1 or t == cfg.T - 1):
+            acc, d_tape, outcomes = evaluate_epoch(
+                t // spe, [models[s] if s in live else None for s in range(count)], head,
+                train_set, meta_set, (cfg.many_min, cfg.few_max), t, metrics)
+            for s, out in enumerate(outcomes):
+                if isinstance(out, NumericError):
+                    errors[s] = out
+                    live.remove(s)
+                elif out is not None:
+                    metrics[s].epochs.append(out)
+
+    heads_out = heads
+    if head.net is not None:
+        heads_out = [replace(head, net=head.net.over(p)) for p in _unstack(head.net.params, count)]
+    return [e or (c, h, m) for e, c, h, m in zip(errors, models, heads_out, metrics)]

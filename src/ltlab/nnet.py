@@ -4,6 +4,13 @@ gradient dot products, and the three optimizer rules the training loops use.
 Everything is float64 and plain numpy. There is no general autodiff graph;
 the backward passes below are hand-derived for this fixed layer structure
 (affine -> {relu|identity|sigmoid}, optional cosine output head).
+
+Every array may carry leading axes before its own: a stack of S nets is one
+(S, P) parameter array, its batches are (S, n, in) and its labels (S, n).
+The code works on the trailing axes, so a lone net (P,) and a stack go
+through the same operations, and each slice of a stack computes exactly
+what that net computes alone: matmul, the elementwise rules and the
+reductions over trailing axes treat every slice on its own.
 """
 
 from __future__ import annotations
@@ -41,16 +48,23 @@ def check_finite(value, phase: str, step: int, quantity: str, metrics=None) -> N
 
 @dataclass
 class Layer:
-    w: np.ndarray  # (out, in)
-    b: np.ndarray  # (out,)
+    w: np.ndarray  # (..., out, in)
+    b: np.ndarray  # (..., out)
     act: str  # "relu" | "identity" | "sigmoid"
+
+    def __post_init__(self):
+        # the affine map's operands as a batch's matmul takes them: views,
+        # made once per net rather than once per pass
+        self.wt, self.b_row = self.w.swapaxes(-1, -2), self.b[..., None, :]
 
 
 class MLP:
     """A dense net over one float64 parameter vector, params, laid out as
-    LTNN1 checkpoints store it: per layer W row-major, then b. Each layer's w
-    and b are views into it. Built from layers alone, their arrays are copied
-    into a new vector; with params, layers give only shapes and activations.
+    LTNN1 checkpoints store it: per layer W row-major, then b; or a stack of
+    such nets over an (S, P) array, one net per row. Each layer's w and b
+    are views into it, (..., out, in) and (..., out). Built from layers
+    alone, their arrays are copied into a new vector; with params, layers
+    give only shapes and activations.
     The layout is worked out once and shared by every net made with over()."""
 
     def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
@@ -73,15 +87,18 @@ class MLP:
         return self.over(self.params.copy())
 
     def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (W, b) views into a vector laid out like params."""
+        """Per-layer (W, b) views into a vector laid out like params, or into
+        every row of a stack of them."""
         size = self.layout[-1][2]
-        if vec.shape != (size,):
+        if vec.shape[-1:] != (size,):
             raise ValueError(f"expected a vector of {size} parameters, got shape {vec.shape}")
-        return [(vec[start:mid].reshape(shape), vec[mid:end]) for start, mid, end, shape, _ in self.layout]
+        lead = vec.shape[:-1]
+        return [(vec[..., start:mid].reshape(lead + shape), vec[..., mid:end])
+                for start, mid, end, shape, _ in self.layout]
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].w.shape[1]
+        return self.layers[0].w.shape[-1]
 
 
 @dataclass
@@ -122,10 +139,10 @@ class AccuracyVector:
 
 
 def accuracy_array(acc) -> np.ndarray:
-    """Per-class accuracies as a float64 vector, from an AccuracyVector or an
-    array-like."""
+    """Per-class accuracies as a float64 vector, or a stack of them with the
+    classes last, from an AccuracyVector or an array-like."""
     a = acc.per_class if isinstance(acc, AccuracyVector) else np.asarray(acc, dtype=np.float64)
-    if a.ndim != 1:
+    if a.ndim < 1:
         raise ValueError("accuracy must be a vector")
     return a
 
@@ -170,7 +187,7 @@ def _cache_layers(layers, x):
     h = np.ascontiguousarray(x, dtype=np.float64)
     steps = []
     for layer in layers:
-        z = h @ layer.w.T + layer.b
+        z = h @ layer.wt + layer.b_row
         if layer.act == "relu":
             out, deriv = np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
         elif layer.act == "sigmoid":
@@ -188,11 +205,11 @@ def _cache_layers(layers, x):
 def _cosine_parts(last: Layer, feats, scale):
     """Logits = scale * cos(feature, class row) using the last layer as
     prototypes; its bias plays no part. Norms are guarded at 1e-12."""
-    r_f = np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), NORM_EPS)
+    r_f = np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), NORM_EPS)
     f_hat = feats / r_f
-    r_w = np.maximum(np.linalg.norm(last.w, axis=1, keepdims=True), NORM_EPS)
+    r_w = np.maximum(np.linalg.norm(last.w, axis=-1, keepdims=True), NORM_EPS)
     w_hat = last.w / r_w
-    return r_f, f_hat, r_w, w_hat, scale * f_hat @ w_hat.T
+    return r_f, f_hat, r_w, w_hat, scale * f_hat @ w_hat.swapaxes(-1, -2)
 
 
 def classifier_logits(model, inputs: np.ndarray) -> np.ndarray:
@@ -253,14 +270,16 @@ class Tape:
         per-sample CE -log softmax[y] and p = softmax[y], all from one exp.
         Returns the tape."""
         self.labels = labels = _check_labels(labels, self.logits)
-        rows = np.arange(labels.size)
-        z = self.logits - self.logits.max(axis=1, keepdims=True)
+        *seeds, n = labels.shape
+        # each label's logit: in row i, of slice s for a stack
+        at = (*(np.arange(k)[:, None] for k in seeds), np.arange(n), labels)
+        z = self.logits - self.logits.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        total = e.sum(axis=1, keepdims=True)
-        self.ce = -(z[rows, labels] - np.log(total)[:, 0])
+        total = e.sum(axis=-1, keepdims=True)
+        self.ce = -(z[at] - np.log(total)[..., 0])
         e /= total
-        self.p = e[rows, labels]
-        e[rows, labels] -= 1.0
+        self.p = e[at]
+        e[at] -= 1.0
         self.resid = e
         return self
 
@@ -269,8 +288,8 @@ class Tape:
         labels: the residual scaled by w_i / b."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != self.labels.shape:
-            raise ValueError("weights must be (n,)")
-        return self.resid * (weights / weights.size)[:, None]
+            raise ValueError(f"weights must be {self.labels.shape}, like the labels")
+        return self.resid * (weights / weights.shape[-1])[..., None]
 
     def grads(self, cotangent: np.ndarray) -> np.ndarray:
         """Parameter grads given dLoss/dlogits, laid out like the net's params."""
@@ -293,15 +312,15 @@ class Tape:
         residual kept by with_labels()."""
         clf, steps, g = self.clf, self.steps, self.resid
         views = clf.net.split(direction)
-        dots = np.zeros(g.shape[0])
+        dots = np.zeros(g.shape[:-1])
         if clf.head == "cosine":
             r_f, f_hat, r_w, w_hat, _ = self.cos
             vw, _ = views[-1]  # bias carries no cosine gradient
-            a = f_hat @ vw.T
-            b = f_hat @ w_hat.T
-            u = (w_hat * vw).sum(axis=1)
+            a = f_hat @ vw.swapaxes(-1, -2)
+            b = f_hat @ w_hat.swapaxes(-1, -2)
+            u = (w_hat * vw).sum(axis=-1)
             gs = clf.scale * g
-            dots += (gs * (a - b * u[None, :]) / r_w.T).sum(axis=1)
+            dots += (gs * (a - b * u[..., None, :]) / r_w.swapaxes(-1, -2)).sum(axis=-1)
             d_f = _normalize_vjp(gs @ w_hat, f_hat, r_f)
             return _walk_dots(clf.net.layers[:-1], steps, d_f, views, dots)
         return _walk_dots(clf.net.layers, steps, g, views, dots)
@@ -309,10 +328,11 @@ class Tape:
 
 def forward_tape(model, x) -> Tape:
     """The classifier's forward pass over batch x, kept as a Tape. A bare
-    MLP, such as a difficulty net, runs as a linear-head Classifier."""
+    MLP, such as a difficulty net, runs as a linear-head Classifier. A stack
+    of S nets takes (S, n, in) batches, or one (n, in) batch for all."""
     clf = model if isinstance(model, Classifier) else Classifier(model)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != clf.net.in_dim:
+    if x.ndim < 2 or x.shape[-1] != clf.net.in_dim:
         raise ValueError(f"inputs must be (n, {clf.net.in_dim}), got {x.shape}")
     if clf.head == "cosine":
         steps, feats = _cache_layers(clf.net.layers[:-1], x)
@@ -324,9 +344,9 @@ def forward_tape(model, x) -> Tape:
 
 def _check_labels(labels, logits) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise ValueError("labels must be (n,)")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels must be {logits.shape[:-1]}, one per logit row")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
         raise ValueError("labels outside [0, C)")
     return labels
 
@@ -337,11 +357,11 @@ def _walk_grads(layers, steps, d_post, views) -> None:
     for k in reversed(range(len(layers))):
         h_in, deriv = steps[k]
         dz = d_post if deriv is None else d_post * deriv
-        if h_in.shape[0] == 1:  # the difficulty nets' one row: an outer product beats a k=1 matmul
-            np.multiply(dz.T, h_in, out=views[k][0])
+        if h_in.shape[-2] == 1:  # the difficulty nets' one row: an outer product beats a k=1 matmul
+            np.multiply(dz.swapaxes(-1, -2), h_in, out=views[k][0])
         else:
-            np.matmul(dz.T, h_in, out=views[k][0])
-        np.add.reduce(dz, axis=0, out=views[k][1])
+            np.matmul(dz.swapaxes(-1, -2), h_in, out=views[k][0])
+        np.add.reduce(dz, axis=-2, out=views[k][1])
         if k:  # the first layer's input cotangent is never read
             d_post = dz @ layers[k].w
 
@@ -354,7 +374,7 @@ def _walk_dots(layers, steps, d_post, views, dots):
         h_in, deriv = steps[k]
         dz = d_post if deriv is None else d_post * deriv
         vw, vb = views[k]
-        dots += ((h_in @ vw.T) * dz).sum(axis=1) + dz @ vb
+        dots += ((h_in @ vw.swapaxes(-1, -2)) * dz).sum(axis=-1) + (dz @ vb[..., None])[..., 0]
         if k:  # the first layer's input cotangent is never read
             d_post = dz @ layers[k].w
     return dots
@@ -363,12 +383,13 @@ def _walk_dots(layers, steps, d_post, views, dots):
 def _cosine_grads(cos, g):
     """Cotangent wrt cosine logits -> (dW_last, d_features)."""
     r_f, f_hat, r_w, w_hat, _ = cos
-    return _normalize_vjp(g.T @ f_hat, w_hat, r_w), _normalize_vjp(g @ w_hat, f_hat, r_f)
+    return (_normalize_vjp(g.swapaxes(-1, -2) @ f_hat, w_hat, r_w),
+            _normalize_vjp(g @ w_hat, f_hat, r_f))
 
 
 def _normalize_vjp(d_hat, hat, r):
     """normalize() backward: project out the radial component, divide by norm."""
-    return (d_hat - (d_hat * hat).sum(axis=1, keepdims=True) * hat) / r
+    return (d_hat - (d_hat * hat).sum(axis=-1, keepdims=True) * hat) / r
 
 
 def backward(model, batch, labels, weights) -> np.ndarray:

@@ -254,8 +254,8 @@ def test_run_returns_final_epoch_rows(runs_dir):
 
 @pytest.mark.parametrize("method", list(METHODS))
 def test_train_one_reaches_train_by_name(method, tmp_path, monkeypatch):
-    # profilers wrap harness.train to count trained samples, so every method
-    # must train through that one name
+    # train_one is the one-seed entry: every method trains through
+    # harness.train, the one-seed form of train_seeds
     real, calls = harness.train, []
 
     def spy(tc, *args, **kwargs):
@@ -296,18 +296,92 @@ def test_seeds_in_one_run_match_single_seed_runs(tmp_path):
     assert together == alone
 
 
-def test_every_seed_trains_on_the_calling_thread(tmp_path, monkeypatch):
-    threads = []
-    single = harness._run_single
+def test_seeds_of_a_command_train_in_one_stacked_call(tmp_path, monkeypatch):
+    # one train_seeds call on the calling thread for all seeds; nothing that
+    # harness binds as train runs, so profilers that count harness.train
+    # calls per run see none rather than one for several seeds
+    calls = []
+    stacked = harness.train_seeds
 
-    def spy(cfg, train_set, meta_set, seed):
-        threads.append(threading.get_ident())
-        return single(cfg, train_set, meta_set, seed)
+    def spy(tc, train_set, meta_set, classifiers, heads, seeds):
+        calls.append((threading.get_ident(), tuple(seeds)))
+        return stacked(tc, train_set, meta_set, classifiers, heads, seeds)
 
-    monkeypatch.setattr(harness, "_run_single", spy)
+    def no_train(*args, **kwargs):
+        raise AssertionError("harness.run called harness.train")
+
+    monkeypatch.setattr(harness, "train_seeds", spy)
+    monkeypatch.setattr(harness, "train", no_train)
     monkeypatch.setenv("LTLAB_THREADS", "3")  # the old seed-pool cap is not read
-    run(base_cfg(tmp_path, method="ce", epochs=1, seeds=(0, 1, 2)))
-    assert threads == [threading.get_ident()] * 3
+    rows = run(base_cfg(tmp_path, method="ce", epochs=1, seeds=(0, 1, 2)))
+    assert calls == [(threading.get_ident(), (0, 1, 2))]
+    assert [r.seed for r in rows] == [0, 1, 2]
+
+
+def run_files(run_dir):
+    """Every file of a run directory but manifest.json, by name."""
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("method, head", [(m, "linear") for m in METHODS] + [("dnet", "cosine")])
+def test_a_seeds_files_do_not_depend_on_the_seeds_it_trains_with(method, head, tmp_path):
+    # seed 1 trained alone and stacked with seeds 0 and 2: the same bytes,
+    # stage 2 included
+    files = []
+    for seeds in ((1,), (0, 1, 2)):
+        run(base_cfg(tmp_path, method=method, head=head, seeds=seeds, stage2="crt"))
+        files.append(run_files(tmp_path / method / "seed1"))
+    alone, together = files
+    assert "classifier_crt.ltnn" in alone
+    assert together == alone
+
+
+def poison_seed(monkeypatch, row, from_step):
+    """From step from_step on, the classifier cotangent of one seed turns
+    NaN: the whole cotangent for row None (a lone seed), else the seed's
+    row of the stack."""
+    real, steps = metatrain.classifier_objective, []
+
+    def objective(tape, weights, gamma):
+        loss, cot = real(tape, weights, gamma)
+        steps.append(len(steps))
+        if steps[-1] >= from_step:
+            (cot if row is None else cot[row])[...] = np.nan
+        return loss, cot
+
+    monkeypatch.setattr(metatrain, "classifier_objective", objective)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failing_seed_stops_alone(tmp_path, monkeypatch, capsys):
+    # seed 1 fails at step 12 of 18: seeds 0 and 2 still train and leave
+    # their solo files, seed 1 leaves its solo failed run's, and the command
+    # exits 3 once all three are written
+    sets = ["--set", "method=dnet", "--set", "classes=3", "--set", "n_max=60",
+            "--set", "imbalance=10", "--set", "dim=4", "--set", "m_per_class=4",
+            "--set", "epochs=2", "--set", "batch_size=8", "--set", "meta_batch_size=8",
+            "--set", "hidden=8"]
+
+    def train(sub, seeds, row=None):
+        (tmp_path / sub).mkdir()
+        with monkeypatch.context() as m:
+            m.chdir(tmp_path / sub)  # the same relative out_dir in run_config.txt
+            if row is not False:
+                poison_seed(m, row, from_step=12)
+            return main(["train", *sets, "--set", f"seeds={seeds}", "--set", "out_dir=runs"])
+
+    assert train("together", "0,1,2", row=1) == 3
+    err = capsys.readouterr().err
+    assert "non-finite classifier gradient in the classifier phase at step 12" in err
+    assert train("bad1", "1") == 3
+    assert train("good", "0,2", row=False) == 0
+    for seed, ref in ((0, "good"), (1, "bad1"), (2, "good")):
+        got = run_files(tmp_path / "together" / "runs" / "dnet" / f"seed{seed}")
+        assert got == run_files(tmp_path / ref / "runs" / "dnet" / f"seed{seed}"), seed
+        assert ("classifier.ltnn" in got) == (seed != 1)
+    lines = (tmp_path / "together" / "runs" / "dnet" / "seed1" / "metrics.csv").read_text(
+        "ascii").splitlines()
+    assert len(lines) == 2  # header and the first epoch of 9 steps
 
 
 # ---------------------------------------------------------------- second stage
@@ -466,6 +540,19 @@ def test_stage2_divergence_exits_3_and_keeps_stage1_files(tmp_path):
     assert main(["crt", *small, *diverge]) == 3
     assert not (got / "classifier_crt.ltnn").exists()
     assert (got / "metrics.csv").read_bytes() == (want / "metrics.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failing_stage2_does_not_stop_the_next_seed(tmp_path):
+    # both seeds' stage 2 diverge: each leaves its stage-1 files and its
+    # manifest, and the first failure is raised after both
+    with pytest.raises(NumericError) as info:
+        run(base_cfg(tmp_path, method="ce", seeds=(0, 1), stage2="crt", crt_lr=1e300))
+    assert info.value.phase == "stage2"
+    for seed in (0, 1):
+        names = set(os.listdir(tmp_path / "ce" / f"seed{seed}"))
+        assert {"classifier.ltnn", "metrics.csv", "manifest.json"} <= names
+        assert "classifier_crt.ltnn" not in names
 
 
 def test_rerun_without_stage2_leaves_no_stage2_checkpoint(tmp_path):
@@ -639,6 +726,17 @@ def test_run_rows_equal_collected_rows(stage2, tmp_path):
 
     assert sorted(map(key, collected)) == sorted(map(key, returned))
     assert all(r.many is None and r.entropy is not None for r in returned)
+
+
+def test_collect_rows_reads_a_non_numeric_seed_dir_as_seed_minus_one(runs_dir, tmp_path, capsys):
+    # without run_config.txt the seed comes from the directory name; a name
+    # like seedx is no seed<k> and must not stop `ltlab report`
+    for name in ("seedx", "seed7"):
+        (tmp_path / "ce" / name).mkdir(parents=True)
+        shutil.copy(runs_dir / "ce" / "seed0" / "metrics.csv", tmp_path / "ce" / name)
+    assert sorted(r.seed for r in collect_rows([str(tmp_path)])) == [-1, 7]
+    assert main(["report", str(tmp_path)]) == 0
+    assert "ce" in capsys.readouterr().out
 
 
 def test_collect_rows_direct_run_dir(runs_dir):

@@ -24,6 +24,7 @@ from ltlab.metatrain import (
     evaluate_splits,
     meta_gradient,
     train,
+    train_seeds,
     virtual_step,
 )
 from ltlab.nnet import (
@@ -296,8 +297,9 @@ def replay(cfg, train_set, meta_set, model0, head0):
         if head.records:
             trace += [(t, c, float(d[c] / d.sum())) for c in cfg.trace_classes]
         if pos == spe - 1 or t == cfg.T - 1:
-            acc, rec = metatrain.evaluate_epoch(t // spe, model, head, train_set, meta_set,
-                                                (cfg.many_min, cfg.few_max), t)
+            _, _, (rec,) = metatrain.evaluate_epoch(t // spe, [model], head, train_set,
+                                                    meta_set, (cfg.many_min, cfg.few_max), t)
+            acc = rec.accuracy
             records.append(rec)
     return model, head, records, trace
 
@@ -447,17 +449,10 @@ def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     # virtual step, the per-sample dots and the actual step share it) and
     # once over the meta batch. The difficulty net runs once after its
     # update; a class-level net's pass is also the next step's pass before
-    # the update, so it runs before the update only on an epoch's first
-    # step, when the accuracies are new, while the sample kind's signal is
-    # new every step
-    real, seen = nnet.forward_tape, []
-
-    def spy(model, x):
-        seen.append("dnet" if isinstance(model, MLP) else len(x))
-        return real(model, x)
-
-    for mod in (nnet, metatrain, difficulty):
-        monkeypatch.setattr(mod, "forward_tape", spy, raising=False)
+    # the update, and the pass that records an epoch's difficulties at its
+    # end is the next epoch's first pass, so it runs before an update only
+    # on the first step, while the sample kind's signal is new every step
+    seen = spy_forward_passes(monkeypatch)
     train_set, meta_set = tiny_data()  # meta set of 12 rows: evaluation
     cfg = cfg_for(train_set, T=10, b=8, m=6, seed=5)
     spe = train_set.size // cfg.b
@@ -468,9 +463,56 @@ def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     assert seen.count(8) == cfg.T
     assert seen.count(6) == cfg.T
     if head.per_class:  # one more pass per epoch for the class snapshot at its end
-        assert seen.count("dnet") == cfg.T + 2 * epochs
+        assert seen.count("dnet") == cfg.T + epochs + 1
     else:
         assert seen.count("dnet") == 2 * cfg.T
+
+
+def spy_forward_passes(monkeypatch):
+    """Record every forward pass: "dnet" for a difficulty net's, else the
+    batch size (the axis before the features, in a stack too)."""
+    real, seen = nnet.forward_tape, []
+
+    def spy(model, x):
+        seen.append("dnet" if isinstance(model, MLP) else np.shape(x)[-2])
+        return real(model, x)
+
+    for mod in (nnet, metatrain, difficulty):
+        monkeypatch.setattr(mod, "forward_tape", spy, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["class", "abs", "sample", "fixed"])
+def test_stacked_seeds_share_each_pass(kind, monkeypatch):
+    # three seeds in one train_seeds call run the passes of one seed's step,
+    # each over the whole stack; only evaluation runs per seed
+    seen = spy_forward_passes(monkeypatch)
+    train_set, meta_set = tiny_data()
+    cfg = cfg_for(train_set, T=10, b=8, m=6)
+    width = 8 if kind == "sample" else 3
+    outs = {}
+    for seeds in ((5,), (5, 6, 7)):
+        seen.clear()
+        outs[seeds] = train_seeds(cfg, train_set, meta_set,
+                                  [tiny_model(seed=39 + s) for s in seeds],
+                                  [head_init(kind, width, seed=s) for s in seeds], seeds)
+        assert not [o for o in outs[seeds] if isinstance(o, NumericError)]
+        passes = [p for p in seen if p != 12]  # 12 rows: the per-seed evaluations
+        assert seen.count(12) == len(seeds) * (-(-cfg.T // (train_set.size // 8)) + 1)
+        if seeds == (5,):
+            one = passes
+    assert passes == one
+    # and seed 5 trains as it trains alone
+    (m1, h1, r1), (m3, h3, r3) = outs[(5,)][0], outs[(5, 6, 7)][0]
+    assert m1.net.params.tobytes() == m3.net.params.tobytes()
+    if h1.net is not None:
+        assert h1.net.params.tobytes() == h3.net.params.tobytes()
+    assert [vars_bytes(e) for e in r1.epochs] == [vars_bytes(e) for e in r3.epochs]
+
+
+def vars_bytes(record):
+    """An epoch record's fields with arrays as bytes, for exact comparison."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
 
 
 def test_sample_width_must_cover_batch():

@@ -2,8 +2,9 @@
 
     python3 tools/rundir_digest.py OUT
 
-For each of three configs (C=10 linear with seeds 0 and 1 and 4 epochs,
-C=10 cosine with 3 epochs, C=100 with 1 epoch), this trains every method
+For each of three configs (C=10 linear with 4 epochs, C=10 cosine with 3
+epochs, C=100 with 1 epoch, each training seeds 0 and 1 in one command, so
+that their files also pin a stacked step), this trains every method
 with stage2 = none and with stage2 = crt, copies the stage2 = none runs and
 runs `ltlab crt` over the copy twice, so that the digest also pins that a
 second `ltlab crt` leaves the files as the first one left them. Per config
@@ -37,8 +38,8 @@ from ltlab.harness import METHODS  # noqa: E402
 
 CONFIGS = {
     "c10": ("seeds=0,1", "epochs=4"),
-    "c10-cosine": ("seeds=0", "epochs=3", "head=cosine"),
-    "c100": ("seeds=0", "epochs=1", "classes=100", "n_max=1000", "m_per_class=5"),
+    "c10-cosine": ("seeds=0,1", "epochs=3", "head=cosine"),
+    "c100": ("seeds=0,1", "epochs=1", "classes=100", "n_max=1000", "m_per_class=5"),
 }
 
 
