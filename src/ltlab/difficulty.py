@@ -67,11 +67,12 @@ class DifficultyHead:
 
     def embed(self, x: np.ndarray, pad: float | None = None) -> np.ndarray:
         """A signal-length vector as the net's input rows (or, with pad=0, an
-        output cotangent in the net's output shape)."""
+        output cotangent in the net's output shape). The sample kind pads a
+        short batch with its mean, or pad, and views a full one as it is."""
         if self.kind == "abs":
             return x[..., :, None]
-        if self.kind == "sample":
-            n = x.shape[-1]
+        n = x.shape[-1]
+        if self.kind == "sample" and n < self.width:
             out = np.empty(x.shape[:-1] + (self.width,))
             out[..., n:] = x.mean(axis=-1, keepdims=True) if pad is None else pad
             out[..., :n] = x

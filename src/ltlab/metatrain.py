@@ -37,6 +37,7 @@ from .difficulty import (
     target_fit_cotangent,
 )
 from .nnet import (  # re-exported: ConfigError and NumericError (train raises them), OptSpec
+    MLP,
     Classifier,
     ConfigError,
     NumericError,
@@ -122,19 +123,46 @@ class RunMetrics:
     step_losses: list[float] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _StepBuffers:
+    """The bilevel step's scratch nets, each over its own vector laid out
+    like its net's params, seed axis included, so that their layer views
+    are made once per training call: the classifier gradient (the
+    lookahead's, then the actual step's), phi_hat, the meta gradient at
+    phi_hat, and the difficulty-net gradient (None for heads without a
+    net)."""
+
+    grad: MLP
+    phi_hat: Classifier
+    meta: MLP
+    theta: MLP | None
+
+
+def _step_buffers(model: Classifier, net: MLP | None) -> _StepBuffers:
+    """The step's buffers for a classifier and its head's net (None for a
+    head without one), stacked as they are."""
+    def scratch(n):
+        return n.over(np.empty_like(n.params))
+
+    return _StepBuffers(scratch(model.net), replace(model, net=scratch(model.net)),
+                       scratch(model.net), None if net is None else scratch(net))
+
+
 def virtual_step(model: Classifier, batch_x, batch_y, weights, alpha: float) -> Classifier:
     """One plain-SGD lookahead on the weighted CE; returns the looked-ahead
     classifier and never touches optimizer state."""
-    return _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha)
+    return _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha,
+                      _step_buffers(model, None))
 
 
-def _lookahead(tape, weights, alpha: float) -> Classifier:
+def _lookahead(tape, weights, alpha: float, buffers: _StepBuffers) -> Classifier:
     """phi_hat = phi - alpha * grad_phi of the weighted CE, from the labelled
-    tape at phi, built in the gradient's own vector."""
-    step = tape.grads(tape.cotangent(weights))
+    tape at phi, with the gradient in buffers.grad, written into and
+    returned as buffers.phi_hat."""
+    step = tape.grads(tape.cotangent(weights), buffers.grad)
     step *= -alpha
-    clf = tape.clf
-    return Classifier(clf.net.over(np.add(clf.net.params, step, out=step)), clf.head, clf.scale)
+    np.add(tape.clf.net.params, step, out=buffers.phi_hat.net.params)
+    return buffers.phi_hat
 
 
 def meta_gradient(
@@ -147,14 +175,17 @@ def meta_gradient(
     x = head_signal(head, signal)
     tape = forward_tape(model, batch_x).with_labels(batch_y)
     return _meta_gradient(head, tape, seed_labels(tape.labels, head.width), x,
-                          head.target(x), head.forward(x), meta_x, meta_y, alpha, lam)
+                          head.target(x), head.forward(x), meta_x, meta_y, alpha, lam,
+                          _step_buffers(model, head.net))
 
 
-def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha, lam):
+def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha, lam,
+                   buffers: _StepBuffers):
     """meta_gradient from the classifier's labelled tape over the train batch
     at phi, its labels as seed_labels, the checked signal x with its driver
-    target, and d_tape, the net's pass over x at the current theta. For a
-    stack of seeds every argument carries the seed axis.
+    target, and d_tape, the net's pass over x at the current theta, written
+    into buffers.theta; phi_hat and the meta gradient go into their
+    buffers too. For a stack of seeds every argument carries the seed axis.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
@@ -163,12 +194,12 @@ def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha,
     and is the tape that backprop runs on.
     """
     d = head.read(d_tape.logits, x.shape[-1])
-    looked = _lookahead(tape, head.weights(d, labels), alpha)
-    g_meta = backward(looked, meta_x, meta_y, np.ones(meta_y.shape))
-    v = head.reduce(tape.dots(g_meta), labels, d.shape[-1]) * -(alpha / labels.shape[-1])
+    looked = _lookahead(tape, head.weights(d, labels), alpha, buffers)
+    backward(looked, meta_x, meta_y, np.ones(meta_y.shape), buffers.meta)
+    v = head.reduce(tape.dots(buffers.meta), labels, d.shape[-1]) * -(alpha / labels.shape[-1])
     u = lam * target_fit_cotangent(d, target) + v
     # padding outputs of the sample kind are discarded: zero cotangent
-    return d_tape.grads(head.embed(u, pad=0.0))
+    return d_tape.grads(head.embed(u, pad=0.0), buffers.theta)
 
 
 def classifier_objective(tape, weights, focal_gamma=None):
@@ -315,6 +346,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
     models = [replace(model, net=model.net.over(p)) for p in _unstack(model.net.params, count)]
     if head.net is not None:
         head = replace(head, net=head.net.over(_stack([h.net.params for h in heads]).copy()))
+    buffers = _step_buffers(model, head.net)
     clf_opt = cfg.classifier_opt.build()
     dn_opt = cfg.dnet_opt.build() if head.net is not None else None
     rngs = [consumer_rng(seed, "batch") for seed in seeds]
@@ -362,7 +394,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
             if d_tape is None:
                 d_tape = head.forward(x)
             g_theta = _meta_gradient(head, tape, labels, x, target, d_tape, mx, my,
-                                     cfg.alpha, cfg.lam)
+                                     cfg.alpha, cfg.lam, buffers)
             check(g_theta, "meta", t, "difficulty-net gradient")
             optimizer_step(dn_opt, head.net, g_theta)
             # the updated net's pass: this step's weights, and while x holds,
@@ -371,7 +403,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
         d = dnet_forward(head, x, d_tape)
         check(d, "weighting", t, "difficulty vector")
         loss, cot = classifier_objective(tape, head.weights(d, labels), cfg.focal_gamma)
-        grads = tape.grads(cot)
+        grads = tape.grads(cot, buffers.grad)
         check(grads, "classifier", t, "classifier gradient")
         check(loss, "classifier", t, "training loss")
         optimizer_step(clf_opt, model.net, grads)

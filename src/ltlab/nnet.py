@@ -11,6 +11,13 @@ The code works on the trailing axes, so a lone net (P,) and a stack go
 through the same operations, and each slice of a stack computes exactly
 what that net computes alone: matmul, the elementwise rules and the
 reductions over trailing axes treat every slice on its own.
+
+Gradients and directions are nets too: an MLP over a vector laid out like
+the net's params, whose per-layer views are made once. Tape.grads writes
+into such a net that the caller keeps, for example one made once per
+training call with net.over(np.empty_like(net.params)), and Tape.dots
+reads its direction from one, so a step that reuses its buffers builds no
+views.
 """
 
 from __future__ import annotations
@@ -181,18 +188,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / den, e / den)
 
 
+def clamp_sigmoid(s: np.ndarray) -> np.ndarray:
+    """Sigmoid outputs kept inside [SIG_CLAMP, 1 - SIG_CLAMP]; NaN stays NaN.
+    What np.clip gives, bit for bit, without its dispatch overhead."""
+    out = np.maximum(s, SIG_CLAMP)
+    return np.minimum(out, 1.0 - SIG_CLAMP, out=out)
+
+
 def _cache_layers(layers, x):
     """Run a slice of layers, keeping per layer its input and the derivative
     of its activation at the pre-activation (None for identity)."""
     h = np.ascontiguousarray(x, dtype=np.float64)
     steps = []
     for layer in layers:
-        z = h @ layer.wt + layer.b_row
+        z = h @ layer.wt
+        z += layer.b_row
         if layer.act == "relu":
-            out, deriv = np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
+            deriv = (z > 0.0).astype(np.float64)
+            out = np.maximum(z, 0.0, out=z)
         elif layer.act == "sigmoid":
             s = sigmoid(z)  # the derivative uses the unclipped value
-            out, deriv = np.clip(s, SIG_CLAMP, 1.0 - SIG_CLAMP), s * (1.0 - s)
+            out, deriv = clamp_sigmoid(s), s * (1.0 - s)
         elif layer.act == "identity":
             out, deriv = z, None
         else:
@@ -270,16 +286,19 @@ class Tape:
         per-sample CE -log softmax[y] and p = softmax[y], all from one exp.
         Returns the tape."""
         self.labels = labels = _check_labels(labels, self.logits)
-        *seeds, n = labels.shape
-        # each label's logit: in row i, of slice s for a stack
-        at = (*(np.arange(k)[:, None] for k in seeds), np.arange(n), labels)
         z = self.logits - self.logits.max(axis=-1, keepdims=True)
+        classes = z.shape[-1]
+        # each label's logit as one index into the flattened logits: row r
+        # (row i of slice s is r = s * n + i) starts at r * classes
+        at = np.arange(0, labels.size * classes, classes).reshape(labels.shape)
+        at += labels
         e = np.exp(z)
         total = e.sum(axis=-1, keepdims=True)
-        self.ce = -(z[at] - np.log(total)[..., 0])
+        self.ce = -(z.reshape(-1)[at] - np.log(total)[..., 0])
         e /= total
-        self.p = e[at]
-        e[at] -= 1.0
+        flat = e.reshape(-1)
+        self.p = flat[at]
+        flat[at] -= 1.0
         self.resid = e
         return self
 
@@ -291,32 +310,42 @@ class Tape:
             raise ValueError(f"weights must be {self.labels.shape}, like the labels")
         return self.resid * (weights / weights.shape[-1])[..., None]
 
-    def grads(self, cotangent: np.ndarray) -> np.ndarray:
-        """Parameter grads given dLoss/dlogits, laid out like the net's params."""
+    def grads(self, cotangent: np.ndarray, out: MLP | None = None) -> np.ndarray:
+        """Parameter grads given dLoss/dlogits, written into out, a net laid
+        out like the tape's (a new one when None), and returned as out's
+        parameter vector."""
         cot = np.asarray(cotangent, dtype=np.float64)
         if cot.shape != self.logits.shape:
             raise ValueError(f"cotangent must be {self.logits.shape}, got {cot.shape}")
         net = self.clf.net
-        grads = np.empty_like(net.params)  # the walks write every view
-        views = net.split(grads)
+        if out is None:
+            out = net.over(np.empty_like(net.params))  # the walks write every view
+        elif out.params.shape != net.params.shape:
+            raise ValueError(f"grads must go into {net.params.shape} params, "
+                             f"not {out.params.shape}")
+        views = out.layers
         if self.clf.head == "cosine":  # its bias takes no part and gets a zero grad
-            views[-1][0][...], d_f = _cosine_grads(self.cos, self.clf.scale * cot)
-            views[-1][1][...] = 0.0
+            views[-1].w[...], d_f = _cosine_grads(self.cos, self.clf.scale * cot)
+            views[-1].b[...] = 0.0
             _walk_grads(net.layers[:-1], self.steps, d_f, views)
         else:
             _walk_grads(net.layers, self.steps, cot, views)
-        return grads
+        return out.params
 
-    def dots(self, direction: np.ndarray) -> np.ndarray:
+    def dots(self, direction: MLP) -> np.ndarray:
         """<grad_phi CE_i, direction> for every sample i, unweighted, from the
-        residual kept by with_labels()."""
+        residual kept by with_labels(). direction is a net laid out like the
+        tape's, read through its layer views."""
         clf, steps, g = self.clf, self.steps, self.resid
-        views = clf.net.split(direction)
+        if direction.params.shape != clf.net.params.shape:
+            raise ValueError(f"direction must have {clf.net.params.shape} params, "
+                             f"not {direction.params.shape}")
+        views = direction.layers
         dots = np.zeros(g.shape[:-1])
         if clf.head == "cosine":
             r_f, f_hat, r_w, w_hat, _ = self.cos
-            vw, _ = views[-1]  # bias carries no cosine gradient
-            a = f_hat @ vw.swapaxes(-1, -2)
+            vw = views[-1].w  # bias carries no cosine gradient
+            a = f_hat @ views[-1].wt
             b = f_hat @ w_hat.swapaxes(-1, -2)
             u = (w_hat * vw).sum(axis=-1)
             gs = clf.scale * g
@@ -353,15 +382,15 @@ def _check_labels(labels, logits) -> np.ndarray:
 
 def _walk_grads(layers, steps, d_post, views) -> None:
     """Cotangent wrt a layer slice's post-activation output -> summed grads,
-    written into the slice's (dW, db) views."""
+    written into the slice's gradient layers' (w, b) views."""
     for k in reversed(range(len(layers))):
         h_in, deriv = steps[k]
         dz = d_post if deriv is None else d_post * deriv
         if h_in.shape[-2] == 1:  # the difficulty nets' one row: an outer product beats a k=1 matmul
-            np.multiply(dz.swapaxes(-1, -2), h_in, out=views[k][0])
+            np.multiply(dz.swapaxes(-1, -2), h_in, out=views[k].w)
         else:
-            np.matmul(dz.swapaxes(-1, -2), h_in, out=views[k][0])
-        np.add.reduce(dz, axis=-2, out=views[k][1])
+            np.matmul(dz.swapaxes(-1, -2), h_in, out=views[k].w)
+        np.add.reduce(dz, axis=-2, out=views[k].b)
         if k:  # the first layer's input cotangent is never read
             d_post = dz @ layers[k].w
 
@@ -373,8 +402,9 @@ def _walk_dots(layers, steps, d_post, views, dots):
     for k in reversed(range(len(layers))):
         h_in, deriv = steps[k]
         dz = d_post if deriv is None else d_post * deriv
-        vw, vb = views[k]
-        dots += ((h_in @ vw.swapaxes(-1, -2)) * dz).sum(axis=-1) + (dz @ vb[..., None])[..., 0]
+        hv = h_in @ views[k].wt
+        hv *= dz
+        dots += hv.sum(axis=-1) + (dz @ views[k].b[..., None])[..., 0]
         if k:  # the first layer's input cotangent is never read
             d_post = dz @ layers[k].w
     return dots
@@ -392,10 +422,11 @@ def _normalize_vjp(d_hat, hat, r):
     return (d_hat - (d_hat * hat).sum(axis=-1, keepdims=True) * hat) / r
 
 
-def backward(model, batch, labels, weights) -> np.ndarray:
-    """Gradient of (1/b) * sum_i w_i * CE_i wrt the net's params."""
+def backward(model, batch, labels, weights, out: MLP | None = None) -> np.ndarray:
+    """Gradient of (1/b) * sum_i w_i * CE_i wrt the net's params, written
+    into out as Tape.grads writes it."""
     tape = forward_tape(model, batch).with_labels(labels)
-    return tape.grads(tape.cotangent(weights))
+    return tape.grads(tape.cotangent(weights), out)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,30 @@ def test_sample_forward_short_batch_mean_padded():
     assert np.array_equal(dnet_forward(sdnet, padded)[:3], w)
 
 
+def padded_reference(x, width, pad=None):
+    """The sample kind's embed as it pads every batch: the batch, then its
+    mean (or pad) up to width, as one row."""
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (width,))
+    out[..., n:] = x.mean(axis=-1, keepdims=True) if pad is None else pad
+    out[..., :n] = x
+    return out[..., None, :]
+
+
+@pytest.mark.parametrize("n", [8, 5], ids=["full", "short"])
+def test_sample_embed_matches_the_padding_reference(n):
+    # a full batch is viewed as it is, with no padding mean taken; a short
+    # one is padded with its own mean, or with pad for a cotangent
+    sdnet = head_init("sample", 8, seed=10)
+    rng = np.random.default_rng(10)
+    for x in (rng.random(n), rng.random((3, n))):  # a lone batch and a stack of three
+        for pad in (None, 0.0):
+            got, want = sdnet.embed(x, pad), padded_reference(x, 8, pad)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, x) == (n == 8)
+
+
 def test_sample_forward_rejects_oversized_batch():
     sdnet = head_init("sample", 4, seed=9)
     with pytest.raises(ValueError):

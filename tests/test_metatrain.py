@@ -510,6 +510,32 @@ def test_stacked_seeds_share_each_pass(kind, monkeypatch):
     assert [vars_bytes(e) for e in r1.epochs] == [vars_bytes(e) for e in r3.epochs]
 
 
+@pytest.mark.parametrize("kind", ["class", "abs", "sample", "fixed"])
+@pytest.mark.parametrize("seeds", [(5,), (5, 6, 7)], ids=["one-seed", "three-seeds"])
+def test_step_lays_out_its_buffers_once(kind, seeds, monkeypatch):
+    # every net built and every gradient or direction read through layer
+    # views goes through MLP.split; the step reuses buffers laid out once
+    # per call, so a longer run splits no more often
+    real, calls = MLP.split, []
+
+    def split(self, vec):
+        calls.append(vec.shape)
+        return real(self, vec)
+
+    monkeypatch.setattr(MLP, "split", split)
+    train_set, meta_set = tiny_data()
+    width = 8 if kind == "sample" else 3
+    counts = []
+    for T in (10, 30):
+        calls.clear()
+        outs = train_seeds(cfg_for(train_set, T=T, b=8, m=6), train_set, meta_set,
+                           [tiny_model(seed=39 + s) for s in seeds],
+                           [head_init(kind, width, seed=s) for s in seeds], seeds)
+        assert not [o for o in outs if isinstance(o, NumericError)]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def vars_bytes(record):
     """An epoch record's fields with arrays as bytes, for exact comparison."""
     return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}

@@ -10,10 +10,12 @@ import pytest
 
 from ltlab.data import Dataset
 from ltlab.nnet import (
+    SIG_CLAMP,
     Classifier,
     Layer,
     MLP,
     backward,
+    clamp_sigmoid,
     classifier_logits,
     forward_tape,
     init_mlp,
@@ -227,6 +229,24 @@ def test_cosine_bias_grad_is_zero_in_a_reused_buffer():
         assert np.array_equal(net.split(grads)[-1][1], np.zeros(2))
 
 
+@pytest.mark.parametrize("head", ["linear", "cosine"])
+def test_grads_into_a_kept_net_match_a_fresh_buffer(head):
+    rng = np.random.default_rng(15)
+    net = small_net([4, 6, 3], seed=15)
+    model = Classifier(net, head, scale=3.0)
+    out = net.over(np.full(net.params.size, np.nan))  # every view must be written
+    for _ in range(2):  # the second call overwrites the first one's values
+        tape = forward_tape(model, rng.standard_normal((5, 4)))
+        cot = rng.standard_normal((5, 3))
+        got = tape.grads(cot, out)
+        assert got is out.params
+        assert got.tobytes() == tape.grads(cot).tobytes()
+    with pytest.raises(ValueError):
+        tape.grads(cot, small_net([4, 5, 3]))
+    with pytest.raises(ValueError):
+        tape.with_labels(rng.integers(0, 3, 5)).dots(small_net([4, 5, 3]))
+
+
 def test_tape_grads_validate_cotangent_shape():
     net = small_net([2, 3], seed=5)
     model = Classifier(net, "linear")
@@ -251,7 +271,7 @@ def test_per_sample_dots_match_materialized():
         direction = np.concatenate([np.concatenate([rng.standard_normal(l.w.shape).ravel(),
                                                     rng.standard_normal(l.b.shape)])
                                     for l in net.layers])
-        dots = forward_tape(model, x).with_labels(y).dots(direction)
+        dots = forward_tape(model, x).with_labels(y).dots(net.over(direction))
         for i in range(5):
             want = materialized_dot(model, x[i], y[i], direction)
             assert np.isclose(dots[i], want, rtol=1e-10, atol=1e-12), (head, i)
@@ -297,14 +317,51 @@ def test_tape_keeps_the_ce_residual_bit_for_bit(head):
     assert tape.ce.tobytes() == weighted_ce_loss(tape.logits, y, np.ones(7))[1].tobytes()
     assert tape.p.tobytes() == softmax(tape.logits)[np.arange(7), y].tobytes()
     direction = rng.standard_normal(net.params.size)
-    assert tape.dots(direction).tobytes() == reference_dots(model, x, y, direction).tobytes()
+    assert tape.dots(net.over(direction)).tobytes() == reference_dots(model, x, y, direction).tobytes()
+
+
+def with_labels_reference(logits, labels):
+    """Tape.with_labels' (resid, ce, p), each label's logit found through a
+    tuple of arange arrays, one per leading axis."""
+    *seeds, n = labels.shape
+    at = (*(np.arange(k)[:, None] for k in seeds), np.arange(n), labels)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    ce = -(z[at] - np.log(total)[..., 0])
+    e /= total
+    p = e[at]
+    e[at] -= 1.0
+    return e, ce, p
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["lone", "stack"])
+def test_with_labels_flat_index_matches_the_tuple_index(lead):
+    rng = np.random.default_rng(14)
+    net = small_net([4, 6, 5], seed=14)
+    if lead:  # three nets, one batch each
+        net = net.over(np.stack([net.params * (1.0 + 0.5 * k) for k in range(3)]))
+    x = 3.0 * rng.standard_normal(lead + (7, 4))
+    y = rng.integers(0, 5, lead + (7,))
+    tape = forward_tape(net, x).with_labels(y)
+    for got, want in zip((tape.resid, tape.ce, tape.p), with_labels_reference(tape.logits, y)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_clamp_matches_clip_bit_for_bit():
+    lo, hi = SIG_CLAMP, 1.0 - SIG_CLAMP
+    s = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi,
+                  np.nextafter(lo, 0.0), np.nextafter(lo, 1.0), np.nextafter(hi, 0.0),
+                  np.nextafter(hi, 2.0), 5e-324, 0.5, 1.0, -1.0, 2.0])
+    assert clamp_sigmoid(s).tobytes() == np.clip(s, lo, hi).tobytes()
 
 
 def test_per_sample_dot_zero_direction():
     net = small_net([3, 4, 2], seed=7)
     model = Classifier(net, "linear")
     dots = forward_tape(model, np.ones((1, 3))).with_labels(np.array([1])).dots(
-        np.zeros_like(net.params))
+        net.over(np.zeros_like(net.params)))
     assert dots[0] == 0.0
 
 
@@ -313,7 +370,7 @@ def test_per_sample_dot_own_gradient_non_negative():
     model = Classifier(net, "linear")
     x = np.array([0.3, -1.2, 0.7])
     own = backward(model, x.reshape(1, -1), np.array([0]), np.array([1.0]))
-    val = forward_tape(model, x.reshape(1, -1)).with_labels(np.array([0])).dots(own)[0]
+    val = forward_tape(model, x.reshape(1, -1)).with_labels(np.array([0])).dots(net.over(own))[0]
     assert val >= 0.0
     assert np.isclose(val, float(np.vdot(own, own)), rtol=1e-12)
 
