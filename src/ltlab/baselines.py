@@ -10,12 +10,14 @@ import numpy as np
 
 from .nnet import (
     Classifier,
+    ConfigError,
     Layer,
     MLP,
     accuracy_array,
-    backward,
     check_finite,
     classifier_logits,
+    forward_layers,
+    forward_tape,
     optimizer_step,
     softmax,
 )
@@ -74,12 +76,20 @@ def class_balanced_batches(dataset, batch_size: int, seed: int):
 def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_spec, seed: int):
     """Classifier retraining: freeze every feature layer bit-for-bit, re-init
     the final layer, and train it alone with class-balanced batches and plain
-    CE. steps=0 hands the model back untouched. A non-finite gradient or
-    final layer raises NumericError in the stage2 phase."""
+    CE. steps=0 hands the model back untouched. A classifier whose logits do
+    not match the data's classes raises ConfigError; a non-finite gradient
+    or final layer raises NumericError in the stage2 phase.
+
+    The frozen layers only run forward; each step's tape and gradient cover
+    the final layer alone, which is what the gradient of the whole net
+    holds for that layer, bit for bit."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps == 0:
         return model
+    if model.classes != train_set.class_count:
+        raise ConfigError(f"the classifier has {model.classes} logits for data of "
+                          f"{train_set.class_count} classes")
     old = model.net.layers[-1]
     rng = consumer_rng(seed, "init", "crt")
     bound = 1.0 / np.sqrt(old.w.shape[1])
@@ -88,19 +98,21 @@ def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_s
     # final layer's slice of the parameter vector
     net = MLP(model.net.layers[:-1] + [fresh])
     start = net.params.size - fresh.w.size - fresh.b.size
-    head = MLP([fresh], net.params[start:])
-    current = replace(model, net=net)
+    frozen, last = net.layers[:-1], replace(model, net=MLP([fresh], net.params[start:]))
+    grad = last.net.over(np.empty_like(last.net.params))
     opt = opt_spec.build()
     batches = class_balanced_batches(train_set, batch_size, seed)
     for step in range(steps):
         idx = next(batches)
-        bx, by = train_set.features[idx], train_set.labels[idx]
-        grads = backward(current, bx, by, np.ones(by.size))[start:]
+        feats = forward_layers(frozen, train_set.features[idx])
+        # labels of the data, matched to the logits above
+        tape = forward_tape(last, feats).with_labels(train_set.labels[idx], checked=True)
+        grads = tape.grads(tape.resid * (1.0 / idx.size), grad)  # the mean CE's cotangent
         check_finite(grads, "stage2", step, "classifier gradient")
-        optimizer_step(opt, head, grads)
+        optimizer_step(opt, last.net, grads)
     # the last update has no gradient after it to catch an overflow
-    check_finite(head.params, "stage2", steps - 1, "classifier parameters")
-    return current
+    check_finite(last.net.params, "stage2", steps - 1, "classifier parameters")
+    return replace(model, net=net)
 
 
 def ensemble_predict(members, inputs) -> np.ndarray:

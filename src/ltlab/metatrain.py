@@ -10,8 +10,13 @@ One iteration does three updates in order:
   3. actual classifier step on the same batch, with the weights re-computed
      from the just-updated difficulty net.
 Heads without a net (nometa and the fixed weighting schemes) skip 1 and 2.
+Every head draws a meta batch from its seed's stream, so that each seed's
+train batches are the same for every method, but only a head with a net
+gathers its rows.
 
 Per-class accuracies feeding the difficulty head are refreshed once per epoch.
+A net-less head weights once per refresh: its rule runs, and its difficulties
+are checked, on the first step after the refresh, and they hold until the next.
 Inside an epoch a class-level net's input is fixed, so the net's pass that
 weights step t's update 3 is also the pass that step t+1's updates 1 and 2
 run on, and the pass that records the epoch's difficulties at its end is
@@ -42,8 +47,7 @@ from .nnet import (  # re-exported: ConfigError and NumericError (train raises t
     ConfigError,
     NumericError,
     OptSpec,
-    backward,
-    check_finite,
+    check_labels,
     forward_tape,
     optimizer_step,
     per_class_accuracy,
@@ -161,7 +165,7 @@ def _lookahead(tape, weights, alpha: float, buffers: _StepBuffers) -> Classifier
     returned as buffers.phi_hat."""
     step = tape.grads(tape.cotangent(weights), buffers.grad)
     step *= -alpha
-    np.add(tape.clf.net.params, step, out=buffers.phi_hat.net.params)
+    np.add(tape.net.params, step, out=buffers.phi_hat.net.params)
     return buffers.phi_hat
 
 
@@ -174,6 +178,7 @@ def meta_gradient(
     sample kind the batch's per-sample losses."""
     x = head_signal(head, signal)
     tape = forward_tape(model, batch_x).with_labels(batch_y)
+    meta_y = check_labels(meta_y, np.shape(meta_x)[:-1], tape.logits.shape[-1])
     return _meta_gradient(head, tape, seed_labels(tape.labels, head.width), x,
                           head.target(x), head.forward(x), meta_x, meta_y, alpha, lam,
                           _step_buffers(model, head.net))
@@ -183,9 +188,10 @@ def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha,
                    buffers: _StepBuffers):
     """meta_gradient from the classifier's labelled tape over the train batch
     at phi, its labels as seed_labels, the checked signal x with its driver
-    target, and d_tape, the net's pass over x at the current theta, written
-    into buffers.theta; phi_hat and the meta gradient go into their
-    buffers too. For a stack of seeds every argument carries the seed axis.
+    target, d_tape, the net's pass over x at the current theta, and meta
+    labels already matched to the classifier's logits, written into
+    buffers.theta; phi_hat and the meta gradient go into their buffers too.
+    For a stack of seeds every argument carries the seed axis.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
@@ -195,7 +201,8 @@ def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha,
     """
     d = head.read(d_tape.logits, x.shape[-1])
     looked = _lookahead(tape, head.weights(d, labels), alpha, buffers)
-    backward(looked, meta_x, meta_y, np.ones(meta_y.shape), buffers.meta)
+    meta = forward_tape(looked, meta_x).with_labels(meta_y, checked=True)
+    meta.grads(meta.resid * (1.0 / meta_y.shape[-1]), buffers.meta)  # the mean CE's cotangent
     v = head.reduce(tape.dots(buffers.meta), labels, d.shape[-1]) * -(alpha / labels.shape[-1])
     u = lam * target_fit_cotangent(d, target) + v
     # padding outputs of the sample kind are discarded: zero cotangent
@@ -334,6 +341,11 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
     bad = [c for c in cfg.trace_classes if not 0 <= c < train_set.class_count]
     if bad:
         raise ConfigError(f"trace classes outside [0, C): {bad}")
+    # the data's labels then fit the logits, and the step labels its tapes unchecked
+    width = classifiers[0].classes
+    if {train_set.class_count, meta_set.class_count} != {width}:
+        raise ConfigError(f"the classifier has {width} logits for data of "
+                          f"{train_set.class_count} classes (meta set: {meta_set.class_count})")
 
     count = len(seeds)
     metrics = [RunMetrics(records=head.records) for _ in seeds]
@@ -366,6 +378,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
 
     d_tape = None  # the net's pass over the signal x, once there is one
     perm = np.empty(0, dtype=np.int64)
+    per_class, trace = head.per_class, cfg.trace_classes if head.records else ()
     for t in range(cfg.T):
         if not live:
             break
@@ -374,23 +387,28 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
             perm = _stack([rng.permutation(n) for rng in rngs])
         idx = perm[..., pos * cfg.b : (pos + 1) * cfg.b]
         bx, by = train_set.features[idx], train_set.labels[idx]
-        # drawn for every head, so all methods see the same train batches
+        # drawn for every head, so all methods see the same train batches;
+        # only a head with a net reads it
         midx = _stack([rng.choice(meta_set.size, size=cfg.m, replace=False) for rng in rngs])
-        mx, my = meta_set.features[midx], meta_set.labels[midx]
 
-        # the classifier's one forward pass over the batch this step, with
-        # its labels checked once: the virtual step, the per-sample dots,
-        # the actual step and the sample kind's loss signal all reuse it
-        tape = forward_tape(model, bx).with_labels(by)
+        # the classifier's one forward pass over the batch this step: the
+        # virtual step, the per-sample dots, the actual step and the sample
+        # kind's loss signal all reuse it
+        tape = forward_tape(model, bx).with_labels(by, checked=True)
         labels = seed_labels(by, head.width)
-        if pos == 0 or not head.per_class:
+        if pos == 0 or not per_class:
             # a new signal, the refreshed accuracies or this batch's losses;
             # the accuracies' pass is the evaluation's, if one ran
-            x = head_signal(head, acc if head.per_class else tape.ce)
-            target = head.target(x)
-            if not head.per_class:
+            x = head_signal(head, acc if per_class else tape.ce)
+            if head.net is None:  # its difficulties hold until the next refresh
+                d = dnet_forward(head, x)
+                check(d, "weighting", t, "difficulty vector")
+            else:
+                target = head.target(x)
+            if not per_class:
                 d_tape = None
         if head.net is not None:
+            mx, my = meta_set.features[midx], meta_set.labels[midx]
             if d_tape is None:
                 d_tape = head.forward(x)
             g_theta = _meta_gradient(head, tape, labels, x, target, d_tape, mx, my,
@@ -400,8 +418,8 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
             # the updated net's pass: this step's weights, and while x holds,
             # the next step's pass before its update
             d_tape = head.forward(x)
-        d = dnet_forward(head, x, d_tape)
-        check(d, "weighting", t, "difficulty vector")
+            d = dnet_forward(head, x, d_tape)
+            check(d, "weighting", t, "difficulty vector")
         loss, cot = classifier_objective(tape, head.weights(d, labels), cfg.focal_gamma)
         grads = tape.grads(cot, buffers.grad)
         check(grads, "classifier", t, "classifier gradient")
@@ -412,10 +430,10 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
             losses = _unstack(loss, count)
             for s in live:
                 metrics[s].step_losses.append(float(losses[s]))
-        if head.records and cfg.trace_classes:
+        if trace:
             norm = _unstack(d / d.sum(axis=-1, keepdims=True), count)
             for s in live:
-                metrics[s].weight_trace += [(t, c, float(norm[s][c])) for c in cfg.trace_classes]
+                metrics[s].weight_trace += [(t, c, float(norm[s][c])) for c in trace]
 
         if live and (pos == spe - 1 or t == cfg.T - 1):
             acc, d_tape, outcomes = evaluate_epoch(

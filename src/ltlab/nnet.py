@@ -123,6 +123,11 @@ class Classifier:
         if self.head == "cosine" and self.scale <= 0:
             raise ValueError("scale must be positive")
 
+    @property
+    def classes(self) -> int:
+        """The logit width: the last layer's output rows."""
+        return self.net.layers[-1].w.shape[-2]
+
 
 @dataclass(frozen=True)
 class AccuracyVector:
@@ -218,14 +223,31 @@ def _cache_layers(layers, x):
     return steps, h
 
 
+def forward_layers(layers, x) -> np.ndarray:
+    """A slice of layers' output over x, forward only: the h that
+    _cache_layers ends with, bit for bit, without the per-layer steps."""
+    h = np.ascontiguousarray(x, dtype=np.float64)
+    for layer in layers:
+        h = h @ layer.wt
+        h += layer.b_row
+        if layer.act == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif layer.act == "sigmoid":
+            h = clamp_sigmoid(sigmoid(h))
+        elif layer.act != "identity":
+            raise ValueError(f"unknown activation {layer.act!r}")
+    return h
+
+
 def _cosine_parts(last: Layer, feats, scale):
-    """Logits = scale * cos(feature, class row) using the last layer as
-    prototypes; its bias plays no part. Norms are guarded at 1e-12."""
+    """The cosine head's parts (r_f, f_hat, r_w, w_hat, scale) and its logits
+    scale * cos(feature, class row), using the last layer as prototypes;
+    its bias plays no part. Norms are guarded at 1e-12."""
     r_f = np.maximum(np.linalg.norm(feats, axis=-1, keepdims=True), NORM_EPS)
     f_hat = feats / r_f
     r_w = np.maximum(np.linalg.norm(last.w, axis=-1, keepdims=True), NORM_EPS)
     w_hat = last.w / r_w
-    return r_f, f_hat, r_w, w_hat, scale * f_hat @ w_hat.swapaxes(-1, -2)
+    return (r_f, f_hat, r_w, w_hat, scale), scale * f_hat @ w_hat.swapaxes(-1, -2)
 
 
 def classifier_logits(model, inputs: np.ndarray) -> np.ndarray:
@@ -266,13 +288,13 @@ def weighted_ce_loss(
 @dataclass
 class Tape:
     """One forward pass over a batch, kept so that the loss, backprop from
-    any logit cotangent and the per-sample gradient dots all share it:
-    per-layer (input, activation derivative) steps, the cosine head's parts
-    (None for linear heads), and the logits. with_labels() adds the batch's
-    labels with the CE residual softmax - onehot, the per-sample CE and the
-    true-class probability p."""
+    any logit cotangent and the per-sample gradient dots all share it: the
+    net, per-layer (input, activation derivative) steps, the cosine head's
+    parts (None for linear heads), and the logits. with_labels() adds the
+    batch's labels with the CE residual softmax - onehot, the per-sample CE
+    and the true-class probability p."""
 
-    clf: Classifier
+    net: MLP
     steps: list
     cos: tuple | None
     logits: np.ndarray
@@ -281,11 +303,15 @@ class Tape:
     ce: np.ndarray | None = None
     p: np.ndarray | None = None
 
-    def with_labels(self, labels) -> Tape:
+    def with_labels(self, labels, checked: bool = False) -> Tape:
         """Check the batch's labels once and keep the CE residual, the
         per-sample CE -log softmax[y] and p = softmax[y], all from one exp.
-        Returns the tape."""
-        self.labels = labels = _check_labels(labels, self.logits)
+        checked=True skips the check, for an int array of labels that the
+        caller has already matched to the logits: of their leading shape,
+        each in [0, C). Returns the tape."""
+        if not checked:
+            labels = check_labels(labels, self.logits.shape[:-1], self.logits.shape[-1])
+        self.labels = labels
         z = self.logits - self.logits.max(axis=-1, keepdims=True)
         classes = z.shape[-1]
         # each label's logit as one index into the flattened logits: row r
@@ -317,15 +343,15 @@ class Tape:
         cot = np.asarray(cotangent, dtype=np.float64)
         if cot.shape != self.logits.shape:
             raise ValueError(f"cotangent must be {self.logits.shape}, got {cot.shape}")
-        net = self.clf.net
+        net = self.net
         if out is None:
             out = net.over(np.empty_like(net.params))  # the walks write every view
         elif out.params.shape != net.params.shape:
             raise ValueError(f"grads must go into {net.params.shape} params, "
                              f"not {out.params.shape}")
         views = out.layers
-        if self.clf.head == "cosine":  # its bias takes no part and gets a zero grad
-            views[-1].w[...], d_f = _cosine_grads(self.cos, self.clf.scale * cot)
+        if self.cos is not None:  # the cosine head's bias takes no part and gets a zero grad
+            views[-1].w[...], d_f = _cosine_grads(self.cos, cot)
             views[-1].b[...] = 0.0
             _walk_grads(net.layers[:-1], self.steps, d_f, views)
         else:
@@ -336,46 +362,49 @@ class Tape:
         """<grad_phi CE_i, direction> for every sample i, unweighted, from the
         residual kept by with_labels(). direction is a net laid out like the
         tape's, read through its layer views."""
-        clf, steps, g = self.clf, self.steps, self.resid
-        if direction.params.shape != clf.net.params.shape:
-            raise ValueError(f"direction must have {clf.net.params.shape} params, "
+        net, steps, g = self.net, self.steps, self.resid
+        if direction.params.shape != net.params.shape:
+            raise ValueError(f"direction must have {net.params.shape} params, "
                              f"not {direction.params.shape}")
         views = direction.layers
         dots = np.zeros(g.shape[:-1])
-        if clf.head == "cosine":
-            r_f, f_hat, r_w, w_hat, _ = self.cos
+        if self.cos is not None:
+            r_f, f_hat, r_w, w_hat, scale = self.cos
             vw = views[-1].w  # bias carries no cosine gradient
             a = f_hat @ views[-1].wt
             b = f_hat @ w_hat.swapaxes(-1, -2)
             u = (w_hat * vw).sum(axis=-1)
-            gs = clf.scale * g
+            gs = scale * g
             dots += (gs * (a - b * u[..., None, :]) / r_w.swapaxes(-1, -2)).sum(axis=-1)
             d_f = _normalize_vjp(gs @ w_hat, f_hat, r_f)
-            return _walk_dots(clf.net.layers[:-1], steps, d_f, views, dots)
-        return _walk_dots(clf.net.layers, steps, g, views, dots)
+            return _walk_dots(net.layers[:-1], steps, d_f, views, dots)
+        return _walk_dots(net.layers, steps, g, views, dots)
 
 
 def forward_tape(model, x) -> Tape:
     """The classifier's forward pass over batch x, kept as a Tape. A bare
-    MLP, such as a difficulty net, runs as a linear-head Classifier. A stack
-    of S nets takes (S, n, in) batches, or one (n, in) batch for all."""
-    clf = model if isinstance(model, Classifier) else Classifier(model)
+    MLP, such as a difficulty net, runs as a linear head, with no Classifier
+    built around it. A stack of S nets takes (S, n, in) batches, or one
+    (n, in) batch for all."""
+    cosine = isinstance(model, Classifier) and model.head == "cosine"
+    net = model.net if isinstance(model, Classifier) else model
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != clf.net.in_dim:
-        raise ValueError(f"inputs must be (n, {clf.net.in_dim}), got {x.shape}")
-    if clf.head == "cosine":
-        steps, feats = _cache_layers(clf.net.layers[:-1], x)
-        cos = _cosine_parts(clf.net.layers[-1], feats, clf.scale)
-        return Tape(clf, steps, cos, cos[4])
-    steps, logits = _cache_layers(clf.net.layers, x)
-    return Tape(clf, steps, None, logits)
+    if x.ndim < 2 or x.shape[-1] != net.in_dim:
+        raise ValueError(f"inputs must be (n, {net.in_dim}), got {x.shape}")
+    if cosine:
+        steps, feats = _cache_layers(net.layers[:-1], x)
+        return Tape(net, steps, *_cosine_parts(net.layers[-1], feats, model.scale))
+    steps, logits = _cache_layers(net.layers, x)
+    return Tape(net, steps, None, logits)
 
 
-def _check_labels(labels, logits) -> np.ndarray:
+def check_labels(labels, rows: tuple, classes: int) -> np.ndarray:
+    """labels as an array of shape rows, one per logit row, each in
+    [0, classes); anything else raises ValueError."""
     labels = np.asarray(labels)
-    if labels.shape != logits.shape[:-1]:
-        raise ValueError(f"labels must be {logits.shape[:-1]}, one per logit row")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
+    if labels.shape != rows:
+        raise ValueError(f"labels must be {rows}, one per logit row")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError("labels outside [0, C)")
     return labels
 
@@ -412,7 +441,8 @@ def _walk_dots(layers, steps, d_post, views, dots):
 
 def _cosine_grads(cos, g):
     """Cotangent wrt cosine logits -> (dW_last, d_features)."""
-    r_f, f_hat, r_w, w_hat, _ = cos
+    r_f, f_hat, r_w, w_hat, scale = cos
+    g = scale * g
     return (_normalize_vjp(g.swapaxes(-1, -2) @ f_hat, w_hat, r_w),
             _normalize_vjp(g @ w_hat, f_hat, r_f))
 

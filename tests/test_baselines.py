@@ -4,6 +4,8 @@ classifier retraining, and probability ensembling."""
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from ltlab.baselines import (
     cdb_weights,
     class_balanced_batches,
@@ -13,15 +15,18 @@ from ltlab.baselines import (
     inverse_frequency_weights,
 )
 from ltlab.data import Dataset, exp_profile, synth_gaussian
-from ltlab.metatrain import OptSpec, classifier_objective
+from ltlab.metatrain import ConfigError, NumericError, OptSpec, classifier_objective
 from ltlab.nnet import (
     Classifier,
     Layer,
     MLP,
+    backward,
+    check_finite,
     classifier_logits,
     forward_tape,
     init_mlp,
     log_softmax,
+    optimizer_step,
     softmax,
 )
 from ltlab.rng import consumer_rng
@@ -239,6 +244,65 @@ def test_crt_deterministic_and_head_actually_trains():
 def test_crt_rejects_negative_steps():
     with pytest.raises(ValueError):
         crt_retrain(small_model(), balanced_pool(), -1, 8, OptSpec("sgd", 0.1), seed=0)
+
+
+def test_crt_rejects_a_classifier_narrower_than_the_data():
+    # checked once up front: the steps label their tapes unchecked
+    with pytest.raises(ConfigError, match="logits"):
+        crt_retrain(small_model(c=3), balanced_pool(), 5, 8, OptSpec("sgd", 0.1), seed=0)
+
+
+def crt_reference(model, train_set, steps, batch_size, opt_spec, seed):
+    """cRT as it ran before its last-layer tape: every step backpropagates
+    through the whole net and keeps the final layer's slice of the gradient."""
+    old = model.net.layers[-1]
+    rng = consumer_rng(seed, "init", "crt")
+    bound = 1.0 / np.sqrt(old.w.shape[1])
+    fresh = Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)
+    net = MLP(model.net.layers[:-1] + [fresh])
+    start = net.params.size - fresh.w.size - fresh.b.size
+    head = MLP([fresh], net.params[start:])
+    current = replace(model, net=net)
+    opt = opt_spec.build()
+    batches = class_balanced_batches(train_set, batch_size, seed)
+    for step in range(steps):
+        idx = next(batches)
+        bx, by = train_set.features[idx], train_set.labels[idx]
+        grads = backward(current, bx, by, np.ones(by.size))[start:]
+        check_finite(grads, "stage2", step, "classifier gradient")
+        optimizer_step(opt, head, grads)
+    check_finite(head.params, "stage2", steps - 1, "classifier parameters")
+    return current
+
+
+def deep_model(head):
+    """Two frozen hidden layers in front of the retrained one."""
+    return Classifier(init_mlp([4, 8, 6, 10], "identity", consumer_rng(5, "b", "clf")), head, 8.0)
+
+
+@pytest.mark.parametrize("head", ["linear", "cosine"])
+@pytest.mark.parametrize("batch_size", [16, 24], ids=["b16", "b24"])  # 1/24 is inexact
+def test_crt_equals_the_full_backward_reference(head, batch_size):
+    pool, model = balanced_pool(), deep_model(head)
+    spec = OptSpec("momentum", 0.1, 0.9, 1e-4)
+    got = crt_retrain(model, pool, 40, batch_size, spec, seed=3)
+    want = crt_reference(model, pool, 40, batch_size, spec, seed=3)
+    assert got.net.params.tobytes() == want.net.params.tobytes()
+    assert got.head == want.head and got.scale == want.scale
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("head", ["linear", "cosine"])
+def test_crt_divergence_stops_where_the_reference_stops(head):
+    pool, model = balanced_pool(), deep_model(head)
+    spec = OptSpec("momentum", 1e300, 0.9, 1e-4)  # crt_lr=1e300 under the default decay
+    stops = []
+    for retrain in (crt_retrain, crt_reference):
+        with pytest.raises(NumericError) as info:
+            retrain(model, pool, 20, 16, spec, seed=3)
+        stops.append((info.value.phase, info.value.step, info.value.quantity))
+    assert stops[0] == stops[1]
+    assert stops[0][0] == "stage2"
 
 
 # ------------------------------------------------------------------ ensemble

@@ -447,13 +447,17 @@ def test_interrupted_crt_leaves_metrics_csv_intact(runs_dir, tmp_path, monkeypat
     assert not [n for n in os.listdir(metrics.parent) if n.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("name, phase", [("_meta_gradient", "meta"),
-                                         ("dnet_forward", "weighting"),
-                                         ("classifier_objective", "classifier")])
-def test_non_finite_value_is_caught_in_its_phase(tmp_path, monkeypatch, name, phase):
+@pytest.mark.parametrize("name, phase, method", [
+    pytest.param("_meta_gradient", "meta", "dnet", id="_meta_gradient-meta"),
+    pytest.param("dnet_forward", "weighting", "dnet", id="dnet_forward-weighting"),
+    pytest.param("classifier_objective", "classifier", "dnet", id="classifier_objective-classifier"),
+    # a fixed rule weights once per accuracy refresh, so its check runs then
+    pytest.param("dnet_forward", "weighting", "cdb", id="dnet_forward-weighting-cdb"),
+])
+def test_non_finite_value_is_caught_in_its_phase(tmp_path, monkeypatch, name, phase, method):
     # from the first step of the second epoch on, the named function's
     # output turns NaN; the run stops there and flushes the first epoch
-    cfg = base_cfg(tmp_path, method="dnet")
+    cfg = base_cfg(tmp_path, method=method)
     epochs_done = []
     evaluate, real = metatrain.evaluate_epoch, getattr(metatrain, name)
 
@@ -475,7 +479,7 @@ def test_non_finite_value_is_caught_in_its_phase(tmp_path, monkeypatch, name, ph
     train_set, _ = build_datasets(cfg)
     assert (info.value.phase, info.value.step) == (phase, train_set.size // cfg.batch_size)
     assert f"in the {phase} phase at step" in str(info.value)
-    rows = (tmp_path / "dnet" / "seed0" / "metrics.csv").read_text("ascii").splitlines()
+    rows = (tmp_path / method / "seed0" / "metrics.csv").read_text("ascii").splitlines()
     assert len(rows) == 2  # header and the first epoch
 
 

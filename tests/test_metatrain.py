@@ -18,6 +18,7 @@ from ltlab.difficulty import (
     weights_from_difficulty,
 )
 from ltlab.metatrain import (
+    ConfigError,
     NumericError,
     OptSpec,
     TrainConfig,
@@ -536,6 +537,28 @@ def test_step_lays_out_its_buffers_once(kind, seeds, monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("kind", ["class", "abs", "sample"])
+def test_difficulty_net_passes_build_no_classifier(kind, monkeypatch):
+    # a difficulty net runs forward as a bare MLP, so a longer run builds
+    # no more Classifiers than a shorter one
+    real, calls = Classifier.__post_init__, []
+
+    def post_init(self):
+        calls.append(self.head)
+        real(self)
+
+    monkeypatch.setattr(Classifier, "__post_init__", post_init)
+    train_set, meta_set = tiny_data()
+    width = 8 if kind == "sample" else 3
+    counts = []
+    for T in (10, 30):
+        calls.clear()
+        train(cfg_for(train_set, T=T, b=8, m=6), train_set, meta_set, tiny_model(seed=39),
+              head_init(kind, width, seed=5))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def vars_bytes(record):
     """An epoch record's fields with arrays as bytes, for exact comparison."""
     return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
@@ -555,6 +578,29 @@ def test_meta_set_must_be_balanced():
     with pytest.raises(ValueError, match="balanced"):
         train(cfg_for(train_set, T=1, m=3, seed=0),
               train_set, skewed, tiny_model(seed=36), dnet_init(3, seed=0))
+
+
+@pytest.mark.parametrize("logits", [2, 4])
+def test_classifier_must_fit_the_data_classes(logits, monkeypatch):
+    # checked once, before step 0, since the step labels its tapes unchecked
+    seen = spy_forward_passes(monkeypatch)
+    train_set, meta_set = tiny_data()  # 3 classes
+    with pytest.raises(ConfigError, match="logits") as info:
+        train_seeds(cfg_for(train_set, T=4), train_set, meta_set,
+                    [tiny_model(c=logits, seed=s) for s in (0, 1)],
+                    [dnet_init(3, seed=s) for s in (0, 1)], (0, 1))
+    assert isinstance(info.value, ValueError)
+    assert seen == []
+
+
+def test_meta_gradient_checks_the_meta_labels():
+    train_set, meta_set = tiny_data()
+    bx, by = train_set.features[:8], train_set.labels[:8]
+    mx, my = meta_set.features[:6], meta_set.labels[:6].copy()
+    my[0] = 3
+    with pytest.raises(ValueError, match="labels outside"):
+        meta_gradient(dnet_init(3, seed=0), tiny_model(seed=1), np.full(3, 0.5), bx, by,
+                      mx, my, 0.1, 0.3)
 
 
 def test_loop_bounds_validated():
@@ -617,8 +663,10 @@ def test_train_fixed_rule_receives_refreshed_accuracy():
 
     cfg = cfg_for(train_set, T=2 * spe, seed=0)
     head = head_init("fixed", train_set.class_count, 0, spy_weights)
-    train(cfg, train_set, meta_set, tiny_model(seed=41), head)
-    assert len(seen) == 2 * spe
-    first_epoch = seen[:spe]
-    assert all(np.array_equal(a, first_epoch[0]) for a in first_epoch)
-    assert not np.array_equal(seen[0], seen[-1])  # refreshed at the boundary
+    model = tiny_model(seed=41)
+    _, _, metrics = train(cfg, train_set, meta_set, model, head)
+    # one call per epoch, not per step: the weights hold until the refresh
+    assert len(seen) == 2
+    refreshed = [per_class_accuracy(model, meta_set).per_class, metrics.epochs[0].accuracy]
+    assert [a.tobytes() for a in seen] == [a.tobytes() for a in refreshed]
+    assert not np.array_equal(seen[0], seen[1])  # refreshed at the boundary

@@ -1,7 +1,7 @@
 """Per-step A/B timing of two ltlab source trees, in one process.
 
     python3 tools/step_ab.py SRC_A SRC_B [--pairs 10] [--seed 0]
-                             [--methods dnet,dnet-abs,dnet-sample,ce]
+                             [--methods dnet,dnet-abs,dnet-sample,ce,cdb]
 
 SRC_A and SRC_B are checkouts (each with src/ltlab) or src directories.
 Each side's ltlab is copied into a temporary directory under its own
@@ -14,7 +14,10 @@ per side, the function calls per step and the per-step cumulative time of
 forward_tape, Tape.with_labels, Tape.grads, Tape.dots, optimizer_step and
 _meta_gradient: the layer-level numbers that perfbench's tracer, which
 wraps only public module attributes, cannot see. cProfile adds a cost to
-every Python call, so read its times as shares, not as speeds.
+every Python call, so read its times as shares, not as speeds. Last, the
+same for the default config's stage 2: `baselines.crt_retrain` of a
+freshly built classifier with crt_steps, crt_batch_size and crt_lr, in µs
+per stage-2 step.
 
 Set OPENBLAS_NUM_THREADS=1 (or the BLAS build's equivalent) for steadier
 numbers; the shapes here are too small for BLAS threads to help.
@@ -65,15 +68,24 @@ class Side:
         self.data: dict = {}
 
     def setup(self, method: str, seed: int):
-        if method not in self.data:
-            cfg = self.harness.parse_config(None, (f"method={method}",))
-            self.data[method] = (cfg, *self.harness.build_datasets(cfg))
-        cfg, train_set, meta_set = self.data[method]
-        steps = self.harness._train_config(cfg, train_set, seed).T
-        return (lambda: self.harness.train_one(cfg, train_set, meta_set, seed)), steps
+        """A call that trains the method's run for seed, and its step count;
+        method "crt" is the stage-2 retraining alone."""
+        name = "ce" if method == "crt" else method
+        if name not in self.data:
+            cfg = self.harness.parse_config(None, (f"method={name}",))
+            self.data[name] = (cfg, *self.harness.build_datasets(cfg))
+        cfg, train_set, meta_set = self.data[name]
+        h = self.harness
+        if method == "crt":  # as harness._crt_run calls it
+            model = h._build_model(cfg, train_set.dim, train_set.class_count, seed)
+            spec = h.OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay)
+            return (lambda: h.crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
+                                          spec, seed)), cfg.crt_steps
+        steps = h._train_config(cfg, train_set, seed).T
+        return (lambda: h.train_one(cfg, train_set, meta_set, seed)), steps
 
     def time_step(self, method: str, seed: int) -> float:
-        """µs per training step of one train_one run."""
+        """µs per step of one run."""
         run, steps = self.setup(method, seed)
         gc.collect()
         start = time.perf_counter()
@@ -102,11 +114,11 @@ def main() -> None:
     ap.add_argument("src_b")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--methods", default="dnet,dnet-abs,dnet-sample,ce")
+    ap.add_argument("--methods", default="dnet,dnet-abs,dnet-sample,ce,cdb")
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
-    methods = [m for m in args.methods.split(",") if m]
+    methods = [m for m in args.methods.split(",") if m] + ["crt"]
 
     root = tempfile.mkdtemp(prefix="step_ab_")
     sys.path.insert(0, root)
@@ -120,7 +132,8 @@ def main() -> None:
                 for side in ((a, b) if k % 2 == 0 else (b, a)):
                     times[side.name].append(side.time_step(method, args.seed))
             ta, tb = (np.array(times[s.name]) for s in (a, b))
-            print(f"{method}: µs per step over {args.pairs} pairs, seed {args.seed}")
+            what = "stage-2 step" if method == "crt" else "step"
+            print(f"{method}: µs per {what} over {args.pairs} pairs, seed {args.seed}")
             for side, t in ((a, ta), (b, tb)):
                 q1, med, q3 = np.percentile(t, [25, 50, 75])
                 print(f"  {side.name}  median {med:8.1f}  quartiles {q1:8.1f} {q3:8.1f}")
