@@ -14,7 +14,8 @@ from .rng import consumer_rng
 
 
 class FormatError(ValueError):
-    """Malformed dataset file. Carries the 1-based line number when one applies."""
+    """Malformed input file (dataset, checkpoint or run file). Carries the
+    1-based line number when one applies."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -81,10 +82,6 @@ class ImbalanceProfile:
     @property
     def class_count(self) -> int:
         return self.counts.size
-
-    @property
-    def realized_imbalance(self) -> float:
-        return float(self.counts.max()) / float(self.counts.min())
 
 
 def exp_profile(class_count: int, n_max: int, imbalance: float) -> ImbalanceProfile:

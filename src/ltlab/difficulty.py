@@ -127,10 +127,6 @@ def head_init(kind: str, width: int, seed: int,
     return DifficultyHead(kind, init_mlp([io, h, h, io], "sigmoid", rng), width)
 
 
-def dnet_init(class_count: int, seed: int) -> DifficultyHead:
-    return head_init("class", class_count, seed)
-
-
 def seed_labels(labels: np.ndarray, size: int) -> np.ndarray:
     """Class labels as indices into the flattened difficulties: a lone
     batch's labels as they are, and for a stack of batches (S, n), row s's
@@ -180,34 +176,11 @@ def normalized_accuracy(acc) -> np.ndarray:
     return np.divide(a, total, out=np.full(a.shape, 1.0 / a.shape[-1]), where=total != 0.0)
 
 
-def weights_from_difficulty(d: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample loss weights: w_i = d[y_i]."""
-    d = np.asarray(d, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= d.size:
-        raise ValueError("labels outside [0, C)")
-    return d[labels]
-
-
-def target_fit_loss(d: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared pull of d toward target, with its cotangent wrt d:
-    value = (1/C) * sum_c (target_c - d_c)^2."""
-    d = np.asarray(d, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if d.shape != target.shape or d.ndim != 1:
-        raise ValueError("d and target must be matching vectors")
-    return float(((target - d) ** 2).mean()), target_fit_cotangent(d, target)
-
-
 def target_fit_cotangent(d: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """dvalue/dd_c = -(2/C) * (target_c - d_c) of target_fit_loss, for
-    matching float64 vectors or stacks of them."""
+    """The cotangent wrt d of the driver term, the mean squared pull
+    (1/C) * sum_c (target_c - d_c)^2 of d toward target: -(2/C) *
+    (target_c - d_c), for matching float64 vectors or stacks of them."""
     return -(2.0 / d.shape[-1]) * (target - d)
-
-
-def driver_loss(d: np.ndarray, acc) -> tuple[float, np.ndarray]:
-    """Anchor difficulties at 1 - normalized accuracy. Returns (value, dL/dd)."""
-    return target_fit_loss(d, class_driver_targets(acc))
 
 
 def class_driver_targets(acc) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import cdb_weights, crt_retrain, effective_number_weights, ensemble_predict, inverse_frequency_weights
-from .data import Dataset, atomic_write, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
+from .data import Dataset, FormatError, atomic_write, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
 from .difficulty import DifficultyHead, head_init
 from .metatrain import (
     SPLITS,
@@ -423,7 +423,8 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
     train_set, meta_set = datasets(_data_config(rcfg))
     head = _difficulty_head(rcfg, train_set, seed, run_dir)
     metrics_path = os.path.join(run_dir, "metrics.csv")
-    header, stage1 = _read_csv(metrics_path)
+    with _malformed(metrics_path):
+        header, stage1 = _read_csv(metrics_path)
     stage1 = stage1[: rcfg.epochs]  # one row per epoch
     model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                         OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
@@ -607,16 +608,27 @@ def collect_rows(paths: list[str]) -> list[ReportRow]:
             name = os.path.basename(run_dir)
             digits = name.removeprefix("seed")
             seed = int(digits) if name.startswith("seed") and digits.isdecimal() else -1
-        header, body = _read_csv(mf)
-        if not body:
-            continue
-        wall = 0.0
+        with _malformed(mf):
+            header, body = _read_csv(mf)
+            if not body:
+                continue
+            row = _report_row(method, seed, dict(zip(header, body[-1])), 0.0)
         man = os.path.join(run_dir, "manifest.json")
         if os.path.exists(man):
-            with open(man, "r", encoding="utf-8") as fh:
-                wall = float(json.load(fh).get("wall_seconds", 0.0))
-        rows.append(_report_row(method, seed, dict(zip(header, body[-1])), wall))
+            with open(man, "r", encoding="utf-8") as fh, _malformed(man, AttributeError, TypeError):
+                row.wall_seconds = float(json.load(fh).get("wall_seconds", 0.0))
+        rows.append(row)
     return rows
+
+
+@contextlib.contextmanager
+def _malformed(path: str, *errors):
+    """A block that reads a run file: a ValueError, or one of errors, that
+    its content raises comes out as a FormatError naming the file."""
+    try:
+        yield
+    except (ValueError, *errors) as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 @dataclass

@@ -47,7 +47,6 @@ from .nnet import (  # re-exported: ConfigError and NumericError (train raises t
     ConfigError,
     NumericError,
     OptSpec,
-    check_labels,
     forward_tape,
     optimizer_step,
     per_class_accuracy,
@@ -152,13 +151,6 @@ def _step_buffers(model: Classifier, net: MLP | None) -> _StepBuffers:
                        scratch(model.net), None if net is None else scratch(net))
 
 
-def virtual_step(model: Classifier, batch_x, batch_y, weights, alpha: float) -> Classifier:
-    """One plain-SGD lookahead on the weighted CE; returns the looked-ahead
-    classifier and never touches optimizer state."""
-    return _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha,
-                      _step_buffers(model, None))
-
-
 def _lookahead(tape, weights, alpha: float, buffers: _StepBuffers) -> Classifier:
     """phi_hat = phi - alpha * grad_phi of the weighted CE, from the labelled
     tape at phi, with the gradient in buffers.grad, written into and
@@ -169,29 +161,16 @@ def _lookahead(tape, weights, alpha: float, buffers: _StepBuffers) -> Classifier
     return buffers.phi_hat
 
 
-def meta_gradient(
-    head: DifficultyHead, model, signal, batch_x, batch_y, meta_x, meta_y,
-    alpha: float, lam: float,
-):
-    """Gradient wrt the head's net of lam * driver + mean meta CE at the
-    virtual step phi_hat(theta). signal is the accuracy vector, or for the
-    sample kind the batch's per-sample losses."""
-    x = head_signal(head, signal)
-    tape = forward_tape(model, batch_x).with_labels(batch_y)
-    meta_y = check_labels(meta_y, np.shape(meta_x)[:-1], tape.logits.shape[-1])
-    return _meta_gradient(head, tape, seed_labels(tape.labels, head.width), x,
-                          head.target(x), head.forward(x), meta_x, meta_y, alpha, lam,
-                          _step_buffers(model, head.net))
-
-
 def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha, lam,
                    buffers: _StepBuffers):
-    """meta_gradient from the classifier's labelled tape over the train batch
-    at phi, its labels as seed_labels, the checked signal x with its driver
-    target, d_tape, the net's pass over x at the current theta, and meta
-    labels already matched to the classifier's logits, written into
-    buffers.theta; phi_hat and the meta gradient go into their buffers too.
-    For a stack of seeds every argument carries the seed axis.
+    """Gradient wrt the head's net of lam * driver + mean meta CE at the
+    virtual step phi_hat(theta), written into buffers.theta (phi_hat and the
+    meta gradient go into theirs), from the classifier's labelled tape over
+    the train batch at phi, its labels as seed_labels, the checked signal x
+    with its driver target, d_tape, the net's pass over x at the current
+    theta, and meta labels already matched to the classifier's logits. x is
+    the accuracy vector, or for the sample kind the batch's per-sample
+    losses. For a stack of seeds every argument carries the seed axis.
 
     phi_hat depends on theta only through the per-sample weights, so the
     whole meta term reduces to one backprop through the net with output
@@ -274,16 +253,18 @@ def evaluate_epoch(epoch: int, models, head: DifficultyHead, train_set, meta_set
     entropy. metrics holds each seed's RunMetrics; without it (stage 2)
     errors carry none.
 
-    Returns (acc, tape, outcomes): the accuracies, stacked like the
-    seeds, that pass's tape (None without one), which the next epoch's
-    first step runs on, and per seed its EpochRecord, the NumericError of
-    its evaluation at step, or None for a stopped seed."""
+    Returns (acc, head_pass, outcomes): the accuracies, stacked like the
+    seeds, that pass (None without one), which the next epoch's first step
+    reuses: a net's tape, or a net-less head's difficulties, and per seed
+    its EpochRecord, the NumericError of its evaluation at step, or None
+    for a stopped seed."""
     accs, outcomes = _accuracies(models, meta_set, step, metrics or [None] * len(models))
-    acc, tape, ds = _stack(accs), None, [None] * len(accs)
+    acc, head_pass, ds = _stack(accs), None, [None] * len(accs)
     if head.records:
         x = head_signal(head, acc)
         tape = head.forward(x) if head.net is not None else None
-        ds = _unstack(dnet_forward(head, x, tape), len(accs))
+        d = dnet_forward(head, x, tape)
+        head_pass, ds = d if tape is None else tape, _unstack(d, len(accs))
     for s, (model, row, d) in enumerate(zip(models, accs, ds)):
         if model is None or outcomes[s] is not None:
             continue
@@ -291,7 +272,7 @@ def evaluate_epoch(epoch: int, models, head: DifficultyHead, train_set, meta_set
         outcomes[s] = EpochRecord(epoch=epoch, accuracy=row, **vars(splits),
                                   entropy=difficulty_entropy(d) if d is not None else None,
                                   difficulty=d)
-    return acc, tape, outcomes
+    return acc, head_pass, outcomes
 
 
 def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHead):
@@ -376,7 +357,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
             errors[s] = NumericError(phase, t, quantity, metrics[s])
             live.remove(s)
 
-    d_tape = None  # the net's pass over the signal x, once there is one
+    head_pass = None  # the head's pass over x, once there is one: a tape, or a rule's difficulties
     perm = np.empty(0, dtype=np.int64)
     per_class, trace = head.per_class, cfg.trace_classes if head.records else ()
     for t in range(cfg.T):
@@ -401,24 +382,24 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
             # the accuracies' pass is the evaluation's, if one ran
             x = head_signal(head, acc if per_class else tape.ce)
             if head.net is None:  # its difficulties hold until the next refresh
-                d = dnet_forward(head, x)
+                d = dnet_forward(head, x) if head_pass is None else head_pass
                 check(d, "weighting", t, "difficulty vector")
             else:
                 target = head.target(x)
             if not per_class:
-                d_tape = None
+                head_pass = None
         if head.net is not None:
             mx, my = meta_set.features[midx], meta_set.labels[midx]
-            if d_tape is None:
-                d_tape = head.forward(x)
-            g_theta = _meta_gradient(head, tape, labels, x, target, d_tape, mx, my,
+            if head_pass is None:
+                head_pass = head.forward(x)
+            g_theta = _meta_gradient(head, tape, labels, x, target, head_pass, mx, my,
                                      cfg.alpha, cfg.lam, buffers)
             check(g_theta, "meta", t, "difficulty-net gradient")
             optimizer_step(dn_opt, head.net, g_theta)
             # the updated net's pass: this step's weights, and while x holds,
             # the next step's pass before its update
-            d_tape = head.forward(x)
-            d = dnet_forward(head, x, d_tape)
+            head_pass = head.forward(x)
+            d = dnet_forward(head, x, head_pass)
             check(d, "weighting", t, "difficulty vector")
         loss, cot = classifier_objective(tape, head.weights(d, labels), cfg.focal_gamma)
         grads = tape.grads(cot, buffers.grad)
@@ -436,7 +417,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
                 metrics[s].weight_trace += [(t, c, float(norm[s][c])) for c in trace]
 
         if live and (pos == spe - 1 or t == cfg.T - 1):
-            acc, d_tape, outcomes = evaluate_epoch(
+            acc, head_pass, outcomes = evaluate_epoch(
                 t // spe, [models[s] if s in live else None for s in range(count)], head,
                 train_set, meta_set, (cfg.many_min, cfg.few_max), t, metrics)
             for s, out in enumerate(outcomes):

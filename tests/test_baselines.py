@@ -20,18 +20,17 @@ from ltlab.nnet import (
     Classifier,
     Layer,
     MLP,
-    backward,
     check_finite,
     classifier_logits,
     forward_tape,
     init_mlp,
-    log_softmax,
     optimizer_step,
     softmax,
 )
 from ltlab.rng import consumer_rng
 
 from conftest import fd_param_grads, max_rel_err
+from oracles import backward, log_softmax
 
 
 def small_model(dim=4, c=3, seed=0, head="linear"):

@@ -9,18 +9,15 @@ from hypothesis.extra.numpy import arrays
 from ltlab.difficulty import (
     difficulty_entropy,
     dnet_forward,
-    dnet_init,
-    driver_loss,
     head_init,
     hidden_width_for,
     normalized_accuracy,
     sample_driver_targets,
     target_fit_cotangent,
-    target_fit_loss,
-    weights_from_difficulty,
 )
 
 from conftest import fd_vector_grad
+from oracles import driver_loss, target_fit_loss, weights_from_difficulty
 
 
 # --------------------------------------------------------------- hidden width
@@ -48,7 +45,7 @@ def test_hidden_width_bracketing_rule(c):
 # ----------------------------------------------------------- net construction
 
 def test_dnet_shapes():
-    dnet = dnet_init(10, seed=0)
+    dnet = head_init("class", 10, seed=0)
     sizes = [l.w.shape for l in dnet.net.layers]
     assert sizes == [(16, 10), (16, 16), (10, 16)]
     assert dnet.net.layers[-1].act == "sigmoid"
@@ -70,20 +67,20 @@ def test_sample_dnet_shapes():
 
 def test_initial_difficulties_near_half():
     # zero biases keep the fresh net close to sigmoid(0) = 0.5 everywhere
-    dnet = dnet_init(10, seed=1)
+    dnet = head_init("class", 10, seed=1)
     d = dnet_forward(dnet, np.linspace(0, 1, 10))
     assert (np.abs(d - 0.5) < 0.2).all()
 
 
 def test_dnet_forward_strictly_inside_unit_interval():
-    dnet = dnet_init(5, seed=2)
+    dnet = head_init("class", 5, seed=2)
     for acc in [np.zeros(5), np.ones(5), np.full(5, 0.5)]:
         d = dnet_forward(dnet, acc)
         assert ((d > 0) & (d < 1)).all()
 
 
 def test_dnet_forward_rejects_wrong_length():
-    dnet = dnet_init(4, seed=3)
+    dnet = head_init("class", 4, seed=3)
     with pytest.raises(ValueError):
         dnet_forward(dnet, np.zeros(5))
 

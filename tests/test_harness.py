@@ -763,6 +763,37 @@ def test_collect_rows_without_run_config_reads_the_layout(runs_dir, tmp_path):
     assert all(r.overall == want.overall and r.wall_seconds == 0.0 for r in rows)
 
 
+def _bad_float(path):
+    """The last row's overall cell is no number."""
+    header, *rows = path.read_text("ascii").splitlines()
+    cells = rows[-1].split(",")
+    cells[1] = "0.5x"
+    path.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n", encoding="ascii")
+
+
+def _non_ascii(path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+@pytest.mark.parametrize("command, name, corrupt", [
+    ("report", "metrics.csv", _bad_float),
+    ("report", "manifest.json", lambda path: path.write_text("{not json", encoding="utf-8")),
+    ("report", "metrics.csv", _non_ascii),
+    ("crt", "metrics.csv", _non_ascii),
+], ids=["report-bad-float", "report-manifest-not-json", "report-non-ascii", "crt-non-ascii"])
+def test_cli_malformed_run_file_exits_2(command, name, corrupt, runs_dir, tmp_path, capsys):
+    shutil.copytree(runs_dir / "ce", tmp_path / "ce")
+    path = tmp_path / "ce" / "seed0" / name
+    corrupt(path)
+    if command == "crt":
+        args = ["--set", "method=ce", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
+    else:
+        args = [str(tmp_path)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
 # ------------------------------------------------------------------------ CLI
 
 def test_cli_gen_data_and_train(tmp_path, capsys):
@@ -857,6 +888,23 @@ def test_cli_negative_focal_gamma_exits_2(tmp_path, capsys):
     assert code == 2
     assert "focal_gamma" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("crt", "classifier.ltnn"), ("crt", "dnet.ltnn"),
+                                           ("ensemble", "classifier.ltnn")])
+def test_cli_corrupt_checkpoint_exits_2(command, name, runs_dir, tmp_path, capsys):
+    for method in ("dnet", "ce"):
+        shutil.copytree(runs_dir / method, tmp_path / method)
+    path = tmp_path / "dnet" / "seed0" / name
+    path.write_bytes(b"garbage")
+    if command == "crt":
+        args = ["--set", "method=dnet", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
+    else:
+        members = ",".join(str(tmp_path / m / "seed0") for m in ("dnet", "ce"))
+        args = ["--set", f"ensemble_members={members}", "--set", f"out_dir={tmp_path / 'ens'}"]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{path}: not a checkpoint file" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -10,12 +10,8 @@ from ltlab import difficulty, metatrain, nnet
 from ltlab.data import Dataset, exp_profile, split_meta, synth_gaussian
 from ltlab.difficulty import (
     dnet_forward,
-    dnet_init,
-    driver_loss,
     head_init,
     sample_driver_targets,
-    target_fit_loss,
-    weights_from_difficulty,
 )
 from ltlab.metatrain import (
     ConfigError,
@@ -23,24 +19,29 @@ from ltlab.metatrain import (
     OptSpec,
     TrainConfig,
     evaluate_splits,
-    meta_gradient,
     train,
     train_seeds,
-    virtual_step,
 )
 from ltlab.nnet import (
     MLP,
     Classifier,
-    backward,
     classifier_logits,
     init_mlp,
     optimizer_step,
     per_class_accuracy,
-    weighted_ce_loss,
 )
 from ltlab.rng import consumer_rng
 
 from conftest import fd_param_grads, max_rel_err
+from oracles import (
+    backward,
+    driver_loss,
+    meta_gradient,
+    target_fit_loss,
+    virtual_step,
+    weighted_ce_loss,
+    weights_from_difficulty,
+)
 
 
 def tiny_data(c=3, n_max=40, imb=4.0, dim=4, m=4, seed=0):
@@ -164,7 +165,7 @@ def test_meta_gradient_matches_fd():
     for trial, (lam, head) in enumerate([(0.0, "linear"), (0.3, "linear"), (1.0, "cosine")]):
         c, dim, b, m = 4, 3, 6, 5
         model = tiny_model(dim, c, seed=30 + trial, head=head)
-        dnet = dnet_init(c, seed=40 + trial)
+        dnet = head_init("class", c, seed=40 + trial)
         a = rng.random(c)
         bx = rng.standard_normal((b, dim))
         by = rng.integers(0, c, b)
@@ -182,7 +183,7 @@ def test_meta_gradient_lambda_term_alone():
     rng = np.random.default_rng(4)
     c = 3
     model = tiny_model(4, c, seed=5)
-    dnet = dnet_init(c, seed=6)
+    dnet = head_init("class", c, seed=6)
     a = rng.random(c)
     bx = rng.standard_normal((4, 4))
     by = rng.integers(0, c, 4)
@@ -198,7 +199,7 @@ def test_meta_gradient_batch_duplication_invariant():
     rng = np.random.default_rng(7)
     c = 3
     model = tiny_model(4, c, seed=7)
-    dnet = dnet_init(c, seed=8)
+    dnet = head_init("class", c, seed=8)
     a = rng.random(c)
     bx = rng.standard_normal((5, 4))
     by = rng.integers(0, c, 5)
@@ -343,7 +344,7 @@ def test_steps_replicated_by_hand(kind, lam):
 def test_t_zero_returns_inputs_unchanged():
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=22)
-    dnet = dnet_init(3, seed=23)
+    dnet = head_init("class", 3, seed=23)
     out_model, out_dnet, metrics = train(
         cfg_for(train_set, T=0, seed=0), train_set, meta_set, model, dnet
     )
@@ -355,7 +356,7 @@ def test_train_leaves_the_callers_nets_unchanged():
     # the optimizers update in place, on copies train makes once
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=24)
-    dnet = dnet_init(3, seed=25)
+    dnet = head_init("class", 3, seed=25)
     before = model.net.params.tobytes(), dnet.net.params.tobytes()
     out_model, out_dnet, _ = train(
         cfg_for(train_set, T=3, seed=0), train_set, meta_set, model, dnet
@@ -370,7 +371,7 @@ def test_same_seed_bit_identical():
     runs = []
     for _ in range(2):
         model = tiny_model(seed=24)
-        dnet = dnet_init(3, seed=25)
+        dnet = head_init("class", 3, seed=25)
         cfg = cfg_for(train_set, T=14, seed=3,
                       trace_classes=(0, 2), record_losses=True)
         runs.append(train(cfg, train_set, meta_set, model, dnet))
@@ -391,7 +392,7 @@ def test_different_seed_differs():
     outs = []
     for seed in (0, 1):
         model = tiny_model(seed=26)
-        dnet = dnet_init(3, seed=27)
+        dnet = head_init("class", 3, seed=27)
         cfg = cfg_for(train_set, T=7, seed=seed)
         m, _, _ = train(cfg, train_set, meta_set, model, dnet)
         outs.append(m)
@@ -404,7 +405,7 @@ def test_epoch_records_and_trace_shape():
     spe = train_set.size // 8
     cfg = cfg_for(train_set, T=2 * spe, seed=1, trace_classes=(0, 1, 2))
     model = tiny_model(seed=28)
-    _, _, metrics = train(cfg, train_set, meta_set, model, dnet_init(3, seed=29))
+    _, _, metrics = train(cfg, train_set, meta_set, model, head_init("class", 3, seed=29))
     assert [e.epoch for e in metrics.epochs] == [0, 1]
     assert len(metrics.weight_trace) == 3 * 2 * spe
     steps = [t for t, _, _ in metrics.weight_trace]
@@ -429,6 +430,27 @@ def test_nometa_difficulty_constant_within_epoch():
     assert len(set(first_epoch)) == 1  # accuracies frozen inside the epoch
     assert len(set(second_epoch)) == 1
     assert first_epoch[0] != second_epoch[0]  # refresh actually happened
+
+
+@pytest.mark.parametrize("seeds", [(5,), (5, 6)], ids=["one-seed", "two-seeds"])
+def test_nometa_applies_its_rule_once_per_accuracy_refresh(seeds, monkeypatch):
+    # an epoch's first step reuses the difficulties that the evaluation has
+    # just made from the same accuracies: per seed one pass of the rule for
+    # the starting accuracies and one per epoch, not two per epoch
+    real, calls = difficulty.nometa_difficulty, []
+
+    def counted(acc):
+        calls.append(acc)
+        return real(acc)
+
+    monkeypatch.setattr(difficulty, "nometa_difficulty", counted)
+    train_set, meta_set = tiny_data()
+    epochs = 5
+    cfg = cfg_for(train_set, T=epochs * (train_set.size // 8))
+    outs = train_seeds(cfg, train_set, meta_set, [tiny_model(seed=43 + s) for s in seeds],
+                       [head_init("nometa", 3, s) for s in seeds], seeds)
+    assert [len(o[2].epochs) for o in outs] == [epochs] * len(seeds)
+    assert len(calls) == (epochs + 1) * len(seeds)
 
 
 def test_sample_variant_runs_without_class_snapshots():
@@ -577,7 +599,7 @@ def test_meta_set_must_be_balanced():
     skewed = Dataset(np.zeros((3, 4)), np.array([0, 1, 1]), 3)
     with pytest.raises(ValueError, match="balanced"):
         train(cfg_for(train_set, T=1, m=3, seed=0),
-              train_set, skewed, tiny_model(seed=36), dnet_init(3, seed=0))
+              train_set, skewed, tiny_model(seed=36), head_init("class", 3, seed=0))
 
 
 @pytest.mark.parametrize("logits", [2, 4])
@@ -588,7 +610,7 @@ def test_classifier_must_fit_the_data_classes(logits, monkeypatch):
     with pytest.raises(ConfigError, match="logits") as info:
         train_seeds(cfg_for(train_set, T=4), train_set, meta_set,
                     [tiny_model(c=logits, seed=s) for s in (0, 1)],
-                    [dnet_init(3, seed=s) for s in (0, 1)], (0, 1))
+                    [head_init("class", 3, seed=s) for s in (0, 1)], (0, 1))
     assert isinstance(info.value, ValueError)
     assert seen == []
 
@@ -599,14 +621,14 @@ def test_meta_gradient_checks_the_meta_labels():
     mx, my = meta_set.features[:6], meta_set.labels[:6].copy()
     my[0] = 3
     with pytest.raises(ValueError, match="labels outside"):
-        meta_gradient(dnet_init(3, seed=0), tiny_model(seed=1), np.full(3, 0.5), bx, by,
+        meta_gradient(head_init("class", 3, seed=0), tiny_model(seed=1), np.full(3, 0.5), bx, by,
                       mx, my, 0.1, 0.3)
 
 
 def test_loop_bounds_validated():
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=37)
-    dnet = dnet_init(3, seed=38)
+    dnet = head_init("class", 3, seed=38)
     with pytest.raises(ValueError, match="exceeds the train set"):
         train(cfg_for(train_set, T=1, b=train_set.size + 1, seed=0),
               train_set, meta_set, model, dnet)

@@ -8,13 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ltlab.data import Dataset
+from ltlab.data import Dataset, FormatError
 from ltlab.nnet import (
     SIG_CLAMP,
     Classifier,
     Layer,
     MLP,
-    backward,
     clamp_sigmoid,
     classifier_logits,
     forward_tape,
@@ -26,11 +25,11 @@ from ltlab.nnet import (
     save_checkpoint,
     sigmoid,
     softmax,
-    weighted_ce_loss,
 )
 from ltlab.rng import consumer_rng
 
 from conftest import fd_param_grads, max_rel_err
+from oracles import backward, weighted_ce_loss
 
 
 def small_net(sizes, out_act="identity", seed=0):
@@ -684,3 +683,17 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(raw[: len(raw) - 7])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_cut_at_any_byte_raises_format_error(tmp_path):
+    # every prefix of a checkpoint, down to the empty file, is rejected with
+    # a FormatError (a ValueError) that names the file
+    net = small_net([4, 4, 3], seed=19)
+    path = tmp_path / "net.ltnn"
+    save_checkpoint(net, path)
+    raw = path.read_bytes()
+    assert len(raw) == 307
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match="net.ltnn: not a checkpoint file"):
+            load_checkpoint(path)
