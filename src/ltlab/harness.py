@@ -35,6 +35,7 @@ from .metatrain import (
 )
 from .nnet import (
     HEADS,
+    MLP,
     OPTIMIZERS,
     Classifier,
     init_mlp,
@@ -375,19 +376,35 @@ def _difficulty_head(cfg: ExperimentConfig, train_set: Dataset, seed: int,
     path = os.path.join(run_dir, "dnet.ltnn")
     if not os.path.exists(path):
         raise ConfigError(f"no dnet.ltnn in {run_dir}")
-    return replace(head, net=load_checkpoint(path))
+    return replace(head, net=_load_net(path, head.net))
 
 
-def _load_run(run_dir: str, *checkpoints: str) -> tuple[ExperimentConfig, Classifier]:
-    """A run's recorded config and its classifier, loaded from the first of
-    checkpoints present and rebuilt with the head that run trained with."""
+def _load_net(path: str, like: MLP) -> MLP:
+    """The checkpoint at path, which must have like's layer shapes and
+    activations."""
+    net = load_checkpoint(path)
+    if net.layout != like.layout:
+        got, want = (", ".join(f"{l.w.shape[1]}->{l.w.shape[0]} {l.act}" for l in n.layers)
+                     for n in (net, like))
+        raise FormatError(f"{path}: layers {got} do not match the run's {want}")
+    return net
+
+
+def _load_run(run_dir: str, datasets, *checkpoints: str
+              ) -> tuple[ExperimentConfig, Classifier, Dataset, Dataset]:
+    """A run's recorded config, its train and meta sets (datasets maps
+    _data_config of the config to them) and its classifier, loaded from the
+    first of checkpoints present and rebuilt with the head that run trained
+    with. The checkpoint must have the shape that config and data give."""
     rc_path = os.path.join(run_dir, "run_config.txt")
     found = [p for p in (os.path.join(run_dir, n) for n in checkpoints) if os.path.exists(p)]
     if not found or not os.path.exists(rc_path):
         raise ConfigError(f"{run_dir} needs run_config.txt and a checkpoint "
                           f"({' or '.join(checkpoints)})")
     rcfg = parse_config(rc_path)
-    return rcfg, Classifier(load_checkpoint(found[0]), rcfg.head, rcfg.cosine_scale)
+    train_set, meta_set = datasets(_data_config(rcfg))
+    like = _build_model(rcfg, train_set.dim, train_set.class_count, 0)
+    return rcfg, replace(like, net=_load_net(found[0], like.net)), train_set, meta_set
 
 
 def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int):
@@ -419,8 +436,7 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
     and rewrite metrics.csv as the stage-1 rows plus one stage-2 row, so
     running this again gives the same files."""
     started = time.time()
-    rcfg, model = _load_run(run_dir, "classifier.ltnn")
-    train_set, meta_set = datasets(_data_config(rcfg))
+    rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
     head = _difficulty_head(rcfg, train_set, seed, run_dir)
     metrics_path = os.path.join(run_dir, "metrics.csv")
     with _malformed(metrics_path):
@@ -551,12 +567,13 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
     trained on different data are rejected."""
     if len(cfg.ensemble_members) < 2:
         raise ConfigError("ensemble_members must list at least two run directories")
-    runs = [_load_run(d, "classifier_crt.ltnn", "classifier.ltnn") for d in cfg.ensemble_members]
-    data = {_data_config(rcfg) for rcfg, _ in runs}
-    if len(data) > 1:
+    datasets = functools.lru_cache(build_datasets)
+    runs = [_load_run(d, datasets, "classifier_crt.ltnn", "classifier.ltnn")
+            for d in cfg.ensemble_members]
+    if len({_data_config(rcfg) for rcfg, *_ in runs}) > 1:
         raise ConfigError("ensemble members were trained on different data")
-    train_set, meta_set = build_datasets(data.pop())
-    members = [model for _, model in runs]
+    _, _, train_set, meta_set = runs[0]
+    members = [model for _, model, *_ in runs]
     names = [d.rstrip("/").replace(os.sep, "/") for d in cfg.ensemble_members]
 
     def split_row(acc):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltlab import data
 from ltlab.data import (
     Dataset,
     FormatError,
@@ -256,6 +257,54 @@ def test_load_peak_memory_is_near_the_arrays(tmp_path):
         tracemalloc.stop()
     assert back.size == n
     assert peak < 2 * (back.features.nbytes + back.labels.nbytes)
+
+
+# ------------------------------------- the C reader and the line parser
+
+def test_c_reader_carries_valid_files_bit_exact(tmp_path, monkeypatch):
+    # more than one chunk, with signed zero, subnormal, smallest normal and
+    # largest finite values; the line parser must not run
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((data._CHUNK_LINES + 3, 5))
+    feats[1] = [-0.0, 5e-324, 2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+    d = Dataset(feats, np.arange(feats.shape[0]) % 4, 4)
+    path = tmp_path / "d.ltds"
+    save_dataset(d, path)
+
+    def no_line_parser(*args):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(data, "_line_rows", no_line_parser)
+    back = load_dataset(path)
+    assert back.features.tobytes() == d.features.tobytes()
+    assert back.labels.tobytes() == d.labels.tobytes()
+    assert back.class_count == 4
+
+
+@pytest.mark.parametrize("row, error", [
+    ("\n1,2.0", "blank line"),
+    ("1,inf", "non-finite"),
+    ("2,2.0", "label 2 outside"),
+    ("1\x1c,2.0", "non-numeric"),  # np.loadtxt skips \x1c around a field, int() does not
+    ("1,1_0", None),
+], ids=["blank", "non_finite", "label_range", "c_only_space", "underscore"])
+def test_line_parser_takes_what_the_c_reader_does_not(row, error, tmp_path, monkeypatch):
+    # the row follows a full chunk the C reader accepts, so the line
+    # parser must start again from the top
+    calls = []
+    line_rows = data._line_rows
+    monkeypatch.setattr(data, "_line_rows", lambda *a: calls.append(a) or line_rows(*a))
+    path = tmp_path / "d.ltds"
+    path.write_text("#LTDS C=2 DIM=1\n" + "0,1.0\n" * data._CHUNK_LINES + row + "\n",
+                    encoding="ascii")
+    if error is None:
+        back = load_dataset(path)
+        assert back.features.ravel().tolist() == [1.0] * data._CHUNK_LINES + [10.0]
+    else:
+        with pytest.raises(FormatError, match=f"line {data._CHUNK_LINES + 2}: {error}"):
+            load_dataset(path)
+    assert len(calls) == 1
 
 
 # --------------------------------------------- load_dataset against an oracle

@@ -841,6 +841,14 @@ def test_cli_label_beyond_int64_exits_2(tmp_path, capsys):
     assert "line 2: label 99999999999999999999 does not fit int64" in capsys.readouterr().err
 
 
+def test_cli_non_ascii_dataset_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.ltds"
+    path.write_bytes(b"#LTDS C=2 DIM=1\n0,1.0\n1,2\xff\n")
+    assert main(["train", "--set", f"train_file={path}", "--set", f"meta_file={path}",
+                 "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+    assert f"{path}: not an ASCII text file" in capsys.readouterr().err
+
+
 def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):
     # 4 classes x 5 meta samples cannot fill the default meta batch of 64
     code = main(["train", "--set", "classes=4", "--set", "m_per_class=5",
@@ -893,18 +901,35 @@ def test_cli_negative_focal_gamma_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, name", [("crt", "classifier.ltnn"), ("crt", "dnet.ltnn"),
                                            ("ensemble", "classifier.ltnn")])
 def test_cli_corrupt_checkpoint_exits_2(command, name, runs_dir, tmp_path, capsys):
-    for method in ("dnet", "ce"):
-        shutil.copytree(runs_dir / method, tmp_path / method)
+    args = _copy_runs_for(command, runs_dir, tmp_path)
     path = tmp_path / "dnet" / "seed0" / name
     path.write_bytes(b"garbage")
-    if command == "crt":
-        args = ["--set", "method=dnet", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
-    else:
-        members = ",".join(str(tmp_path / m / "seed0") for m in ("dnet", "ce"))
-        args = ["--set", f"ensemble_members={members}", "--set", f"out_dir={tmp_path / 'ens'}"]
     assert main([command, *args]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{path}: not a checkpoint file" in err
+
+
+@pytest.mark.parametrize("command, name, other", [("crt", "dnet.ltnn", "classifier.ltnn"),
+                                                  ("ensemble", "classifier.ltnn", "dnet.ltnn")])
+def test_cli_checkpoint_of_another_net_exits_2(command, name, other, runs_dir, tmp_path, capsys):
+    # a readable checkpoint, but of the run's other net
+    args = _copy_runs_for(command, runs_dir, tmp_path)
+    path = tmp_path / "dnet" / "seed0" / name
+    shutil.copyfile(path.with_name(other), path)
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: layers" in err and "do not match the run's" in err
+
+
+def _copy_runs_for(command, runs_dir, tmp_path):
+    """Copies of runs_dir's dnet and ce runs in tmp_path, and the arguments
+    that make command read the dnet run's checkpoints there."""
+    for method in ("dnet", "ce"):
+        shutil.copytree(runs_dir / method, tmp_path / method)
+    if command == "crt":
+        return ["--set", "method=dnet", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
+    members = ",".join(str(tmp_path / m / "seed0") for m in ("dnet", "ce"))
+    return ["--set", f"ensemble_members={members}", "--set", f"out_dir={tmp_path / 'ens'}"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,7 +1,7 @@
 """Per-step A/B timing of two ltlab source trees, in one process.
 
     python3 tools/step_ab.py SRC_A SRC_B [--pairs 10] [--seed 0]
-                             [--methods dnet,dnet-abs,dnet-sample,ce,cdb]
+                             [--methods dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds]
 
 SRC_A and SRC_B are checkouts (each with src/ltlab) or src directories.
 Each side's ltlab is copied into a temporary directory under its own
@@ -14,10 +14,14 @@ per side, the function calls per step and the per-step cumulative time of
 forward_tape, Tape.with_labels, Tape.grads, Tape.dots, optimizer_step and
 _meta_gradient: the layer-level numbers that perfbench's tracer, which
 wraps only public module attributes, cannot see. cProfile adds a cost to
-every Python call, so read its times as shares, not as speeds. Last, the
-same for the default config's stage 2: `baselines.crt_retrain` of a
-freshly built classifier with crt_steps, crt_batch_size and crt_lr, in µs
-per stage-2 step.
+every Python call, so read its times as shares, not as speeds. The entry
+crt does the same for the default config's stage 2: `baselines.crt_retrain`
+of a freshly built classifier with crt_steps, crt_batch_size and crt_lr, in
+µs per stage-2 step. The entry ltds times, in µs per call and without a
+profile, `data.save_dataset` and `data.load_dataset` of the train file that
+`gen-data` writes for C=100 (the data of perfbench's c100-wide workload,
+21,285 rows of 16 features for seed 0), and checks that both sides write
+the same bytes.
 
 Set OPENBLAS_NUM_THREADS=1 (or the BLAS build's equivalent) for steadier
 numbers; the shapes here are too small for BLAS threads to help.
@@ -45,6 +49,8 @@ import time
 
 import numpy as np
 
+# perfbench's c100-wide data settings; the rest are the defaults it also uses
+LTDS_DATA = ("classes=100", "n_max=1000", "m_per_class=5")
 PROFILED = (("nnet.py", "forward_tape"), ("nnet.py", "with_labels"), ("nnet.py", "grads"),
             ("nnet.py", "dots"), ("nnet.py", "optimizer_step"), ("metatrain.py", "_meta_gradient"))
 
@@ -65,11 +71,25 @@ class Side:
                         ignore=shutil.ignore_patterns("__pycache__"))
         self.name = name
         self.harness = importlib.import_module(f"{name}.harness")
+        self.ltds = importlib.import_module(f"{name}.data")
+        self.root = root
         self.data: dict = {}
 
     def setup(self, method: str, seed: int):
         """A call that trains the method's run for seed, and its step count;
-        method "crt" is the stage-2 retraining alone."""
+        method "crt" is the stage-2 retraining alone, "ltds-save" and
+        "ltds-load" one save and one load of the C=100 gen-data train file."""
+        if method.startswith("ltds"):
+            if "ltds" not in self.data:
+                out = os.path.join(self.root, f"{self.name}_data")
+                cfg = self.harness.parse_config(None, LTDS_DATA + (f"data_seed={seed}",
+                                                                   f"out_dir={out}"))
+                path, _ = self.harness.gen_data(cfg)
+                self.data["ltds"] = path, self.ltds.load_dataset(path)
+            path, ds = self.data["ltds"]
+            if method == "ltds-save":
+                return (lambda: self.ltds.save_dataset(ds, path)), 1
+            return (lambda: self.ltds.load_dataset(path)), 1
         name = "ce" if method == "crt" else method
         if name not in self.data:
             cfg = self.harness.parse_config(None, (f"method={name}",))
@@ -114,11 +134,12 @@ def main() -> None:
     ap.add_argument("src_b")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--methods", default="dnet,dnet-abs,dnet-sample,ce,cdb")
+    ap.add_argument("--methods", default="dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds")
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
-    methods = [m for m in args.methods.split(",") if m] + ["crt"]
+    methods = [e for m in args.methods.split(",") if m
+               for e in (("ltds-save", "ltds-load") if m == "ltds" else (m,))]
 
     root = tempfile.mkdtemp(prefix="step_ab_")
     sys.path.insert(0, root)
@@ -132,13 +153,21 @@ def main() -> None:
                 for side in ((a, b) if k % 2 == 0 else (b, a)):
                     times[side.name].append(side.time_step(method, args.seed))
             ta, tb = (np.array(times[s.name]) for s in (a, b))
-            what = "stage-2 step" if method == "crt" else "step"
+            what = {"crt": "stage-2 step", "ltds-save": "call", "ltds-load": "call"}.get(method, "step")
             print(f"{method}: µs per {what} over {args.pairs} pairs, seed {args.seed}")
             for side, t in ((a, ta), (b, tb)):
                 q1, med, q3 = np.percentile(t, [25, 50, 75])
                 print(f"  {side.name}  median {med:8.1f}  quartiles {q1:8.1f} {q3:8.1f}")
             print(f"  B faster in {int((tb < ta).sum())} of {args.pairs} pairs, "
                   f"median ratio A/B {np.median(ta / tb):.3f}")
+            if method.startswith("ltds"):
+                if method == "ltds-save":
+                    written = []
+                    for side in (a, b):
+                        with open(side.data["ltds"][0], "rb") as fh:
+                            written.append(fh.read())
+                    print(f"  both sides write the same bytes: {written[0] == written[1]}")
+                continue
             for side in (a, b):
                 per_step, cum = side.profile(method, args.seed)
                 parts = "  ".join(f"{name} {cum.get(name, 0.0):.1f}" for _, name in PROFILED)
