@@ -30,7 +30,6 @@ from .metatrain import (
     TrainConfig,
     evaluate_epoch,
     evaluate_splits,
-    train,
     train_seeds,
 )
 from .nnet import (
@@ -38,6 +37,7 @@ from .nnet import (
     MLP,
     OPTIMIZERS,
     Classifier,
+    check_finite,
     init_mlp,
     load_checkpoint,
     per_class_accuracy,
@@ -249,8 +249,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Load the configured files, or synthesize the pool and split it."""
     if cfg.train_file:
         try:
-            train = load_dataset(cfg.train_file)
-            meta = load_dataset(cfg.meta_file)
+            with _malformed(cfg.train_file):
+                train = load_dataset(cfg.train_file)
+            with _malformed(cfg.meta_file):
+                meta = load_dataset(cfg.meta_file)
         except OSError as e:
             raise ConfigError(f"cannot read dataset: {e}") from None
         if train.class_count != meta.class_count:
@@ -303,7 +305,7 @@ def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
     return tuple(cfg.trace_classes)
 
 
-def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int = 0) -> TrainConfig:
+def _train_config(cfg: ExperimentConfig, train_set: Dataset) -> TrainConfig:
     """The method's stage-1 settings, its flags as plain values: lam 0
     without the driver term, focal_gamma None unless the loss is focal."""
     method = METHODS[cfg.method]
@@ -319,7 +321,6 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset, seed: int = 0) -> T
         many_min=cfg.many_min,
         few_max=cfg.few_max,
         focal_gamma=cfg.focal_gamma if method.focal else None,
-        seed=seed,
         trace_classes=_resolve_trace(cfg, train_set.class_count),
         record_losses=cfg.record_losses,
     )
@@ -408,11 +409,13 @@ def _load_run(run_dir: str, datasets, *checkpoints: str
 
 
 def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int):
-    """Stage-1 training for one (method, seed); returns (model, head, metrics)
-    with the method's trained DifficultyHead."""
-    model = _build_model(cfg, train_set.dim, train_set.class_count, seed)
-    tc = _train_config(cfg, train_set, seed)
-    return train(tc, train_set, meta_set, model, _difficulty_head(cfg, train_set, seed))
+    """Stage-1 training for one (method, seed): train_all for that seed
+    alone. Returns (model, head, metrics) with the method's trained
+    DifficultyHead, or raises the seed's NumericError."""
+    (out,) = train_all(replace(cfg, seeds=(seed,)), train_set, meta_set)
+    if isinstance(out, NumericError):
+        raise out
+    return out
 
 
 def train_all(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset) -> list:
@@ -444,10 +447,10 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
     stage1 = stage1[: rcfg.epochs]  # one row per epoch
     model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                         OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
-    (rec,) = evaluate_epoch(len(stage1), [model], head, train_set, meta_set,
-                            (cfg.many_min, cfg.few_max), cfg.crt_steps - 1)[2]
-    if isinstance(rec, NumericError):
-        raise rec
+    acc = per_class_accuracy(model, meta_set)
+    check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
+    (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
+                            (cfg.many_min, cfg.few_max))[1]
     save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
     _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
     return _report_row(rcfg.method, seed, vars(rec), time.time() - started)
@@ -577,16 +580,17 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
     names = [d.rstrip("/").replace(os.sep, "/") for d in cfg.ensemble_members]
 
     def split_row(acc):
-        return evaluate_splits(acc.per_class, train_set.per_class_counts,
-                               (cfg.many_min, cfg.few_max))
+        # a member whose logits are not finite ranks nothing
+        check_finite(acc, "evaluation", 0, "meta-set logits")
+        return evaluate_splits(acc, train_set.per_class_counts, (cfg.many_min, cfg.few_max))
 
     probs = ensemble_predict(members, meta_set.features)
     result = {
         "members": [
-            {"name": n, "splits": split_row(per_class_accuracy(m, meta_set, "meta"))}
+            {"name": n, "splits": split_row(per_class_accuracy(m, meta_set))}
             for n, m in zip(names, members)
         ],
-        "ensemble": split_row(score_accuracy(probs, meta_set, "meta")),
+        "ensemble": split_row(score_accuracy(probs, meta_set)),
     }
     rows = [(e["name"], e["splits"]) for e in result["members"]]
     rows.append(("ensemble", result["ensemble"]))
@@ -640,12 +644,13 @@ def collect_rows(paths: list[str]) -> list[ReportRow]:
 
 @contextlib.contextmanager
 def _malformed(path: str, *errors):
-    """A block that reads a run file: a ValueError, or one of errors, that
-    its content raises comes out as a FormatError naming the file."""
+    """A block that reads a file: a ValueError, or one of errors, that its
+    content raises comes out as a FormatError naming the file once."""
     try:
         yield
     except (ValueError, *errors) as e:
-        raise FormatError(f"{path}: {e}") from None
+        named = str(e).startswith(f"{path}: ")
+        raise FormatError(str(e) if named else f"{path}: {e}") from None
 
 
 @dataclass

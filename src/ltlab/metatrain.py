@@ -14,7 +14,8 @@ Every head draws a meta batch from its seed's stream, so that each seed's
 train batches are the same for every method, but only a head with a net
 gathers its rows.
 
-Per-class accuracies feeding the difficulty head are refreshed once per epoch.
+Per-class accuracies feeding the difficulty head are refreshed once per epoch,
+by one pass of every seed's classifier over the meta set.
 A net-less head weights once per refresh: its rule runs, and its difficulties
 are checked, on the first step after the refresh, and they hold until the next.
 Inside an epoch a class-level net's input is fixed, so the net's pass that
@@ -41,7 +42,7 @@ from .difficulty import (
     seed_labels,
     target_fit_cotangent,
 )
-from .nnet import (  # re-exported: ConfigError and NumericError (train raises them), OptSpec
+from .nnet import (  # re-exported: ConfigError, NumericError (train_seeds gives them), OptSpec
     MLP,
     Classifier,
     ConfigError,
@@ -69,7 +70,6 @@ class TrainConfig:
     many_min: int
     few_max: int
     focal_gamma: float | None  # None: weighted CE; a gamma: the focal loss
-    seed: int = 0  # train's batch stream; train_seeds takes one seed per run
     trace_classes: tuple[int, ...] = ()
     record_losses: bool = False
 
@@ -227,61 +227,31 @@ def _unstack(a, count: int) -> list:
     return [a] if count == 1 else list(a)
 
 
-def _accuracies(models, meta_set, step: int, metrics) -> tuple[list, list]:
-    """per_class_accuracy on the meta set of every seed's classifier (None
-    for a seed that has stopped, whose row reads 0). Returns the rows and,
-    per seed, None or the NumericError of its evaluation."""
-    accs, errors = [], []
-    for model, seed_metrics in zip(models, metrics):
-        acc, error = np.zeros(meta_set.class_count), None
-        if model is not None:
-            try:
-                acc = per_class_accuracy(model, meta_set, "meta", step, seed_metrics).per_class
-            except NumericError as e:
-                error = e
-        accs.append(acc)
-        errors.append(error)
-    return accs, errors
+def evaluate_epoch(epoch: int, acc: np.ndarray, live, head: DifficultyHead, train_set,
+                   thresholds):
+    """The end of an epoch, from acc, the per-class meta-set accuracies of
+    the seeds' classifiers stacked like the seeds: for heads that record
+    them, one pass of the head, stacked like the seeds, over acc for the
+    class difficulty snapshots with their entropy, and the EpochRecord of
+    each seed in live, its index in the stack.
 
-
-def evaluate_epoch(epoch: int, models, head: DifficultyHead, train_set, meta_set, thresholds,
-                   step: int, metrics=None):
-    """The end of an epoch for every seed: the per-class meta-set accuracy
-    of each seed's classifier (None for a seed that has stopped), then for
-    heads that record them one pass of the head, stacked like the seeds,
-    over the accuracies for the class difficulty snapshots with their
-    entropy. metrics holds each seed's RunMetrics; without it (stage 2)
-    errors carry none.
-
-    Returns (acc, head_pass, outcomes): the accuracies, stacked like the
-    seeds, that pass (None without one), which the next epoch's first step
-    reuses: a net's tape, or a net-less head's difficulties, and per seed
-    its EpochRecord, the NumericError of its evaluation at step, or None
-    for a stopped seed."""
-    accs, outcomes = _accuracies(models, meta_set, step, metrics or [None] * len(models))
-    acc, head_pass, ds = _stack(accs), None, [None] * len(accs)
+    Returns (head_pass, records): that pass (None without one), which the
+    next epoch's first step reuses: a net's tape, or a net-less head's
+    difficulties; and the records, in the order of live."""
+    count = 1 if acc.ndim == 1 else len(acc)
+    head_pass, ds = None, [None] * count
     if head.records:
         x = head_signal(head, acc)
         tape = head.forward(x) if head.net is not None else None
         d = dnet_forward(head, x, tape)
-        head_pass, ds = d if tape is None else tape, _unstack(d, len(accs))
-    for s, (model, row, d) in enumerate(zip(models, accs, ds)):
-        if model is None or outcomes[s] is not None:
-            continue
-        splits = evaluate_splits(row, train_set.per_class_counts, thresholds)
-        outcomes[s] = EpochRecord(epoch=epoch, accuracy=row, **vars(splits),
-                                  entropy=difficulty_entropy(d) if d is not None else None,
-                                  difficulty=d)
-    return acc, head_pass, outcomes
-
-
-def train(cfg: TrainConfig, train_set, meta_set, classifier, head: DifficultyHead):
-    """train_seeds for the one seed cfg.seed: (classifier, head, RunMetrics),
-    or the seed's NumericError raised."""
-    (out,) = train_seeds(cfg, train_set, meta_set, [classifier], [head], (cfg.seed,))
-    if isinstance(out, NumericError):
-        raise out
-    return out
+        head_pass, ds = d if tape is None else tape, _unstack(d, count)
+    rows, records = _unstack(acc, count), []
+    for s in live:
+        splits = evaluate_splits(rows[s], train_set.per_class_counts, thresholds)
+        records.append(EpochRecord(epoch=epoch, accuracy=rows[s], **vars(splits),
+                                   entropy=None if ds[s] is None else difficulty_entropy(ds[s]),
+                                   difficulty=ds[s]))
+    return head_pass, records
 
 
 def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds) -> list:
@@ -300,9 +270,9 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
     NumericError that stopped it: a non-finite value in one seed's slice
     stops that seed alone, in the phase and step that produced it, with its
     metrics as they stood; the other seeds train on. The optimizers update
-    in place, so for T > 0 the nets are copied once here and the callers'
-    are never written; T=0 returns the inputs themselves with empty
-    metrics. Settings that do not fit the data raise ConfigError.
+    in place, so the nets are copied once here and the callers' are never
+    written; T=0 returns the inputs themselves with empty metrics. Settings
+    that do not fit the data raise ConfigError.
     """
     head = heads[0]
     if not len(classifiers) == len(heads) == len(seeds) > 0:
@@ -329,23 +299,10 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
                           f"{train_set.class_count} classes (meta set: {meta_set.class_count})")
 
     count = len(seeds)
-    metrics = [RunMetrics(records=head.records) for _ in seeds]
-    if cfg.T == 0:
-        errors = _accuracies(classifiers, meta_set, 0, metrics)[1]
-        return [e or (c, h, m) for e, c, h, m in zip(errors, classifiers, heads, metrics)]
-
     model = classifiers[0]
     model = replace(model, net=model.net.over(_stack([c.net.params for c in classifiers]).copy()))
-    models = [replace(model, net=model.net.over(p)) for p in _unstack(model.net.params, count)]
-    if head.net is not None:
-        head = replace(head, net=head.net.over(_stack([h.net.params for h in heads]).copy()))
-    buffers = _step_buffers(model, head.net)
-    clf_opt = cfg.classifier_opt.build()
-    dn_opt = cfg.dnet_opt.build() if head.net is not None else None
-    rngs = [consumer_rng(seed, "batch") for seed in seeds]
-    accs, errors = _accuracies(models, meta_set, 0, metrics)
-    acc = _stack(accs)
-    live = [s for s in range(count) if errors[s] is None]
+    metrics = [RunMetrics(records=head.records) for _ in seeds]
+    errors, live = [None] * count, list(range(count))
 
     def check(value, phase: str, t: int, quantity: str) -> None:
         """Stop each live seed whose slice of value is not finite."""
@@ -356,6 +313,19 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
         for s in [s for s in live if not finite[s]]:
             errors[s] = NumericError(phase, t, quantity, metrics[s])
             live.remove(s)
+
+    # evaluation: one pass of the whole stack over the meta set
+    acc = per_class_accuracy(model, meta_set)
+    check(acc, "evaluation", 0, "meta-set logits")
+    if cfg.T == 0:
+        return [e or (c, h, m) for e, c, h, m in zip(errors, classifiers, heads, metrics)]
+
+    if head.net is not None:
+        head = replace(head, net=head.net.over(_stack([h.net.params for h in heads]).copy()))
+    buffers = _step_buffers(model, head.net)
+    clf_opt = cfg.classifier_opt.build()
+    dn_opt = cfg.dnet_opt.build() if head.net is not None else None
+    rngs = [consumer_rng(seed, "batch") for seed in seeds]
 
     head_pass = None  # the head's pass over x, once there is one: a tape, or a rule's difficulties
     perm = np.empty(0, dtype=np.int64)
@@ -417,16 +387,14 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
                 metrics[s].weight_trace += [(t, c, float(norm[s][c])) for c in trace]
 
         if live and (pos == spe - 1 or t == cfg.T - 1):
-            acc, head_pass, outcomes = evaluate_epoch(
-                t // spe, [models[s] if s in live else None for s in range(count)], head,
-                train_set, meta_set, (cfg.many_min, cfg.few_max), t, metrics)
-            for s, out in enumerate(outcomes):
-                if isinstance(out, NumericError):
-                    errors[s] = out
-                    live.remove(s)
-                elif out is not None:
-                    metrics[s].epochs.append(out)
+            acc = per_class_accuracy(model, meta_set)
+            check(acc, "evaluation", t, "meta-set logits")
+            head_pass, records = evaluate_epoch(t // spe, acc, live, head, train_set,
+                                                (cfg.many_min, cfg.few_max))
+            for s, rec in zip(live, records):
+                metrics[s].epochs.append(rec)
 
+    models = [replace(model, net=model.net.over(p)) for p in _unstack(model.net.params, count)]
     heads_out = heads
     if head.net is not None:
         heads_out = [replace(head, net=head.net.over(p)) for p in _unstack(head.net.params, count)]

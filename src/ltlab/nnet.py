@@ -22,6 +22,7 @@ views.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -41,16 +42,16 @@ class ConfigError(ValueError):
 
 class NumericError(ArithmeticError):
     """Training produced a non-finite value. Names the phase, the step and the
-    quantity, and carries the metrics accumulated so far (None for stage 2)."""
+    quantity, and carries the metrics accumulated so far (None outside stage 1)."""
 
     def __init__(self, phase: str, step: int, quantity: str, metrics=None):
         super().__init__(f"non-finite {quantity} in the {phase} phase at step {step}")
         self.phase, self.step, self.quantity, self.metrics = phase, step, quantity, metrics
 
 
-def check_finite(value, phase: str, step: int, quantity: str, metrics=None) -> None:
+def check_finite(value, phase: str, step: int, quantity: str) -> None:
     if not np.isfinite(value).all():
-        raise NumericError(phase, step, quantity, metrics)
+        raise NumericError(phase, step, quantity)
 
 
 @dataclass
@@ -129,31 +130,10 @@ class Classifier:
         return self.net.layers[-1].w.shape[-2]
 
 
-@dataclass(frozen=True)
-class AccuracyVector:
-    """Per-class accuracies plus a tag naming the set they came from."""
-
-    per_class: np.ndarray  # (C,) float64 in [0, 1]
-    evaluated_on: str = "eval"
-
-    def __post_init__(self):
-        a = np.ascontiguousarray(self.per_class, dtype=np.float64)
-        if a.ndim != 1:
-            raise ValueError("per_class must be a vector")
-        if a.size and (a.min() < 0.0 or a.max() > 1.0):
-            raise ValueError("accuracies must lie in [0, 1]")
-        a.setflags(write=False)
-        object.__setattr__(self, "per_class", a)
-
-    @property
-    def mean(self) -> float:
-        return float(self.per_class.mean())
-
-
 def accuracy_array(acc) -> np.ndarray:
     """Per-class accuracies as a float64 vector, or a stack of them with the
-    classes last, from an AccuracyVector or an array-like."""
-    a = acc.per_class if isinstance(acc, AccuracyVector) else np.asarray(acc, dtype=np.float64)
+    classes last."""
+    a = np.asarray(acc, dtype=np.float64)
     if a.ndim < 1:
         raise ValueError("accuracy must be a vector")
     return a
@@ -511,28 +491,31 @@ def optimizer_step(
 # evaluation and checkpoints
 
 
-def per_class_accuracy(model, eval_set, evaluated_on: str = "eval", step: int = 0,
-                       metrics=None) -> AccuracyVector:
-    """Argmax accuracy per class of the model's logits on eval_set. Logits
-    that are not finite rank nothing: they raise NumericError in the
-    evaluation phase at step, carrying metrics."""
+def per_class_accuracy(model, eval_set) -> np.ndarray:
+    """Argmax accuracy per class of the model's logits on eval_set: (C,) for
+    a lone net, (S, C) for a stack, one row per net. Logits that are not
+    all finite rank nothing: that net's row reads NaN."""
     logits = classifier_logits(model, eval_set.features)
-    check_finite(logits, "evaluation", step, f"{evaluated_on}-set logits", metrics)
-    return score_accuracy(logits, eval_set, evaluated_on)
+    acc = score_accuracy(logits, eval_set)
+    acc[~np.isfinite(logits).all(axis=(-2, -1))] = np.nan
+    return acc
 
 
-def score_accuracy(scores, eval_set, evaluated_on: str = "eval") -> AccuracyVector:
+def score_accuracy(scores, eval_set) -> np.ndarray:
     """Argmax accuracy per class of (n, C) scores, logits or probabilities,
-    for eval_set's rows; ties go to the lowest class index."""
-    missing = np.flatnonzero(eval_set.per_class_counts == 0)
+    for eval_set's rows, or of a stack of them (S, n, C), one row each; ties
+    go to the lowest class index. One bincount counts every row's hits,
+    class c of row s in bin s * C + c, and each count over its class's
+    rows is the mean of that class's 0/1 hits."""
+    counts = eval_set.per_class_counts
+    missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise ValueError(f"missing classes in eval set: {missing.tolist()}")
-    pred = np.argmax(scores, axis=1)  # first max = lowest index on ties
-    acc = np.empty(eval_set.class_count)
-    for c in range(eval_set.class_count):
-        sel = eval_set.labels == c
-        acc[c] = float((pred[sel] == c).mean())
-    return AccuracyVector(acc, evaluated_on)
+    pred = np.argmax(scores, axis=-1)  # first max = lowest index on ties
+    rows, c = pred.shape[:-1], eval_set.class_count
+    bins = eval_set.labels + c * np.arange(math.prod(rows)).reshape(rows + (1,))
+    hits = np.bincount(bins[pred == eval_set.labels], minlength=c * math.prod(rows))
+    return hits.reshape(rows + (c,)) / counts
 
 
 _ACT_BYTE = {"identity": 0, "relu": 1, "sigmoid": 2}

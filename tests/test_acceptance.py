@@ -257,7 +257,7 @@ def test_criterion_10_ensemble_sanity(bench):
     started = time.perf_counter()
 
     def overall(model):
-        return float(per_class_accuracy(model, bench.meta_set, "meta").per_class.mean())
+        return float(per_class_accuracy(model, bench.meta_set).mean())
 
     deltas = []
     for s in bench.SEEDS:

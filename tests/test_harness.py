@@ -255,14 +255,14 @@ def test_run_returns_final_epoch_rows(runs_dir):
 @pytest.mark.parametrize("method", list(METHODS))
 def test_train_one_reaches_train_by_name(method, tmp_path, monkeypatch):
     # train_one is the one-seed entry: every method trains through
-    # harness.train, the one-seed form of train_seeds
-    real, calls = harness.train, []
+    # harness.train_seeds, for that one seed
+    real, calls = harness.train_seeds, []
 
     def spy(tc, *args, **kwargs):
         calls.append(tc)
         return real(tc, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "train", spy)
+    monkeypatch.setattr(harness, "train_seeds", spy)
     cfg = base_cfg(tmp_path, method=method, epochs=1)
     train_one(cfg, *build_datasets(cfg), 0)
     (tc,) = calls
@@ -297,9 +297,9 @@ def test_seeds_in_one_run_match_single_seed_runs(tmp_path):
 
 
 def test_seeds_of_a_command_train_in_one_stacked_call(tmp_path, monkeypatch):
-    # one train_seeds call on the calling thread for all seeds; nothing that
-    # harness binds as train runs, so profilers that count harness.train
-    # calls per run see none rather than one for several seeds
+    # one train_seeds call on the calling thread for all seeds; harness
+    # binds nothing as train, so profilers that count harness.train calls
+    # per run see none rather than one for several seeds
     calls = []
     stacked = harness.train_seeds
 
@@ -311,7 +311,7 @@ def test_seeds_of_a_command_train_in_one_stacked_call(tmp_path, monkeypatch):
         raise AssertionError("harness.run called harness.train")
 
     monkeypatch.setattr(harness, "train_seeds", spy)
-    monkeypatch.setattr(harness, "train", no_train)
+    monkeypatch.setattr(harness, "train", no_train, raising=False)
     monkeypatch.setenv("LTLAB_THREADS", "3")  # the old seed-pool cap is not read
     rows = run(base_cfg(tmp_path, method="ce", epochs=1, seeds=(0, 1, 2)))
     assert calls == [(threading.get_ident(), (0, 1, 2))]
@@ -847,6 +847,25 @@ def test_cli_non_ascii_dataset_exits_2(tmp_path, capsys):
     assert main(["train", "--set", f"train_file={path}", "--set", f"meta_file={path}",
                  "--set", f"out_dir={tmp_path / 'out'}"]) == 2
     assert f"{path}: not an ASCII text file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, line, message", [
+    ("meta", b"0,1.0,2.0", "line 2: expected 17 comma-separated fields, got 3"),
+    ("train", b"0,1.0,2.0", "line 2: expected 17 comma-separated fields, got 3"),
+    ("meta", b"0,1.0,2\xff", "not an ASCII text file"),
+], ids=["meta-fields", "train-fields", "meta-non-ascii"])
+def test_cli_malformed_dataset_names_its_file_once(bad, line, message, tmp_path, capsys):
+    # gen-data's pair with one file cut to its header and a bad line 2: the
+    # error names the file at fault, once
+    data = tmp_path / "data"
+    assert main(["gen-data", "--set", f"out_dir={data}"]) == 0
+    path = data / f"{bad}.ltds"
+    path.write_bytes(path.read_bytes().splitlines()[0] + b"\n" + line + b"\n")
+    capsys.readouterr()
+    assert main(["train", "--set", f"train_file={data / 'train.ltds'}",
+                 "--set", f"meta_file={data / 'meta.ltds'}",
+                 "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
 def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):

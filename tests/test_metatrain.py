@@ -19,7 +19,6 @@ from ltlab.metatrain import (
     OptSpec,
     TrainConfig,
     evaluate_splits,
-    train,
     train_seeds,
 )
 from ltlab.nnet import (
@@ -70,6 +69,15 @@ def cfg_for(train_set, **kw):
     kw.setdefault("few_max", 20)
     kw.setdefault("focal_gamma", None)
     return TrainConfig(**kw)
+
+
+def train_one_seed(cfg, train_set, meta_set, classifier, head, seed=0):
+    """train_seeds for one seed: (classifier, head, RunMetrics), or the
+    seed's NumericError raised."""
+    (out,) = train_seeds(cfg, train_set, meta_set, [classifier], [head], (seed,))
+    if isinstance(out, NumericError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------- OptSpec
@@ -264,7 +272,7 @@ def test_sample_meta_gradient_matches_fd():
 
 # ------------------------------------------------------------------ the loop
 
-def replay(cfg, train_set, meta_set, model0, head0):
+def replay(cfg, train_set, meta_set, model0, head0, seed):
     """train transcribed step by step from the public meta_gradient and
     dnet_forward, each of which runs its own pass of the difficulty net:
     the same batch stream, the same-batch rule, the theta update first, the
@@ -273,9 +281,9 @@ def replay(cfg, train_set, meta_set, model0, head0):
     model = replace(model0, net=model0.net.copy())
     head = replace(head0, net=head0.net.copy())
     clf_opt, dn_opt = cfg.classifier_opt.build(), cfg.dnet_opt.build()
-    rng = consumer_rng(cfg.seed, "batch")
+    rng = consumer_rng(seed, "batch")
     spe = train_set.size // cfg.b
-    acc = per_class_accuracy(model, meta_set, "meta")
+    acc = per_class_accuracy(model, meta_set)
     records, trace = [], []
     for t in range(cfg.T):
         pos = t % spe
@@ -299,8 +307,9 @@ def replay(cfg, train_set, meta_set, model0, head0):
         if head.records:
             trace += [(t, c, float(d[c] / d.sum())) for c in cfg.trace_classes]
         if pos == spe - 1 or t == cfg.T - 1:
-            _, _, (rec,) = metatrain.evaluate_epoch(t // spe, [model], head, train_set,
-                                                    meta_set, (cfg.many_min, cfg.few_max), t)
+            _, (rec,) = metatrain.evaluate_epoch(t // spe, per_class_accuracy(model, meta_set),
+                                                 [0], head, train_set,
+                                                 (cfg.many_min, cfg.few_max))
             acc = rec.accuracy
             records.append(rec)
     return model, head, records, trace
@@ -317,14 +326,14 @@ def test_steps_replicated_by_hand(kind, lam):
     steps where the accuracies it saw still hold."""
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=2 * spe + 3, seed=5, lam=lam, trace_classes=(0, 2))
+    cfg = cfg_for(train_set, T=2 * spe + 3, lam=lam, trace_classes=(0, 2))
     model0 = tiny_model(seed=21)
     head0 = head_init(kind, 8 if kind == "sample" else 3, seed=22)
 
-    got_model, got_head, metrics = train(cfg, train_set, meta_set, model0, head0)
-    model, head, records, trace = replay(cfg, train_set, meta_set, model0, head0)
+    got_model, got_head, metrics = train_one_seed(cfg, train_set, meta_set, model0, head0, 5)
+    model, head, records, trace = replay(cfg, train_set, meta_set, model0, head0, 5)
     # the accuracies change at both boundaries, so a pass kept across one shows
-    accs = [per_class_accuracy(model0, meta_set).per_class] + [r.accuracy for r in records[:2]]
+    accs = [per_class_accuracy(model0, meta_set)] + [r.accuracy for r in records[:2]]
     assert accs[0].tobytes() != accs[1].tobytes() != accs[2].tobytes()
 
     assert got_head.net.params.tobytes() == head.net.params.tobytes()
@@ -345,8 +354,8 @@ def test_t_zero_returns_inputs_unchanged():
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=22)
     dnet = head_init("class", 3, seed=23)
-    out_model, out_dnet, metrics = train(
-        cfg_for(train_set, T=0, seed=0), train_set, meta_set, model, dnet
+    out_model, out_dnet, metrics = train_one_seed(
+        cfg_for(train_set, T=0), train_set, meta_set, model, dnet
     )
     assert out_model is model and out_dnet is dnet
     assert metrics.epochs == [] and metrics.weight_trace == []
@@ -358,8 +367,8 @@ def test_train_leaves_the_callers_nets_unchanged():
     model = tiny_model(seed=24)
     dnet = head_init("class", 3, seed=25)
     before = model.net.params.tobytes(), dnet.net.params.tobytes()
-    out_model, out_dnet, _ = train(
-        cfg_for(train_set, T=3, seed=0), train_set, meta_set, model, dnet
+    out_model, out_dnet, _ = train_one_seed(
+        cfg_for(train_set, T=3), train_set, meta_set, model, dnet
     )
     assert (model.net.params.tobytes(), dnet.net.params.tobytes()) == before
     assert out_model.net.params.tobytes() != before[0]
@@ -372,9 +381,9 @@ def test_same_seed_bit_identical():
     for _ in range(2):
         model = tiny_model(seed=24)
         dnet = head_init("class", 3, seed=25)
-        cfg = cfg_for(train_set, T=14, seed=3,
+        cfg = cfg_for(train_set, T=14,
                       trace_classes=(0, 2), record_losses=True)
-        runs.append(train(cfg, train_set, meta_set, model, dnet))
+        runs.append(train_one_seed(cfg, train_set, meta_set, model, dnet, 3))
     (m1, d1, r1), (m2, d2, r2) = runs
     for a, b in zip(m1.net.layers, m2.net.layers):
         assert np.array_equal(a.w, b.w)
@@ -393,8 +402,8 @@ def test_different_seed_differs():
     for seed in (0, 1):
         model = tiny_model(seed=26)
         dnet = head_init("class", 3, seed=27)
-        cfg = cfg_for(train_set, T=7, seed=seed)
-        m, _, _ = train(cfg, train_set, meta_set, model, dnet)
+        cfg = cfg_for(train_set, T=7)
+        m, _, _ = train_one_seed(cfg, train_set, meta_set, model, dnet, seed)
         outs.append(m)
     assert any(not np.array_equal(a.w, b.w)
                for a, b in zip(outs[0].net.layers, outs[1].net.layers))
@@ -403,9 +412,10 @@ def test_different_seed_differs():
 def test_epoch_records_and_trace_shape():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=2 * spe, seed=1, trace_classes=(0, 1, 2))
+    cfg = cfg_for(train_set, T=2 * spe, trace_classes=(0, 1, 2))
     model = tiny_model(seed=28)
-    _, _, metrics = train(cfg, train_set, meta_set, model, head_init("class", 3, seed=29))
+    _, _, metrics = train_one_seed(cfg, train_set, meta_set, model, head_init("class", 3, seed=29),
+                                   1)
     assert [e.epoch for e in metrics.epochs] == [0, 1]
     assert len(metrics.weight_trace) == 3 * 2 * spe
     steps = [t for t, _, _ in metrics.weight_trace]
@@ -421,9 +431,9 @@ def test_epoch_records_and_trace_shape():
 def test_nometa_difficulty_constant_within_epoch():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=2 * spe, seed=2, trace_classes=(0,))
+    cfg = cfg_for(train_set, T=2 * spe, trace_classes=(0,))
     model = tiny_model(seed=31)
-    _, dnet, metrics = train(cfg, train_set, meta_set, model, head_init("nometa", 3, 2))
+    _, dnet, metrics = train_one_seed(cfg, train_set, meta_set, model, head_init("nometa", 3, 2), 2)
     assert dnet.net is None
     vals = [v for _, _, v in metrics.weight_trace]
     first_epoch, second_epoch = vals[:spe], vals[spe:]
@@ -455,10 +465,10 @@ def test_nometa_applies_its_rule_once_per_accuracy_refresh(seeds, monkeypatch):
 
 def test_sample_variant_runs_without_class_snapshots():
     train_set, meta_set = tiny_data()
-    cfg = cfg_for(train_set, T=6, seed=4)
+    cfg = cfg_for(train_set, T=6)
     model = tiny_model(seed=32)
     sdnet = head_init("sample", 8, seed=33)
-    _, out_sdnet, metrics = train(cfg, train_set, meta_set, model, sdnet)
+    _, out_sdnet, metrics = train_one_seed(cfg, train_set, meta_set, model, sdnet, 4)
     assert metrics.epochs[-1].difficulty is None
     assert metrics.epochs[-1].entropy is None
     # the net did train
@@ -477,11 +487,11 @@ def test_one_forward_per_net_and_batch_per_step(kind, monkeypatch):
     # on the first step, while the sample kind's signal is new every step
     seen = spy_forward_passes(monkeypatch)
     train_set, meta_set = tiny_data()  # meta set of 12 rows: evaluation
-    cfg = cfg_for(train_set, T=10, b=8, m=6, seed=5)
+    cfg = cfg_for(train_set, T=10, b=8, m=6)
     spe = train_set.size // cfg.b
     assert cfg.T % spe  # the last, partial epoch ends at step T - 1
     head = head_init(kind, 8 if kind == "sample" else 3, seed=6)
-    train(cfg, train_set, meta_set, tiny_model(seed=39), head)
+    train_one_seed(cfg, train_set, meta_set, tiny_model(seed=39), head, 5)
     epochs = -(-cfg.T // spe)
     assert seen.count(8) == cfg.T
     assert seen.count(6) == cfg.T
@@ -508,7 +518,8 @@ def spy_forward_passes(monkeypatch):
 @pytest.mark.parametrize("kind", ["class", "abs", "sample", "fixed"])
 def test_stacked_seeds_share_each_pass(kind, monkeypatch):
     # three seeds in one train_seeds call run the passes of one seed's step,
-    # each over the whole stack; only evaluation runs per seed
+    # each over the whole stack, evaluation included: one meta-set pass
+    # before step 0 and one at each epoch's end, for any stack size
     seen = spy_forward_passes(monkeypatch)
     train_set, meta_set = tiny_data()
     cfg = cfg_for(train_set, T=10, b=8, m=6)
@@ -520,8 +531,8 @@ def test_stacked_seeds_share_each_pass(kind, monkeypatch):
                                   [tiny_model(seed=39 + s) for s in seeds],
                                   [head_init(kind, width, seed=s) for s in seeds], seeds)
         assert not [o for o in outs[seeds] if isinstance(o, NumericError)]
-        passes = [p for p in seen if p != 12]  # 12 rows: the per-seed evaluations
-        assert seen.count(12) == len(seeds) * (-(-cfg.T // (train_set.size // 8)) + 1)
+        passes = [p for p in seen if p != 12]  # 12 rows: the evaluations
+        assert seen.count(12) == -(-cfg.T // (train_set.size // 8)) + 1
         if seeds == (5,):
             one = passes
     assert passes == one
@@ -531,6 +542,49 @@ def test_stacked_seeds_share_each_pass(kind, monkeypatch):
     if h1.net is not None:
         assert h1.net.params.tobytes() == h3.net.params.tobytes()
     assert [vars_bytes(e) for e in r1.epochs] == [vars_bytes(e) for e in r3.epochs]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["class", "fixed"])
+def test_a_seed_whose_evaluation_fails_stops_alone(kind, monkeypatch):
+    # seed 6's meta-set logits read as non-finite at the second epoch's end:
+    # it stops there in the evaluation phase with its first epoch's record,
+    # and seeds 5 and 7 train on as each trains alone
+    real, calls = metatrain.per_class_accuracy, []
+
+    def poisoned(model, meta_set):
+        acc = real(model, meta_set)
+        calls.append(acc.shape)
+        if acc.ndim == 2 and len(calls) == 3:
+            acc[1] = np.nan
+        return acc
+
+    train_set, meta_set = tiny_data()
+    spe = train_set.size // 8
+    cfg = cfg_for(train_set, T=3 * spe)
+    width = 3
+
+    def train(seeds):
+        return train_seeds(cfg, train_set, meta_set, [tiny_model(seed=39 + s) for s in seeds],
+                           [head_init(kind, width, seed=s) for s in seeds], seeds)
+
+    alone = {s: train((s,))[0] for s in (5, 6, 7)}
+    monkeypatch.setattr(metatrain, "per_class_accuracy", poisoned)
+    together = train((5, 6, 7))
+    assert calls == [(3, width)] * 4  # before step 0 and at each epoch's end
+    error = together[1]
+    assert isinstance(error, NumericError)
+    assert (error.phase, error.step, error.quantity) == ("evaluation", 2 * spe - 1,
+                                                         "meta-set logits")
+    assert [vars_bytes(e) for e in error.metrics.epochs] == [vars_bytes(alone[6][2].epochs[0])]
+    for s, out in ((5, together[0]), (7, together[2])):
+        (m1, h1, r1), (m3, h3, r3) = alone[s], out
+        assert m1.net.params.tobytes() == m3.net.params.tobytes()
+        if h1.net is not None:
+            assert h1.net.params.tobytes() == h3.net.params.tobytes()
+        assert [vars_bytes(e) for e in r1.epochs] == [vars_bytes(e) for e in r3.epochs]
+        assert r1.weight_trace == r3.weight_trace
+        assert len(r3.epochs) == 3
 
 
 @pytest.mark.parametrize("kind", ["class", "abs", "sample", "fixed"])
@@ -575,8 +629,8 @@ def test_difficulty_net_passes_build_no_classifier(kind, monkeypatch):
     counts = []
     for T in (10, 30):
         calls.clear()
-        train(cfg_for(train_set, T=T, b=8, m=6), train_set, meta_set, tiny_model(seed=39),
-              head_init(kind, width, seed=5))
+        train_one_seed(cfg_for(train_set, T=T, b=8, m=6), train_set, meta_set,
+                       tiny_model(seed=39), head_init(kind, width, seed=5))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -590,16 +644,16 @@ def test_sample_width_must_cover_batch():
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=35)
     with pytest.raises(ValueError, match="width"):
-        train(cfg_for(train_set, T=1, b=8, seed=0),
-              train_set, meta_set, model, head_init("sample", 4, seed=0))
+        train_one_seed(cfg_for(train_set, T=1, b=8),
+                       train_set, meta_set, model, head_init("sample", 4, seed=0))
 
 
 def test_meta_set_must_be_balanced():
     train_set, _ = tiny_data()
     skewed = Dataset(np.zeros((3, 4)), np.array([0, 1, 1]), 3)
     with pytest.raises(ValueError, match="balanced"):
-        train(cfg_for(train_set, T=1, m=3, seed=0),
-              train_set, skewed, tiny_model(seed=36), head_init("class", 3, seed=0))
+        train_one_seed(cfg_for(train_set, T=1, m=3),
+                       train_set, skewed, tiny_model(seed=36), head_init("class", 3, seed=0))
 
 
 @pytest.mark.parametrize("logits", [2, 4])
@@ -630,23 +684,23 @@ def test_loop_bounds_validated():
     model = tiny_model(seed=37)
     dnet = head_init("class", 3, seed=38)
     with pytest.raises(ValueError, match="exceeds the train set"):
-        train(cfg_for(train_set, T=1, b=train_set.size + 1, seed=0),
-              train_set, meta_set, model, dnet)
+        train_one_seed(cfg_for(train_set, T=1, b=train_set.size + 1),
+                       train_set, meta_set, model, dnet)
     with pytest.raises(ValueError, match="meta batch"):
-        train(cfg_for(train_set, T=1, m=meta_set.size + 1, seed=0),
-              train_set, meta_set, model, dnet)
+        train_one_seed(cfg_for(train_set, T=1, m=meta_set.size + 1),
+                       train_set, meta_set, model, dnet)
     with pytest.raises(ValueError, match="trace"):
-        train(cfg_for(train_set, T=1, seed=0, trace_classes=(3,)),
-              train_set, meta_set, model, dnet)
+        train_one_seed(cfg_for(train_set, T=1, trace_classes=(3,)),
+                       train_set, meta_set, model, dnet)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_numeric_error_with_partial_metrics():
     train_set, meta_set = tiny_data()
-    cfg = cfg_for(train_set, T=4, seed=0, record_losses=True,
+    cfg = cfg_for(train_set, T=4, record_losses=True,
                   classifier_opt=OptSpec("adam", 1e308))
     with pytest.raises(NumericError) as info:
-        train(cfg, train_set, meta_set, tiny_model(seed=39), head_init("nometa", 3, 0))
+        train_one_seed(cfg, train_set, meta_set, tiny_model(seed=39), head_init("nometa", 3, 0))
     metrics = info.value.metrics
     assert metrics is not None
     assert len(metrics.step_losses) >= 1  # work before the blow-up is kept
@@ -659,7 +713,7 @@ def test_overflowing_evaluation_raises_numeric_error():
     train_set, meta_set = tiny_data()
     cfg = cfg_for(train_set, T=1, classifier_opt=OptSpec("sgd", 1e308))
     with pytest.raises(NumericError) as info:
-        train(cfg, train_set, meta_set, tiny_model(seed=0), head_init("fixed", 3, 0))
+        train_one_seed(cfg, train_set, meta_set, tiny_model(seed=0), head_init("fixed", 3, 0))
     assert (info.value.phase, info.value.step) == ("evaluation", 0)
     assert info.value.metrics is not None and info.value.metrics.epochs == []
 
@@ -667,8 +721,8 @@ def test_overflowing_evaluation_raises_numeric_error():
 def test_train_fixed_plain_ce_decreases_loss():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=6 * spe, seed=0, record_losses=True)
-    _, _, metrics = train(cfg, train_set, meta_set, tiny_model(seed=40), head_init("fixed", 3, 0))
+    cfg = cfg_for(train_set, T=6 * spe, record_losses=True)
+    _, _, metrics = train_one_seed(cfg, train_set, meta_set, tiny_model(seed=40), head_init("fixed", 3, 0))
     first = np.mean(metrics.step_losses[:spe])
     last = np.mean(metrics.step_losses[-spe:])
     assert last < first
@@ -683,12 +737,12 @@ def test_train_fixed_rule_receives_refreshed_accuracy():
         seen.append(acc.copy())
         return np.ones(train_set.class_count)
 
-    cfg = cfg_for(train_set, T=2 * spe, seed=0)
+    cfg = cfg_for(train_set, T=2 * spe)
     head = head_init("fixed", train_set.class_count, 0, spy_weights)
     model = tiny_model(seed=41)
-    _, _, metrics = train(cfg, train_set, meta_set, model, head)
+    _, _, metrics = train_one_seed(cfg, train_set, meta_set, model, head)
     # one call per epoch, not per step: the weights hold until the refresh
     assert len(seen) == 2
-    refreshed = [per_class_accuracy(model, meta_set).per_class, metrics.epochs[0].accuracy]
+    refreshed = [per_class_accuracy(model, meta_set), metrics.epochs[0].accuracy]
     assert [a.tobytes() for a in seen] == [a.tobytes() for a in refreshed]
     assert not np.array_equal(seen[0], seen[1])  # refreshed at the boundary

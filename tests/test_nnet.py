@@ -510,15 +510,15 @@ def two_class_set():
 def test_accuracy_perfect_classifier():
     net = MLP([Layer(np.eye(2), np.zeros(2), "identity")])
     acc = per_class_accuracy(Classifier(net, "linear"), two_class_set())
-    assert acc.per_class.tolist() == [1.0, 1.0]
-    assert acc.mean == 1.0
+    assert acc.tolist() == [1.0, 1.0]
+    assert acc.mean() == 1.0
 
 
 def test_accuracy_constant_class_zero():
     # zero logits everywhere: the argmax tie resolves to class 0
     net = MLP([Layer(np.zeros((2, 2)), np.zeros(2), "identity")])
     acc = per_class_accuracy(Classifier(net, "linear"), two_class_set())
-    assert acc.per_class.tolist() == [1.0, 0.0]
+    assert acc.tolist() == [1.0, 0.0]
 
 
 def test_accuracy_tie_breaks_to_lowest_index():
@@ -528,7 +528,7 @@ def test_accuracy_tie_breaks_to_lowest_index():
     x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     ds = Dataset(x, np.array([0, 1, 2]), 3)
     acc = per_class_accuracy(Classifier(net, "linear"), ds)
-    assert acc.per_class.tolist() == [0.0, 1.0, 0.0]
+    assert acc.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_accuracy_missing_class_rejected():
@@ -544,16 +544,44 @@ def test_accuracy_mean_is_balanced_accuracy():
     x = rng.standard_normal((30, 2))
     y = np.repeat([0, 1, 2], 10)
     ds = Dataset(x, y, 3)
-    acc = per_class_accuracy(Classifier(net, "linear"), ds)
-    assert np.isclose(acc.mean, acc.per_class.mean(), rtol=1e-15)
-    assert ((acc.per_class >= 0) & (acc.per_class <= 1)).all()
+    model = Classifier(net, "linear")
+    acc = per_class_accuracy(model, ds)
+    balanced = np.mean(loop_accuracy(classifier_logits(model, x), ds))
+    assert np.isclose(acc.mean(), balanced, rtol=1e-15)
+    assert ((acc >= 0) & (acc <= 1)).all()
 
 
-def test_accuracy_evaluated_on_tag():
-    acc = per_class_accuracy(
-        Classifier(MLP([Layer(np.eye(2), np.zeros(2), "identity")]), "linear"),
-        two_class_set(), "meta")
-    assert acc.evaluated_on == "meta"
+def loop_accuracy(logits, ds):
+    """Per-class argmax accuracy of (n, C) logits, one class at a time."""
+    pred = np.argmax(logits, axis=1)
+    return np.array([(pred[ds.labels == c] == c).mean() for c in range(ds.class_count)])
+
+
+@pytest.mark.parametrize("c, per_class, head", [(3, 66, "linear"), (3, 66, "cosine"),
+                                                 (100, 5, "linear")])
+def test_stacked_accuracy_rows_are_the_lone_nets(c, per_class, head):
+    # one pass and one bincount for a stack of three nets: row s has the
+    # bytes of net s alone, which are those of the per-class loop; a net
+    # whose logits are not finite reads NaN and leaves the other rows as
+    # they were
+    rng = np.random.default_rng(c)
+    ds = Dataset(rng.standard_normal((per_class * c, 16)), np.repeat(np.arange(c), per_class), c)
+    nets = [small_net([16, 8, c], seed=s) for s in range(3)]
+    stack = Classifier(nets[0].over(np.stack([n.params for n in nets])), head, 4.0)
+    lone = [Classifier(n, head, 4.0) for n in nets]
+    rows = per_class_accuracy(stack, ds)
+    assert rows.shape == (3, c)
+    for row, model in zip(rows, lone):
+        assert row.tobytes() == per_class_accuracy(model, ds).tobytes()
+        assert row.tobytes() == loop_accuracy(classifier_logits(model, ds.features), ds).tobytes()
+    assert len({row.tobytes() for row in rows}) == 3
+
+    stack.net.params[1, 0] = np.nan
+    bad = per_class_accuracy(stack, ds)
+    assert np.isnan(bad[1]).all()
+    assert bad[[0, 2]].tobytes() == rows[[0, 2]].tobytes()
+    assert np.isnan(per_class_accuracy(Classifier(stack.net.over(stack.net.params[1]), head, 4.0),
+                                       ds)).all()
 
 
 # ---------------------------------------------------------------- cosine head

@@ -1,7 +1,7 @@
 """Per-step A/B timing of two ltlab source trees, in one process.
 
     python3 tools/step_ab.py SRC_A SRC_B [--pairs 10] [--seed 0]
-                             [--methods dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds]
+                             [--methods dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds,eval]
 
 SRC_A and SRC_B are checkouts (each with src/ltlab) or src directories.
 Each side's ltlab is copied into a temporary directory under its own
@@ -21,7 +21,12 @@ of a freshly built classifier with crt_steps, crt_batch_size and crt_lr, in
 profile, `data.save_dataset` and `data.load_dataset` of the train file that
 `gen-data` writes for C=100 (the data of perfbench's c100-wide workload,
 21,285 rows of 16 features for seed 0), and checks that both sides write
-the same bytes.
+the same bytes. The entry eval times, in µs per call and without a
+profile, one `nnet.per_class_accuracy(model, meta_set)` of a freshly
+built lone classifier on the meta set: at C=10 (the default config, 200
+meta rows) and at C=100 (the c100-wide data, 500 rows). It checks that
+both sides give the same bytes; a side that returns an accuracy object
+is read through its per_class field.
 
 Set OPENBLAS_NUM_THREADS=1 (or the BLAS build's equivalent) for steadier
 numbers; the shapes here are too small for BLAS threads to help.
@@ -51,6 +56,7 @@ import numpy as np
 
 # perfbench's c100-wide data settings; the rest are the defaults it also uses
 LTDS_DATA = ("classes=100", "n_max=1000", "m_per_class=5")
+EVAL_CALLS = 200  # per_class_accuracy calls per timed run of an eval entry
 PROFILED = (("nnet.py", "forward_tape"), ("nnet.py", "with_labels"), ("nnet.py", "grads"),
             ("nnet.py", "dots"), ("nnet.py", "optimizer_step"), ("metatrain.py", "_meta_gradient"))
 
@@ -72,13 +78,31 @@ class Side:
         self.name = name
         self.harness = importlib.import_module(f"{name}.harness")
         self.ltds = importlib.import_module(f"{name}.data")
+        self.nnet = importlib.import_module(f"{name}.nnet")
         self.root = root
         self.data: dict = {}
 
     def setup(self, method: str, seed: int):
         """A call that trains the method's run for seed, and its step count;
         method "crt" is the stage-2 retraining alone, "ltds-save" and
-        "ltds-load" one save and one load of the C=100 gen-data train file."""
+        "ltds-load" one save and one load of the C=100 gen-data train file,
+        "eval-c10" and "eval-c100" EVAL_CALLS meta-set evaluations, the
+        call returning the last one's accuracies."""
+        if method.startswith("eval"):
+            if method not in self.data:
+                data = () if method == "eval-c10" else LTDS_DATA
+                cfg = self.harness.parse_config(None, data + (f"data_seed={seed}",))
+                _, meta_set = self.harness.build_datasets(cfg)
+                model = self.harness._build_model(cfg, meta_set.dim, meta_set.class_count, seed)
+                self.data[method] = model, meta_set
+            model, meta_set = self.data[method]
+
+            def evaluate():
+                for _ in range(EVAL_CALLS):
+                    acc = self.nnet.per_class_accuracy(model, meta_set)
+                return getattr(acc, "per_class", acc)
+
+            return evaluate, EVAL_CALLS
         if method.startswith("ltds"):
             if "ltds" not in self.data:
                 out = os.path.join(self.root, f"{self.name}_data")
@@ -101,7 +125,7 @@ class Side:
             spec = h.OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay)
             return (lambda: h.crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                                           spec, seed)), cfg.crt_steps
-        steps = h._train_config(cfg, train_set, seed).T
+        steps = h._train_config(cfg, train_set).T
         return (lambda: h.train_one(cfg, train_set, meta_set, seed)), steps
 
     def time_step(self, method: str, seed: int) -> float:
@@ -134,12 +158,12 @@ def main() -> None:
     ap.add_argument("src_b")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--methods", default="dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds")
+    ap.add_argument("--methods", default="dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds,eval")
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
-    methods = [e for m in args.methods.split(",") if m
-               for e in (("ltds-save", "ltds-load") if m == "ltds" else (m,))]
+    entries = {"ltds": ("ltds-save", "ltds-load"), "eval": ("eval-c10", "eval-c100")}
+    methods = [e for m in args.methods.split(",") if m for e in entries.get(m, (m,))]
 
     root = tempfile.mkdtemp(prefix="step_ab_")
     sys.path.insert(0, root)
@@ -153,20 +177,24 @@ def main() -> None:
                 for side in ((a, b) if k % 2 == 0 else (b, a)):
                     times[side.name].append(side.time_step(method, args.seed))
             ta, tb = (np.array(times[s.name]) for s in (a, b))
-            what = {"crt": "stage-2 step", "ltds-save": "call", "ltds-load": "call"}.get(method, "step")
+            per_call = method.startswith(("ltds", "eval"))
+            what = "stage-2 step" if method == "crt" else "call" if per_call else "step"
             print(f"{method}: µs per {what} over {args.pairs} pairs, seed {args.seed}")
             for side, t in ((a, ta), (b, tb)):
                 q1, med, q3 = np.percentile(t, [25, 50, 75])
                 print(f"  {side.name}  median {med:8.1f}  quartiles {q1:8.1f} {q3:8.1f}")
             print(f"  B faster in {int((tb < ta).sum())} of {args.pairs} pairs, "
                   f"median ratio A/B {np.median(ta / tb):.3f}")
-            if method.startswith("ltds"):
-                if method == "ltds-save":
-                    written = []
-                    for side in (a, b):
-                        with open(side.data["ltds"][0], "rb") as fh:
-                            written.append(fh.read())
-                    print(f"  both sides write the same bytes: {written[0] == written[1]}")
+            if method == "ltds-save":
+                written = []
+                for side in (a, b):
+                    with open(side.data["ltds"][0], "rb") as fh:
+                        written.append(fh.read())
+                print(f"  both sides write the same bytes: {written[0] == written[1]}")
+            if method.startswith("eval"):
+                accs = [side.setup(method, args.seed)[0]().tobytes() for side in (a, b)]
+                print(f"  both sides give the same bytes: {accs[0] == accs[1]}")
+            if per_call:
                 continue
             for side in (a, b):
                 per_step, cum = side.profile(method, args.seed)
