@@ -73,6 +73,7 @@ def class_balanced_batches(dataset, batch_size: int, seed: int):
         yield table[classes, within]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as train_seeds
 def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_spec, seed: int):
     """Classifier retraining: freeze every feature layer bit-for-bit, re-init
     the final layer, and train it alone with class-balanced batches and plain
@@ -106,7 +107,7 @@ def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_s
         idx = next(batches)
         feats = forward_layers(frozen, train_set.features[idx])
         # labels of the data, matched to the logits above
-        tape = forward_tape(last, feats).with_labels(train_set.labels[idx], checked=True)
+        tape = forward_tape(last, feats).with_labels(train_set.labels[idx])
         grads = tape.grads(tape.resid * (1.0 / idx.size), grad)  # the mean CE's cotangent
         check_finite(grads, "stage2", step, "classifier gradient")
         optimizer_step(opt, last.net, grads)

@@ -71,8 +71,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            summaries = summarize(collect_rows(args.paths))
-            print(report_text(summaries))
+            rows, failed = collect_rows(args.paths)
+            summaries = summarize(rows)
+            print("\n".join([report_text(summaries), *failed]))
             if args.csv:
                 report_csv(summaries, args.csv)
             return 0

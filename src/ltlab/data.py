@@ -205,22 +205,24 @@ _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 def load_dataset(path: str) -> Dataset:
     """Parse an LTDS file back into a Dataset, bit-exact with what was saved.
 
-    Rows are read by numpy's C text reader, a chunk of lines at a time. A
-    file it does not carry through is parsed again by the line parser, the
-    one that names the first defect; it also takes spellings the C reader
+    The file is read once, a chunk of lines at a time. numpy's C text
+    reader keeps every chunk it carries; the line parser takes any other
+    chunk, naming its first defect or parsing spellings the C reader
     refuses, such as 1_000.5."""
+    # no per-row lists: the arrays returned are views of these buffers
+    labels, values = array("q"), array("d")
     try:
         with open(path, "r", encoding="ascii") as fh:
             class_count, dim = _read_header(fh)
-            rows = _c_rows(fh, class_count, dim)
-        if rows is None:
-            with open(path, "r", encoding="ascii") as fh:
-                _read_header(fh)
-                rows = _line_rows(fh, class_count, dim)
+            first_line = 2
+            while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+                if not _c_rows(lines, class_count, dim, labels, values):
+                    _line_rows(lines, first_line, class_count, dim, labels, values)
+                first_line += len(lines)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not an ASCII text file") from None
 
-    labels = np.frombuffer(rows[0], dtype=np.int64)
+    labels = np.frombuffer(labels, dtype=np.int64)
     if not labels.size:
         raise FormatError("no data rows")
     if labels.max() != class_count - 1:
@@ -228,7 +230,7 @@ def load_dataset(path: str) -> Dataset:
             f"header C={class_count} does not match max label {labels.max()}"
         )
     return Dataset(
-        np.frombuffer(rows[1], dtype=np.float64).reshape(-1, dim), labels, class_count
+        np.frombuffer(values, dtype=np.float64).reshape(-1, dim), labels, class_count
     )
 
 
@@ -255,51 +257,43 @@ def _read_header(fh) -> tuple[int, int]:
     return class_count, dim
 
 
-def _c_rows(fh, class_count: int, dim: int) -> tuple[array, array] | None:
-    """The rows after the header as typed label and feature buffers, read by
-    np.loadtxt _CHUNK_LINES lines at a time; None at the first chunk it does
-    not carry: one that raised or warned, skipped a line (it drops empty
-    ones), or holds a label outside [0, class_count) or a non-finite value."""
+def _c_rows(lines: list[str], class_count: int, dim: int, labels: array,
+            values: array) -> bool:
+    """Append a chunk's rows, as np.loadtxt reads them, to the label and
+    feature buffers; False, appending nothing, for a chunk it does not
+    carry: one that raised or warned, skipped a line (it drops empty ones),
+    or holds a label outside [0, class_count) or a non-finite value."""
+    text = "".join(lines)  # one scan of the chunk per character beats one per line
+    if any(c in text for c in _C_ONLY_SPACE):
+        return False
+    del text  # before np.loadtxt runs, keeping the peak low
     dtype = np.dtype([("label", np.int64), ("x", np.float64, (dim,))])
-    labels, values = array("q"), array("d")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-            if _has_c_only_space(lines):
-                return None
-            try:
-                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except (ValueError, Warning):
-                return None
-            label, x = rows["label"], rows["x"]
-            if (
-                rows.size != len(lines)
-                or label.min() < 0
-                or label.max() >= class_count
-                or not np.isfinite(x).all()
-            ):
-                return None
-            labels.frombytes(label.tobytes())
-            values.frombytes(x.tobytes())
-    return labels, values
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return False
+    label, x = rows["label"], rows["x"]
+    if (
+        rows.size != len(lines)
+        or label.min() < 0
+        or label.max() >= class_count
+        or not np.isfinite(x).all()
+    ):
+        return False
+    labels.frombytes(label.tobytes())
+    values.frombytes(x.tobytes())
+    return True
 
 
-def _has_c_only_space(lines: list[str]) -> bool:
-    # One scan of the joined chunk per character is far cheaper than one per
-    # line; the joined copy goes before np.loadtxt runs, keeping the peak low.
-    text = "".join(lines)
-    return any(c in text for c in _C_ONLY_SPACE)
-
-
-def _line_rows(fh, class_count: int, dim: int) -> tuple[array, array]:
-    """The rows after the header as typed label and feature buffers, parsed
-    one line at a time with int() and float(); the first defect raises a
-    FormatError with its line number."""
-    # Rows go straight into typed buffers: no per-row lists are kept and
-    # the arrays load_dataset returns are views of the buffers, not copies.
-    labels, values = array("q"), array("d")
+def _line_rows(lines: list[str], first_line: int, class_count: int, dim: int,
+               labels: array, values: array) -> None:
+    """Append a chunk's rows, the first on line first_line of the file, to
+    the label and feature buffers, parsed one line at a time with int() and
+    float(); the first defect raises a FormatError with its line number."""
     isfinite = math.isfinite
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line:
             raise FormatError("blank line inside data section", line=lineno)
@@ -325,4 +319,3 @@ def _line_rows(fh, class_count: int, dim: int) -> tuple[array, array]:
         except OverflowError:  # only a header C beyond int64 lets one through
             raise FormatError(f"label {label} does not fit int64", line=lineno) from None
         values.extend(row)
-    return labels, values

@@ -447,46 +447,51 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
     stage1 = stage1[: rcfg.epochs]  # one row per epoch
     model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                         OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
-    acc = per_class_accuracy(model, meta_set)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as crt_retrain
+        acc = per_class_accuracy(model, meta_set)
     check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
     (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
                             (cfg.many_min, cfg.few_max))[1]
     save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
     _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
+    _remove(run_dir, "failure.csv")  # of a stage 2 that failed before
     return _report_row(rcfg.method, seed, vars(rec), time.time() - started)
 
 
 def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int,
                trained, started: float) -> ReportRow:
     """One seed's run directory from what train_all returned for it, with
-    stage 2 when configured; a seed that failed leaves its flushed metrics
-    and raises its NumericError. started is when the command's training
+    stage 2 when configured. A seed that failed in stage 1 leaves its
+    flushed metrics, and one that failed in either stage a failure.csv;
+    then its NumericError is raised. started is when the command's training
     started."""
     run_dir = _run_dir(cfg, seed)
-    if isinstance(trained, NumericError):
-        # no checkpoint of an earlier run outlives the metrics of this one
-        _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
-        _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
-        _write_manifest(run_dir, started)
-        raise trained
-
-    model, head, metrics = trained
-    # made only after training, so that a rejected config leaves no directory
-    os.makedirs(run_dir, exist_ok=True)
-    save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
-    if head.net is not None:
-        save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
-    # a stage-2 checkpoint of an earlier run retrained another stage 1
-    _remove(run_dir, "classifier_crt.ltnn")
-    _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
     try:
+        if isinstance(trained, NumericError):
+            # no checkpoint of an earlier run outlives the metrics of this one
+            _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
+            _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
+            raise trained
+        model, head, metrics = trained
+        # made only after training, so that a rejected config leaves no directory
+        os.makedirs(run_dir, exist_ok=True)
+        save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
+        if head.net is not None:
+            save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
+        # a stage-2 checkpoint or a failure of an earlier run
+        _remove(run_dir, "classifier_crt.ltnn", "failure.csv")
+        _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
         if cfg.stage2 == "crt":
             row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))
         else:
             final = vars(metrics.epochs[-1]) if metrics.epochs else None
             row = _report_row(cfg.method, seed, final, 0.0)
+    except NumericError as e:
+        _write_csv(os.path.join(run_dir, "failure.csv"), ["phase", "step", "quantity"],
+                   [[e.phase, str(e.step), e.quantity]])
+        raise
     finally:
-        # last, so that its times cover stage 2 too, also when stage 2 fails
+        # last, so that its times cover stage 2 too, also when a stage fails
         _write_manifest(run_dir, started)
     row.wall_seconds = time.time() - started
     return row
@@ -606,9 +611,11 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
 # reporting
 
 
-def collect_rows(paths: list[str]) -> list[ReportRow]:
-    """Find every run directory (one metrics.csv each) under the given paths."""
-    rows = []
+def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
+    """Find every run directory (one metrics.csv each) under the given
+    paths: the rows of the runs that finished, and a line for each run that
+    a failure.csv marks as failed, which gives no row."""
+    rows, failed = [], []
     metric_files = []
     for p in paths:
         direct = os.path.join(p, "metrics.csv")
@@ -620,6 +627,12 @@ def collect_rows(paths: list[str]) -> list[ReportRow]:
                 metric_files.append(os.path.join(root, "metrics.csv"))
     for mf in sorted(metric_files):
         run_dir = os.path.dirname(mf)
+        failure = os.path.join(run_dir, "failure.csv")
+        if os.path.exists(failure):
+            with _malformed(failure):
+                _, [(phase, step, quantity)] = _read_csv(failure)
+                failed.append(f"left out {run_dir}: {NumericError(phase, int(step), quantity)}")
+            continue
         rc = os.path.join(run_dir, "run_config.txt")
         if os.path.exists(rc):
             rcfg = parse_config(rc)
@@ -639,7 +652,7 @@ def collect_rows(paths: list[str]) -> list[ReportRow]:
             with open(man, "r", encoding="utf-8") as fh, _malformed(man, AttributeError, TypeError):
                 row.wall_seconds = float(json.load(fh).get("wall_seconds", 0.0))
         rows.append(row)
-    return rows
+    return rows, failed
 
 
 @contextlib.contextmanager

@@ -180,7 +180,7 @@ def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha,
     """
     d = head.read(d_tape.logits, x.shape[-1])
     looked = _lookahead(tape, head.weights(d, labels), alpha, buffers)
-    meta = forward_tape(looked, meta_x).with_labels(meta_y, checked=True)
+    meta = forward_tape(looked, meta_x).with_labels(meta_y)
     meta.grads(meta.resid * (1.0 / meta_y.shape[-1]), buffers.meta)  # the mean CE's cotangent
     v = head.reduce(tape.dots(buffers.meta), labels, d.shape[-1]) * -(alpha / labels.shape[-1])
     u = lam * target_fit_cotangent(d, target) + v
@@ -254,6 +254,9 @@ def evaluate_epoch(epoch: int, acc: np.ndarray, live, head: DifficultyHead, trai
     return head_pass, records
 
 
+# the finite checks name a failure's phase, step and quantity, so numpy's
+# floating-point warnings would only repeat it, less precisely
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds) -> list:
     """Run cfg.T iterations of the three-update step (the classifier step
     alone for heads without a net) for every seed at once, with batching, a
@@ -292,7 +295,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
     bad = [c for c in cfg.trace_classes if not 0 <= c < train_set.class_count]
     if bad:
         raise ConfigError(f"trace classes outside [0, C): {bad}")
-    # the data's labels then fit the logits, and the step labels its tapes unchecked
+    # the data's labels then fit the logits, as Tape.with_labels takes them
     width = classifiers[0].classes
     if {train_set.class_count, meta_set.class_count} != {width}:
         raise ConfigError(f"the classifier has {width} logits for data of "
@@ -345,7 +348,7 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
         # the classifier's one forward pass over the batch this step: the
         # virtual step, the per-sample dots, the actual step and the sample
         # kind's loss signal all reuse it
-        tape = forward_tape(model, bx).with_labels(by, checked=True)
+        tape = forward_tape(model, bx).with_labels(by)
         labels = seed_labels(by, head.width)
         if pos == 0 or not per_class:
             # a new signal, the refreshed accuracies or this batch's losses;

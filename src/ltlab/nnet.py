@@ -257,14 +257,11 @@ class Tape:
     ce: np.ndarray | None = None
     p: np.ndarray | None = None
 
-    def with_labels(self, labels, checked: bool = False) -> Tape:
-        """Check the batch's labels once and keep the CE residual, the
-        per-sample CE -log softmax[y] and p = softmax[y], all from one exp.
-        checked=True skips the check, for an int array of labels that the
-        caller has already matched to the logits: of their leading shape,
-        each in [0, C). Returns the tape."""
-        if not checked:
-            labels = check_labels(labels, self.logits.shape[:-1], self.logits.shape[-1])
+    def with_labels(self, labels: np.ndarray) -> Tape:
+        """Keep the batch's labels with the CE residual, the per-sample CE
+        -log softmax[y] and p = softmax[y], all from one exp. labels is an
+        int array that the caller has matched to the logits: of their
+        leading shape, each in [0, C). Returns the tape."""
         self.labels = labels
         z = self.logits - self.logits.max(axis=-1, keepdims=True)
         classes = z.shape[-1]
@@ -350,17 +347,6 @@ def forward_tape(model, x) -> Tape:
         return Tape(net, steps, *_cosine_parts(net.layers[-1], feats, model.scale))
     steps, logits = _cache_layers(net.layers, x)
     return Tape(net, steps, None, logits)
-
-
-def check_labels(labels, rows: tuple, classes: int) -> np.ndarray:
-    """labels as an array of shape rows, one per logit row, each in
-    [0, classes); anything else raises ValueError."""
-    labels = np.asarray(labels)
-    if labels.shape != rows:
-        raise ValueError(f"labels must be {rows}, one per logit row")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError("labels outside [0, C)")
-    return labels
 
 
 def _walk_grads(layers, steps, d_post, views) -> None:

@@ -1,7 +1,8 @@
 """Reference rules that the tests check ltlab against and that no ltlab
-command runs: the weighted CE with its own log-softmax, the classifier
-gradient, the bilevel step's lookahead and meta-gradient with buffers made
-per call, the class weight lookup and the driver loss."""
+command runs: the weighted CE with its own log-softmax, the label check,
+the classifier gradient, the bilevel step's lookahead and meta-gradient with
+buffers made per call and labels checked per call, the class weight lookup
+and the driver loss."""
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from ltlab.difficulty import (
     target_fit_cotangent,
 )
 from ltlab.metatrain import _lookahead, _meta_gradient, _step_buffers
-from ltlab.nnet import check_labels, forward_tape
+from ltlab.nnet import forward_tape
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -39,17 +40,35 @@ def weighted_ce_loss(logits, labels, weights) -> tuple[float, np.ndarray]:
     return float(per_sample.mean()), per_sample
 
 
+def check_labels(labels, rows: tuple, classes: int) -> np.ndarray:
+    """labels as an array of shape rows, one per logit row, each in
+    [0, classes); anything else raises ValueError."""
+    labels = np.asarray(labels)
+    if labels.shape != rows:
+        raise ValueError(f"labels must be {rows}, one per logit row")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError("labels outside [0, C)")
+    return labels
+
+
+def labelled_tape(model, batch, labels):
+    """The model's tape over batch, labelled after check_labels."""
+    tape = forward_tape(model, batch)
+    logits = tape.logits
+    return tape.with_labels(check_labels(labels, logits.shape[:-1], logits.shape[-1]))
+
+
 def backward(model, batch, labels, weights, out=None) -> np.ndarray:
     """Gradient of (1/b) * sum_i w_i * CE_i wrt the net's params, written
     into out as Tape.grads writes it."""
-    tape = forward_tape(model, batch).with_labels(labels)
+    tape = labelled_tape(model, batch, labels)
     return tape.grads(tape.cotangent(weights), out)
 
 
 def virtual_step(model, batch_x, batch_y, weights, alpha: float):
     """One plain-SGD lookahead on the weighted CE; returns the looked-ahead
     classifier and never touches optimizer state."""
-    return _lookahead(forward_tape(model, batch_x).with_labels(batch_y), weights, alpha,
+    return _lookahead(labelled_tape(model, batch_x, batch_y), weights, alpha,
                       _step_buffers(model, None))
 
 
@@ -59,7 +78,7 @@ def meta_gradient(head, model, signal, batch_x, batch_y, meta_x, meta_y, alpha: 
     virtual step phi_hat(theta). signal is the accuracy vector, or for the
     sample kind the batch's per-sample losses."""
     x = head_signal(head, signal)
-    tape = forward_tape(model, batch_x).with_labels(batch_y)
+    tape = labelled_tape(model, batch_x, batch_y)
     meta_y = check_labels(meta_y, np.shape(meta_x)[:-1], tape.logits.shape[-1])
     return _meta_gradient(head, tape, seed_labels(tape.labels, head.width), x,
                           head.target(x), head.forward(x), meta_x, meta_y, alpha, lam,

@@ -291,7 +291,7 @@ def test_c_reader_carries_valid_files_bit_exact(tmp_path, monkeypatch):
 ], ids=["blank", "non_finite", "label_range", "c_only_space", "underscore"])
 def test_line_parser_takes_what_the_c_reader_does_not(row, error, tmp_path, monkeypatch):
     # the row follows a full chunk the C reader accepts, so the line
-    # parser must start again from the top
+    # parser takes the row's chunk alone
     calls = []
     line_rows = data._line_rows
     monkeypatch.setattr(data, "_line_rows", lambda *a: calls.append(a) or line_rows(*a))
@@ -305,6 +305,28 @@ def test_line_parser_takes_what_the_c_reader_does_not(row, error, tmp_path, monk
         with pytest.raises(FormatError, match=f"line {data._CHUNK_LINES + 2}: {error}"):
             load_dataset(path)
     assert len(calls) == 1
+
+
+def test_one_pass_reads_the_file_once_and_hands_only_the_bad_chunk_on(tmp_path, monkeypatch):
+    # 2,000 rows whose only defect is on the last line: the file is opened
+    # once, the three full chunks before it go through np.loadtxt alone, and
+    # the line parser gets the last chunk and names the defect's line
+    rng = np.random.default_rng(7)
+    path = tmp_path / "d.ltds"
+    save_dataset(Dataset(rng.standard_normal((2000, 3)), np.arange(2000) % 5, 5), path)
+    text = path.read_text(encoding="ascii")
+    path.write_text(text[: text.rindex(",")] + ",zap\n", encoding="ascii")
+
+    opened, parsed = [], []
+    monkeypatch.setattr(data, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    line_rows = data._line_rows
+    monkeypatch.setattr(data, "_line_rows", lambda *a: parsed.append(a) or line_rows(*a))
+    with pytest.raises(FormatError, match="^line 2001: non-numeric field$"):
+        load_dataset(path)
+    assert opened == [path]
+    full = 3 * data._CHUNK_LINES
+    assert [(len(lines), first) for lines, first, *_ in parsed] == [(2000 - full, 2 + full)]
 
 
 # --------------------------------------------- load_dataset against an oracle

@@ -6,12 +6,15 @@ import errno
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import ltlab
 from ltlab import harness, metatrain
 from ltlab.cli import main
 from ltlab.data import Dataset, load_dataset, save_dataset
@@ -538,7 +541,8 @@ def test_stage2_divergence_exits_3_and_keeps_stage1_files(tmp_path):
     assert main(["train", *small, "--set", "stage2=crt", *diverge]) == 3
     assert main(["train", *small, "--set", f"out_dir={ref}"]) == 0
     got, want = bad / "ce" / "seed0", ref / "ce" / "seed0"
-    assert sorted(os.listdir(got)) == sorted(os.listdir(want))  # run_config.txt too
+    # run_config.txt too; the failed run also records its failure
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want) + ["failure.csv"])
     for name in ("classifier.ltnn", "metrics.csv"):
         assert (got / name).read_bytes() == (want / name).read_bytes()
     assert main(["crt", *small, *diverge]) == 3
@@ -702,7 +706,8 @@ def test_ensemble_needs_run_config(runs_dir, tmp_path):
 # ------------------------------------------------------------------- reporting
 
 def test_collect_and_summarize(runs_dir):
-    rows = collect_rows([str(runs_dir)])
+    rows, failed = collect_rows([str(runs_dir)])
+    assert failed == []
     methods = sorted({r.method for r in rows})
     assert methods == ["ce", "dnet"]
     summaries = summarize(rows)
@@ -722,7 +727,7 @@ def test_run_rows_equal_collected_rows(stage2, tmp_path):
     # for report: every value survives the round trip, empty splits included
     out = tmp_path / stage2
     returned = run(base_cfg(out, method="dnet", seeds=(0, 1), stage2=stage2))
-    collected = collect_rows([str(out)])
+    collected, _ = collect_rows([str(out)])
     names = ("method", "seed", "overall", "many", "medium", "few", "entropy")
 
     def key(r):
@@ -738,13 +743,13 @@ def test_collect_rows_reads_a_non_numeric_seed_dir_as_seed_minus_one(runs_dir, t
     for name in ("seedx", "seed7"):
         (tmp_path / "ce" / name).mkdir(parents=True)
         shutil.copy(runs_dir / "ce" / "seed0" / "metrics.csv", tmp_path / "ce" / name)
-    assert sorted(r.seed for r in collect_rows([str(tmp_path)])) == [-1, 7]
+    assert sorted(r.seed for r in collect_rows([str(tmp_path)])[0]) == [-1, 7]
     assert main(["report", str(tmp_path)]) == 0
     assert "ce" in capsys.readouterr().out
 
 
 def test_collect_rows_direct_run_dir(runs_dir):
-    rows = collect_rows([str(runs_dir / "dnet" / "seed0")])
+    rows, _ = collect_rows([str(runs_dir / "dnet" / "seed0")])
     assert len(rows) == 1
     assert rows[0].method == "dnet" and rows[0].seed == 0
     assert rows[0].entropy is not None
@@ -757,9 +762,9 @@ def test_collect_rows_without_run_config_reads_the_layout(runs_dir, tmp_path):
     for d in ("focal/seed3", "focal/latest"):
         (tmp_path / d).mkdir(parents=True)
         shutil.copy(src, tmp_path / d / "metrics.csv")
-    rows = collect_rows([str(tmp_path)])
+    rows, _ = collect_rows([str(tmp_path)])
     assert sorted((r.method, r.seed) for r in rows) == [("focal", -1), ("focal", 3)]
-    want = collect_rows([str(runs_dir / "ce" / "seed0")])[0]
+    want = collect_rows([str(runs_dir / "ce" / "seed0")])[0][0]
     assert all(r.overall == want.overall and r.wall_seconds == 0.0 for r in rows)
 
 
@@ -949,6 +954,56 @@ def _copy_runs_for(command, runs_dir, tmp_path):
         return ["--set", "method=dnet", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
     members = ",".join(str(tmp_path / m / "seed0") for m in ("dnet", "ce"))
     return ["--set", f"ensemble_members={members}", "--set", f"out_dir={tmp_path / 'ens'}"]
+
+
+DIVERGING = ["--set", "method=ce", "--set", "alpha=30", "--set", "seeds=0"]
+DIVERGED = "non-finite classifier gradient in the classifier phase at step 150"
+
+
+def test_a_numeric_failure_prints_one_line(tmp_path):
+    # numpy's floating-point warnings (overflow in matmul, then overflow and
+    # invalid value in subtract) would come before the one line that names
+    # the phase, step and quantity
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.path.dirname(os.path.dirname(ltlab.__file__)))
+    done = subprocess.run([sys.executable, "-m", "ltlab.cli", "train", *DIVERGING,
+                           "--set", f"out_dir={tmp_path}"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 3
+    assert done.stderr == f"numeric failure: {DIVERGED}\n"
+
+
+def test_report_leaves_out_a_failed_run(tmp_path, capsys):
+    # the failed run's partial metrics.csv is no result: report prints the
+    # run after its table instead, until a run that succeeds replaces it
+    sets = [*DIVERGING, "--set", f"out_dir={tmp_path}"]
+    assert main(["train", *sets]) == 3
+    run_dir = tmp_path / "ce" / "seed0"
+    assert (run_dir / "failure.csv").read_text("ascii") == \
+        "phase,step,quantity\nclassifier,150,classifier gradient\n"
+    capsys.readouterr()
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [f"left out {run_dir}: {DIVERGED}"]
+    assert main(["train", *sets, "--set", "alpha=0.1"]) == 0
+    assert "failure.csv" not in os.listdir(run_dir)
+    capsys.readouterr()
+    assert main(["report", str(tmp_path)]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[2:]
+    assert row.split()[:2] == ["ce", "1"]
+
+
+def test_a_failed_stage2_is_recorded_until_a_stage2_succeeds(tmp_path):
+    with pytest.raises(NumericError) as info:
+        run(base_cfg(tmp_path, method="ce", stage2="crt", crt_lr=1e300))
+    e = info.value
+    failure = tmp_path / "ce" / "seed0" / "failure.csv"
+    assert e.phase == "stage2"
+    assert failure.read_text("ascii").splitlines() == [
+        "phase,step,quantity", f"{e.phase},{e.step},{e.quantity}"]
+    assert collect_rows([str(tmp_path)])[0] == []
+    crt_existing(base_cfg(tmp_path, method="ce"))
+    assert not failure.exists()
+    assert len(collect_rows([str(tmp_path)])[0]) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

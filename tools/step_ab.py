@@ -21,7 +21,9 @@ of a freshly built classifier with crt_steps, crt_batch_size and crt_lr, in
 profile, `data.save_dataset` and `data.load_dataset` of the train file that
 `gen-data` writes for C=100 (the data of perfbench's c100-wide workload,
 21,285 rows of 16 features for seed 0), and checks that both sides write
-the same bytes. The entry eval times, in µs per call and without a
+the same bytes. With them it times, as ltds-bad, one `data.load_dataset` of
+a copy of that file whose last line is corrupted, which the line parser
+must name, and checks that both sides raise the same message. The entry eval times, in µs per call and without a
 profile, one `nnet.per_class_accuracy(model, meta_set)` of a freshly
 built lone classifier on the meta set: at C=10 (the default config, 200
 meta rows) and at C=100 (the c100-wide data, 500 rows). It checks that
@@ -86,6 +88,8 @@ class Side:
         """A call that trains the method's run for seed, and its step count;
         method "crt" is the stage-2 retraining alone, "ltds-save" and
         "ltds-load" one save and one load of the C=100 gen-data train file,
+        "ltds-bad" one load of a copy whose last line is corrupted, the call
+        returning the FormatError's message,
         "eval-c10" and "eval-c100" EVAL_CALLS meta-set evaluations, the
         call returning the last one's accuracies."""
         if method.startswith("eval"):
@@ -113,6 +117,22 @@ class Side:
             path, ds = self.data["ltds"]
             if method == "ltds-save":
                 return (lambda: self.ltds.save_dataset(ds, path)), 1
+            if method == "ltds-bad":
+                bad = f"{path}.bad"
+                if not os.path.exists(bad):
+                    with open(path, "r", encoding="ascii") as fh:
+                        text = fh.read()
+                    with open(bad, "w", encoding="ascii", newline="\n") as fh:
+                        fh.write(text[: text.rindex(",")] + ",zap\n")
+
+                def load_bad():
+                    try:
+                        self.ltds.load_dataset(bad)
+                    except self.ltds.FormatError as e:
+                        return str(e)
+                    raise AssertionError(f"{bad} loaded")
+
+                return load_bad, 1
             return (lambda: self.ltds.load_dataset(path)), 1
         name = "ce" if method == "crt" else method
         if name not in self.data:
@@ -162,7 +182,7 @@ def main() -> None:
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
-    entries = {"ltds": ("ltds-save", "ltds-load"), "eval": ("eval-c10", "eval-c100")}
+    entries = {"ltds": ("ltds-save", "ltds-load", "ltds-bad"), "eval": ("eval-c10", "eval-c100")}
     methods = [e for m in args.methods.split(",") if m for e in entries.get(m, (m,))]
 
     root = tempfile.mkdtemp(prefix="step_ab_")
@@ -191,6 +211,9 @@ def main() -> None:
                     with open(side.data["ltds"][0], "rb") as fh:
                         written.append(fh.read())
                 print(f"  both sides write the same bytes: {written[0] == written[1]}")
+            if method == "ltds-bad":
+                said = [side.setup(method, args.seed)[0]() for side in (a, b)]
+                print(f"  both sides raise the same message: {said[0] == said[1]} ({said[0]})")
             if method.startswith("eval"):
                 accs = [side.setup(method, args.seed)[0]().tobytes() for side in (a, b)]
                 print(f"  both sides give the same bytes: {accs[0] == accs[1]}")
