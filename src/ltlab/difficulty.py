@@ -38,12 +38,12 @@ class DifficultyHead:
     class   accuracy vector in, difficulty vector out, through one net
     abs     a scalar net scores each class from its own accuracy, so the map
             is permutation-equivariant by construction
-    sample  a batch's per-sample losses in, per-sample difficulties out; short
-            batches are padded with their own mean and the padding is dropped
+    sample  a batch's per-sample losses in, per-sample difficulties out, one
+            batch wide (Meta-Weight-Net, Shu et al., 2019)
     nometa  no net: difficulties are the driver target, clipped above 0
     fixed   no net: a hand-set rule maps the accuracy vector to class weights
 
-    width is the class count, or for sample the padded batch width. Net-less
+    width is the class count, or for sample the batch size. Net-less
     heads apply rule to the signal instead of a net, to each seed's row of
     a stacked signal on its own.
     """
@@ -65,28 +65,19 @@ class DifficultyHead:
         schema. A fixed rule's weights are not recorded."""
         return self.per_class and self.kind != "fixed"
 
-    def embed(self, x: np.ndarray, pad: float | None = None) -> np.ndarray:
-        """A signal-length vector as the net's input rows (or, with pad=0, an
-        output cotangent in the net's output shape). The sample kind pads a
-        short batch with its mean, or pad, and views a full one as it is."""
-        if self.kind == "abs":
-            return x[..., :, None]
-        n = x.shape[-1]
-        if self.kind == "sample" and n < self.width:
-            out = np.empty(x.shape[:-1] + (self.width,))
-            out[..., n:] = x.mean(axis=-1, keepdims=True) if pad is None else pad
-            out[..., :n] = x
-            x = out
-        return x[..., None, :]
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """A signal-length vector as the net's input rows, or a cotangent of
+        the difficulties as one in the net's output shape."""
+        return x[..., :, None] if self.kind == "abs" else x[..., None, :]
 
     def forward(self, x: np.ndarray) -> Tape:
         """The net's pass over a checked signal x, kept as a Tape: its
         logits read back as the difficulties, and backprop runs on it."""
         return forward_tape(self.net, self.embed(x))
 
-    def read(self, out: np.ndarray, n: int) -> np.ndarray:
-        """The net's output rows back as n difficulties."""
-        return out[..., 0] if self.kind == "abs" else out[..., 0, :n]
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """The net's output rows back as the difficulties."""
+        return out[..., 0] if self.kind == "abs" else out[..., 0, :]
 
     def weights(self, d: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-sample loss weights for labels already checked against the
@@ -94,14 +85,14 @@ class DifficultyHead:
         d itself."""
         return d.ravel()[labels] if self.per_class else d
 
-    def reduce(self, dots: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
+    def reduce(self, dots: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-sample values summed onto the difficulties they were weighted
         by, in sample order: one bincount over seed_labels for all seeds."""
         if not self.per_class:
             return dots
         rows = dots.shape[:-1]
         return np.bincount(labels.ravel(), weights=dots.ravel(),
-                           minlength=size * math.prod(rows)).reshape(rows + (size,))
+                           minlength=self.width * math.prod(rows)).reshape(rows + (self.width,))
 
     def target(self, x: np.ndarray) -> np.ndarray:
         """Driver target: 1 - normalized accuracy, or its per-sample analogue."""
@@ -144,18 +135,15 @@ def dnet_forward(head: DifficultyHead, signal, tape: Tape | None = None) -> np.n
     x = head_signal(head, signal)
     if head.net is None:
         return head.rule(x) if x.ndim == 1 else np.stack([head.rule(row) for row in x])
-    return head.read((head.forward(x) if tape is None else tape).logits, x.shape[-1])
+    return head.read((head.forward(x) if tape is None else tape).logits)
 
 
 def head_signal(head: DifficultyHead, signal) -> np.ndarray:
     """The signal as a checked float64 vector of a length the head accepts,
     or a stack of them, one per seed."""
     x = accuracy_array(signal)
-    n = x.shape[-1]
-    if head.kind == "class" and n != head.width:
-        raise ValueError(f"expected {head.width} accuracies, got {n}")
-    if head.kind == "sample" and not 0 < n <= head.width:
-        raise ValueError(f"batch of {n} must be non-empty and fit width {head.width}")
+    if head.kind in ("class", "sample") and x.shape[-1] != head.width:
+        raise ValueError(f"expected a signal of {head.width} values, got {x.shape[-1]}")
     return x
 
 

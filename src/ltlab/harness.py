@@ -75,14 +75,6 @@ METHODS = {
 }
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_list(raw: str, cast: Callable[[str], object] = str) -> tuple:
     """Comma-separated items, each stripped and cast; empty text is ()."""
     raw = raw.strip()
@@ -130,7 +122,6 @@ class ExperimentConfig:
     classifier_weight_decay: float = 1e-4
     dnet_optimizer: str = "adam"
     dnet_weight_decay: float = 3e-3
-    sample_width: int = 0  # 0: use batch_size
     # baseline knobs
     cdb_tau: float = 1.0
     effnum_beta: float = 0.999
@@ -144,7 +135,6 @@ class ExperimentConfig:
     trace_classes: object = "auto"  # "auto" | "none" | tuple of ints
     many_min: int = 100
     few_max: int = 20
-    record_losses: bool = False
     ensemble_members: tuple[str, ...] = ()
 
 
@@ -157,12 +147,20 @@ _PARSERS = {"seeds": functools.partial(_parse_list, cast=int), "ensemble_members
 SCHEMA: dict[str, tuple[str, object]] = {
     "lambda" if f.name == "lam" else f.name: (
         f.name,
-        _PARSERS.get(f.name) or (_parse_bool if isinstance(f.default, bool) else type(f.default)))
+        _PARSERS.get(f.name) or type(f.default))
     for f in fields(ExperimentConfig)
 }
 
+# retired keys that older run_config.txt files hold, ignored at the values
+# that changed no file: record_losses at any boolean, sample_width at 0
+RETIRED = {"record_losses": {"true", "false", "1", "0", "yes", "no"}, "sample_width": {"0"}}
+
 
 def _apply_kv(values: dict, key: str, raw: str, where: str) -> None:
+    if key in RETIRED:
+        if raw.lower() in RETIRED[key]:
+            return
+        raise ConfigError(f"retired config key {key!r} cannot be {raw!r} ({where})")
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key {key!r} ({where})")
     attr, parser = SCHEMA[key]
@@ -219,7 +217,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.many_min > cfg.few_max, "many_min must exceed few_max")
     need(bool(cfg.train_file) == bool(cfg.meta_file),
          "train_file and meta_file must be given together")
-    need(cfg.sample_width >= 0, "sample_width must be non-negative")
     need(cfg.crt_steps >= 0 and cfg.crt_batch_size >= 1 and cfg.crt_lr > 0, "bad crt settings")
     need(cfg.focal_gamma >= 0, "focal_gamma must be non-negative")
     need(cfg.cdb_tau >= 0, "cdb_tau must be non-negative")
@@ -233,9 +230,7 @@ def config_text(cfg: ExperimentConfig) -> str:
     for f in fields(cfg):
         key = attr_to_key[f.name]
         val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            raw = "true" if val else "false"
-        elif isinstance(val, tuple):
+        if isinstance(val, tuple):
             raw = ",".join(str(v) for v in val)
         elif isinstance(val, float):
             raw = repr(val)
@@ -294,7 +289,7 @@ class ReportRow:
     medium: float | None
     few: float | None
     entropy: float | None
-    wall_seconds: float
+    wall_seconds: float = 0.0  # the run's, from train's clock or report's manifest.json
 
 
 def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
@@ -322,7 +317,6 @@ def _train_config(cfg: ExperimentConfig, train_set: Dataset) -> TrainConfig:
         few_max=cfg.few_max,
         focal_gamma=cfg.focal_gamma if method.focal else None,
         trace_classes=_resolve_trace(cfg, train_set.class_count),
-        record_losses=cfg.record_losses,
     )
 
 
@@ -369,7 +363,7 @@ def _difficulty_head(cfg: ExperimentConfig, train_set: Dataset, seed: int,
     """The method's difficulty head: freshly initialized, or around the net
     saved in run_dir."""
     method = METHODS[cfg.method]
-    width = (cfg.sample_width or cfg.batch_size) if method.kind == "sample" else train_set.class_count
+    width = cfg.batch_size if method.kind == "sample" else train_set.class_count
     rule = method.rule and functools.partial(method.rule, cfg, train_set.per_class_counts)
     head = head_init(method.kind, width, seed, rule)
     if run_dir is None or head.net is None:
@@ -437,25 +431,47 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
     data (datasets maps _data_config of its run_config.txt to the train and
     meta sets) as the run recorded them, retrain the final layer, save it,
     and rewrite metrics.csv as the stage-1 rows plus one stage-2 row, so
-    running this again gives the same files."""
-    started = time.time()
-    rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
-    head = _difficulty_head(rcfg, train_set, seed, run_dir)
-    metrics_path = os.path.join(run_dir, "metrics.csv")
-    with _malformed(metrics_path):
-        header, stage1 = _read_csv(metrics_path)
-    stage1 = stage1[: rcfg.epochs]  # one row per epoch
-    model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
-                        OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as crt_retrain
-        acc = per_class_accuracy(model, meta_set)
-    check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
-    (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
-                            (cfg.many_min, cfg.few_max))[1]
-    save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
-    _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
-    _remove(run_dir, "failure.csv")  # of a stage 2 that failed before
-    return _report_row(rcfg.method, seed, vars(rec), time.time() - started)
+    running this again gives the same files; failure.csv records a failure."""
+    with _recording_failure(run_dir):
+        rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
+        head = _difficulty_head(rcfg, train_set, seed, run_dir)
+        metrics_path = os.path.join(run_dir, "metrics.csv")
+        with _malformed(metrics_path):
+            header, stage1 = _read_csv(metrics_path)
+        stage1 = stage1[: rcfg.epochs]  # one row per epoch
+        model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
+                            OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as crt_retrain
+            acc = per_class_accuracy(model, meta_set)
+        check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
+        (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
+                                (cfg.many_min, cfg.few_max))[1]
+        save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
+        _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
+        return _report_row(rcfg.method, seed, vars(rec))
+
+
+@contextlib.contextmanager
+def _recording_failure(run_dir: str):
+    """A block that writes run_dir's files: its NumericError is recorded in
+    failure.csv, and if it succeeds, an earlier run's failure.csv goes."""
+    try:
+        yield
+    except NumericError as e:
+        _write_csv(os.path.join(run_dir, "failure.csv"), ["phase", "step", "quantity"],
+                   [[e.phase, str(e.step), e.quantity]])
+        raise
+    _remove(run_dir, "failure.csv")
+
+
+def _recorded_failure(run_dir: str) -> NumericError | None:
+    """The failure that run_dir's failure.csv records, or None without one."""
+    path = os.path.join(run_dir, "failure.csv")
+    if not os.path.exists(path):
+        return None
+    with _malformed(path):
+        _, [(phase, step, quantity)] = _read_csv(path)
+        return NumericError(phase, int(step), quantity)
 
 
 def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int,
@@ -467,29 +483,25 @@ def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, see
     started."""
     run_dir = _run_dir(cfg, seed)
     try:
-        if isinstance(trained, NumericError):
-            # no checkpoint of an earlier run outlives the metrics of this one
-            _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
-            _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
-            raise trained
-        model, head, metrics = trained
-        # made only after training, so that a rejected config leaves no directory
-        os.makedirs(run_dir, exist_ok=True)
-        save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
-        if head.net is not None:
-            save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
-        # a stage-2 checkpoint or a failure of an earlier run
-        _remove(run_dir, "classifier_crt.ltnn", "failure.csv")
-        _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
+        with _recording_failure(run_dir):
+            if isinstance(trained, NumericError):
+                # no checkpoint of an earlier run outlives the metrics of this one
+                _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
+                _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
+                raise trained
+            model, head, metrics = trained
+            # made only after training, so that a rejected config leaves no directory
+            os.makedirs(run_dir, exist_ok=True)
+            save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
+            if head.net is not None:
+                save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
+            _remove(run_dir, "classifier_crt.ltnn")  # of an earlier run
+            _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
         if cfg.stage2 == "crt":
             row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))
         else:
             final = vars(metrics.epochs[-1]) if metrics.epochs else None
-            row = _report_row(cfg.method, seed, final, 0.0)
-    except NumericError as e:
-        _write_csv(os.path.join(run_dir, "failure.csv"), ["phase", "step", "quantity"],
-                   [[e.phase, str(e.step), e.quantity]])
-        raise
+            row = _report_row(cfg.method, seed, final)
     finally:
         # last, so that its times cover stage 2 too, also when a stage fails
         _write_manifest(run_dir, started)
@@ -503,7 +515,7 @@ def _remove(run_dir: str, *names: str) -> None:
             os.remove(os.path.join(run_dir, name))
 
 
-def _report_row(method: str, seed: int, final: dict | None, wall: float) -> ReportRow:
+def _report_row(method: str, seed: int, final: dict | None) -> ReportRow:
     """A run's result row from the fields of its final record: vars() of an
     EpochRecord, or a metrics.csv row by column name, where an empty cell
     is an empty split. Without a record, overall reads as nan."""
@@ -514,7 +526,7 @@ def _report_row(method: str, seed: int, final: dict | None, wall: float) -> Repo
         return missing if v is None or v == "" else float(v)
 
     return ReportRow(method, seed, value("overall", float("nan")),
-                     *(value(name) for name in SPLITS[1:]), value("entropy"), wall)
+                     *(value(name) for name in SPLITS[1:]), value("entropy"))
 
 
 def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed) -> None:
@@ -572,9 +584,12 @@ def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
 def ensemble_existing(cfg: ExperimentConfig) -> dict:
     """Mean-probability ensemble of the runs named in ensemble_members,
     evaluated on the meta set their run_config.txt files describe; members
-    trained on different data are rejected."""
+    trained on different data, or that recorded a failure, are rejected."""
     if len(cfg.ensemble_members) < 2:
         raise ConfigError("ensemble_members must list at least two run directories")
+    for d in cfg.ensemble_members:
+        if (failure := _recorded_failure(d)) is not None:
+            raise ConfigError(f"ensemble member {d} failed: {failure}")
     datasets = functools.lru_cache(build_datasets)
     runs = [_load_run(d, datasets, "classifier_crt.ltnn", "classifier.ltnn")
             for d in cfg.ensemble_members]
@@ -627,11 +642,8 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
                 metric_files.append(os.path.join(root, "metrics.csv"))
     for mf in sorted(metric_files):
         run_dir = os.path.dirname(mf)
-        failure = os.path.join(run_dir, "failure.csv")
-        if os.path.exists(failure):
-            with _malformed(failure):
-                _, [(phase, step, quantity)] = _read_csv(failure)
-                failed.append(f"left out {run_dir}: {NumericError(phase, int(step), quantity)}")
+        if (failure := _recorded_failure(run_dir)) is not None:
+            failed.append(f"left out {run_dir}: {failure}")
             continue
         rc = os.path.join(run_dir, "run_config.txt")
         if os.path.exists(rc):
@@ -646,7 +658,7 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
             header, body = _read_csv(mf)
             if not body:
                 continue
-            row = _report_row(method, seed, dict(zip(header, body[-1])), 0.0)
+            row = _report_row(method, seed, dict(zip(header, body[-1])))
         man = os.path.join(run_dir, "manifest.json")
         if os.path.exists(man):
             with open(man, "r", encoding="utf-8") as fh, _malformed(man, AttributeError, TypeError):

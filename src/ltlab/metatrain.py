@@ -71,7 +71,6 @@ class TrainConfig:
     few_max: int
     focal_gamma: float | None  # None: weighted CE; a gamma: the focal loss
     trace_classes: tuple[int, ...] = ()
-    record_losses: bool = False
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,6 @@ class RunMetrics:
     records: bool = False  # DifficultyHead.records: epochs carry difficulty snapshots
     epochs: list[EpochRecord] = field(default_factory=list)
     weight_trace: list[tuple[int, int, float]] = field(default_factory=list)
-    step_losses: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -178,14 +176,13 @@ def _meta_gradient(head, tape, labels, x, target, d_tape, meta_x, meta_y, alpha,
     kinds: v_c = -(alpha/b) * sum_{i: y_i = c} <g_i, g_meta>. d_tape gives d
     and is the tape that backprop runs on.
     """
-    d = head.read(d_tape.logits, x.shape[-1])
+    d = head.read(d_tape.logits)
     looked = _lookahead(tape, head.weights(d, labels), alpha, buffers)
     meta = forward_tape(looked, meta_x).with_labels(meta_y)
     meta.grads(meta.resid * (1.0 / meta_y.shape[-1]), buffers.meta)  # the mean CE's cotangent
-    v = head.reduce(tape.dots(buffers.meta), labels, d.shape[-1]) * -(alpha / labels.shape[-1])
+    v = head.reduce(tape.dots(buffers.meta), labels) * -(alpha / labels.shape[-1])
     u = lam * target_fit_cotangent(d, target) + v
-    # padding outputs of the sample kind are discarded: zero cotangent
-    return d_tape.grads(head.embed(u, pad=0.0), buffers.theta)
+    return d_tape.grads(head.embed(u), buffers.theta)
 
 
 def classifier_objective(tape, weights, focal_gamma=None):
@@ -287,8 +284,8 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
     if cfg.m > meta_set.size:
         raise ConfigError(f"meta batch of {cfg.m} (meta_batch_size) exceeds the meta set "
                           f"of {meta_set.size}")
-    if head.kind == "sample" and cfg.b > head.width:
-        raise ConfigError(f"batch_size {cfg.b} exceeds the sample net width {head.width}")
+    if head.kind == "sample" and cfg.b != head.width:
+        raise ConfigError(f"batch_size {cfg.b} differs from the sample net width {head.width}")
     counts = meta_set.per_class_counts
     if head.net is not None and counts.min() != counts.max():
         raise ConfigError("meta set must be class-balanced")
@@ -380,10 +377,6 @@ def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds
         check(loss, "classifier", t, "training loss")
         optimizer_step(clf_opt, model.net, grads)
 
-        if cfg.record_losses:
-            losses = _unstack(loss, count)
-            for s in live:
-                metrics[s].step_losses.append(float(losses[s]))
         if trace:
             norm = _unstack(d / d.sum(axis=-1, keepdims=True), count)
             for s in live:

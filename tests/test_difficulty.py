@@ -219,45 +219,22 @@ def test_sample_forward_full_width():
     assert ((w > 0) & (w < 1)).all()
 
 
-def test_sample_forward_short_batch_mean_padded():
-    sdnet = head_init("sample", 8, seed=8)
-    losses = np.array([0.5, 1.5, 1.0])
-    w = dnet_forward(sdnet, losses)
-    assert w.shape == (3,)
-    padded = sdnet.embed(losses)[0]
-    assert padded.shape == (8,)
-    assert np.allclose(padded[3:], losses.mean())
-    assert np.array_equal(dnet_forward(sdnet, padded)[:3], w)
-
-
-def padded_reference(x, width, pad=None):
-    """The sample kind's embed as it pads every batch: the batch, then its
-    mean (or pad) up to width, as one row."""
-    n = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (width,))
-    out[..., n:] = x.mean(axis=-1, keepdims=True) if pad is None else pad
-    out[..., :n] = x
-    return out[..., None, :]
-
-
-@pytest.mark.parametrize("n", [8, 5], ids=["full", "short"])
-def test_sample_embed_matches_the_padding_reference(n):
-    # a full batch is viewed as it is, with no padding mean taken; a short
-    # one is padded with its own mean, or with pad for a cotangent
+def test_sample_embed_views_the_batch():
+    # the sample net is one batch wide, so a batch's losses are its input row
+    # as they are, and a cotangent of its difficulties its output row
     sdnet = head_init("sample", 8, seed=10)
     rng = np.random.default_rng(10)
-    for x in (rng.random(n), rng.random((3, n))):  # a lone batch and a stack of three
-        for pad in (None, 0.0):
-            got, want = sdnet.embed(x, pad), padded_reference(x, 8, pad)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert np.shares_memory(got, x) == (n == 8)
+    for x in (rng.random(8), rng.random((3, 8))):  # a lone batch and a stack of three
+        got = sdnet.embed(x)
+        assert got.shape == x.shape[:-1] + (1, 8)
+        assert np.shares_memory(got, x) and got.tobytes() == x.tobytes()
 
 
 def test_sample_forward_rejects_oversized_batch():
     sdnet = head_init("sample", 4, seed=9)
-    with pytest.raises(ValueError):
-        dnet_forward(sdnet, np.zeros(5))
+    for n in (5, 3):  # a batch is exactly one net wide: no longer, and no shorter
+        with pytest.raises(ValueError, match="expected a signal of 4 values, got "):
+            dnet_forward(sdnet, np.zeros(n))
 
 
 def test_sample_driver_targets_frozen():
@@ -286,16 +263,16 @@ def test_reduce_bit_identical_to_add_at():
         head = head_init(kind, 6, seed=19)  # class 5 never occurs
         want = np.zeros(6)
         np.add.at(want, labels, dots)
-        got = head.reduce(dots, labels, 6)
+        got = head.reduce(dots, labels)
         assert got.tobytes() == want.tobytes()
     per_sample = dots[:8]  # the sample kind weights each sample by its own difficulty
-    assert head_init("sample", 8, seed=19).reduce(per_sample, labels[:8], 8) is per_sample
+    assert head_init("sample", 8, seed=19).reduce(per_sample, labels[:8]) is per_sample
 
 
 def test_dnet_forward_reads_a_given_tape():
     for kind, width in (("class", 4), ("abs", 4), ("sample", 8)):
         head = head_init(kind, width, seed=20)
-        x = np.linspace(0.1, 0.9, width if kind != "sample" else 5)
+        x = np.linspace(0.1, 0.9, width)
         tape = head.forward(x)
         assert dnet_forward(head, x, tape).tobytes() == dnet_forward(head, x).tobytes()
         tape.logits = tape.logits * 0.0  # the given tape is read, no pass is run

@@ -77,8 +77,7 @@ def test_parse_file_with_comments_and_overrides(tmp_path):
         "method = cdb\n"
         "lambda = 0.5\n"
         "seeds = 3, 4\n"
-        "trace_classes = 0,2\n"
-        "record_losses = true\n",
+        "trace_classes = 0,2\n",
         encoding="utf-8",
     )
     cfg = parse_config(str(p), overrides=("method=focal", "epochs=7"))
@@ -86,8 +85,29 @@ def test_parse_file_with_comments_and_overrides(tmp_path):
     assert cfg.lam == 0.5
     assert cfg.seeds == (3, 4)
     assert cfg.trace_classes == (0, 2)
-    assert cfg.record_losses is True
     assert cfg.epochs == 7
+
+
+@pytest.mark.parametrize("item", ["record_losses=true", "record_losses=No", "sample_width=0"])
+def test_retired_keys_are_read_and_ignored(item):
+    # older run_config.txt files hold record_losses and sample_width = 0,
+    # which left every file as it is without them
+    cfg = parse_config(None, (item,))
+    assert cfg == ExperimentConfig()
+    assert item.partition("=")[0] not in config_text(cfg)
+
+
+@pytest.mark.parametrize("item", ["sample_width=8", "record_losses=maybe"],
+                         ids=["sample_width", "record_losses"])
+def test_cli_retired_key_at_another_value_exits_2(item, tmp_path, capsys):
+    # the sample net is one batch wide, so no other width is read
+    out = tmp_path / "x"
+    assert main(["train", "--set", "method=dnet-sample", "--set", "epochs=1",
+                 "--set", "seeds=0", "--set", item, "--set", f"out_dir={out}"]) == 2
+    key, _, raw = item.partition("=")
+    assert capsys.readouterr().err == \
+        f"config error: retired config key {key!r} cannot be {raw!r} (--set)\n"
+    assert not out.exists()
 
 
 def test_unknown_key_named_in_error(tmp_path):
@@ -162,9 +182,9 @@ def test_config_text_round_trips(tmp_path):
         seeds=(7, 8), epochs=3, batch_size=16, meta_batch_size=32, alpha=0.05, beta=0.01,
         lam=0.125, hidden=32, head="cosine", cosine_scale=8.0, classifier_optimizer="adam",
         classifier_momentum=0.5, classifier_weight_decay=2e-4, dnet_optimizer="sgd",
-        dnet_weight_decay=1e-3, sample_width=128, cdb_tau=2.0, effnum_beta=0.99,
+        dnet_weight_decay=1e-3, cdb_tau=2.0, effnum_beta=0.99,
         focal_gamma=2.0, crt_steps=100, crt_batch_size=32, crt_lr=0.05, out_dir="elsewhere",
-        trace_classes=(0, 2), many_min=50, few_max=10, record_losses=True,
+        trace_classes=(0, 2), many_min=50, few_max=10,
         ensemble_members=("a/b", "c/d"))
     assert all(getattr(changed, f.name) != f.default for f in fields(ExperimentConfig))
     p.write_text(config_text(changed), encoding="utf-8")
@@ -508,6 +528,35 @@ def test_crt_uses_the_runs_recorded_data(tmp_path):
     assert (later / "classifier_crt.ltnn").read_bytes() == (inrun / "classifier_crt.ltnn").read_bytes()
     assert ((later / "metrics.csv").read_text("ascii").splitlines()[-1]
             == (inrun / "metrics.csv").read_text("ascii").splitlines()[-1])
+
+
+def test_an_old_run_config_serves_crt_ensemble_and_report_as_before(runs_dir, tmp_path, capsys):
+    # run_config.txt files written before record_losses and sample_width
+    # were retired hold both keys: crt, ensemble and report read such runs
+    # as they read the same runs without them, byte for byte
+    outs, files = {}, {}
+    for name in ("old", "new"):
+        out = tmp_path / name
+        shutil.copytree(runs_dir, out)
+        if name == "old":
+            for rc in out.glob("*/seed0/run_config.txt"):
+                rc.write_text(rc.read_text("utf-8") + "record_losses = false\nsample_width = 0\n",
+                              encoding="utf-8")
+        capsys.readouterr()
+        for method in ("dnet", "ce"):
+            assert main(["crt", "--set", f"method={method}", "--set", "seeds=0",
+                         "--set", "crt_steps=8", "--set", f"out_dir={out}"]) == 0
+        members = f"{out / 'dnet' / 'seed0'},{out / 'ce' / 'seed0'}"
+        assert main(["ensemble", "--set", f"ensemble_members={members}",
+                     "--set", f"out_dir={out}"]) == 0
+        assert main(["report", str(out)]) == 0
+        outs[name] = capsys.readouterr().out.replace(str(out), "OUT")
+        files[name] = {p.relative_to(out): p.read_bytes().replace(bytes(out), b"OUT")
+                       for p in sorted(out.rglob("*"))
+                       if p.is_file() and p.name not in ("run_config.txt", "manifest.json")}
+    assert outs["old"] == outs["new"]
+    assert files["old"] == files["new"]
+    assert "classifier_crt.ltnn" in {p.name for p in files["old"]}
 
 
 def test_crt_existing_requires_stage1_checkpoint(tmp_path):
@@ -883,8 +932,7 @@ def test_cli_oversized_meta_batch_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("sets,keyword", [
     (("trace_classes=99",), "trace"),
-    (("method=dnet-sample", "sample_width=4"), "width"),
-], ids=["trace_classes", "sample_width"])
+], ids=["trace_classes"])
 def test_cli_config_that_does_not_fit_the_data_exits_2(sets, keyword, tmp_path, capsys):
     # train checks these against the data; they exit 2 like any config error
     out = tmp_path / "x"
@@ -1004,6 +1052,41 @@ def test_a_failed_stage2_is_recorded_until_a_stage2_succeeds(tmp_path):
     crt_existing(base_cfg(tmp_path, method="ce"))
     assert not failure.exists()
     assert len(collect_rows([str(tmp_path)])[0]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_crt_is_recorded_until_a_crt_succeeds(tmp_path, capsys):
+    # `ltlab crt` records its failure as `ltlab train` does, so report leaves
+    # the run out rather than list its earlier stage-2 result
+    run(base_cfg(tmp_path, method="ce", stage2="crt"))
+    run_dir = tmp_path / "ce" / "seed0"
+    sets = ["--set", "method=ce", "--set", "seeds=0", "--set", "crt_steps=8",
+            "--set", f"out_dir={tmp_path}"]
+    assert main(["crt", *sets, "--set", "crt_lr=1e300"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    _, [(phase, step, quantity)] = harness._read_csv(str(run_dir / "failure.csv"))
+    assert phase == "stage2"
+    assert line == f"numeric failure: {NumericError(phase, int(step), quantity)}"
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [f"left out {run_dir}: {line[17:]}"]
+    assert main(["crt", *sets]) == 0
+    assert "failure.csv" not in os.listdir(run_dir)
+    assert len(collect_rows([str(tmp_path)])[0]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ensemble_rejects_a_failed_member(runs_dir, tmp_path, capsys):
+    # a run whose stage 2 failed keeps its stage-1 classifier, but it is no
+    # result: ensemble rejects it, as report leaves it out
+    with pytest.raises(NumericError) as info:
+        run(base_cfg(tmp_path, method="ce", stage2="crt", crt_lr=1e300))
+    failed = tmp_path / "ce" / "seed0"
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--set", f"ensemble_members={runs_dir / 'dnet' / 'seed0'},{failed}",
+                 "--set", f"out_dir={out}"]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: ensemble member {failed} failed: {info.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -254,9 +254,9 @@ def sample_objective(sdnet, model, losses, bx, by, mx, my, alpha, lam):
 
 def test_sample_meta_gradient_matches_fd():
     rng = np.random.default_rng(11)
-    c, dim, b = 3, 3, 5
+    c, dim, b = 3, 3, 8
     model = tiny_model(dim, c, seed=11)
-    sdnet = head_init("sample", 8, seed=12)  # batch shorter than width: padding path
+    sdnet = head_init("sample", b, seed=12)  # one batch wide
     bx = rng.standard_normal((b, dim))
     by = rng.integers(0, c, b)
     mx = rng.standard_normal((4, dim))
@@ -381,15 +381,13 @@ def test_same_seed_bit_identical():
     for _ in range(2):
         model = tiny_model(seed=24)
         dnet = head_init("class", 3, seed=25)
-        cfg = cfg_for(train_set, T=14,
-                      trace_classes=(0, 2), record_losses=True)
+        cfg = cfg_for(train_set, T=14, trace_classes=(0, 2))
         runs.append(train_one_seed(cfg, train_set, meta_set, model, dnet, 3))
     (m1, d1, r1), (m2, d2, r2) = runs
     for a, b in zip(m1.net.layers, m2.net.layers):
         assert np.array_equal(a.w, b.w)
     for a, b in zip(d1.net.layers, d2.net.layers):
         assert np.array_equal(a.w, b.w)
-    assert r1.step_losses == r2.step_losses
     assert r1.weight_trace == r2.weight_trace
     for e1, e2 in zip(r1.epochs, r2.epochs):
         assert np.array_equal(e1.accuracy, e2.accuracy)
@@ -641,11 +639,13 @@ def vars_bytes(record):
 
 
 def test_sample_width_must_cover_batch():
+    # the sample net is exactly one batch wide: no narrower, and no wider
     train_set, meta_set = tiny_data()
     model = tiny_model(seed=35)
-    with pytest.raises(ValueError, match="width"):
-        train_one_seed(cfg_for(train_set, T=1, b=8),
-                       train_set, meta_set, model, head_init("sample", 4, seed=0))
+    for width in (4, 16):
+        with pytest.raises(ConfigError, match="width"):
+            train_one_seed(cfg_for(train_set, T=1, b=8),
+                           train_set, meta_set, model, head_init("sample", width, seed=0))
 
 
 def test_meta_set_must_be_balanced():
@@ -697,13 +697,15 @@ def test_loop_bounds_validated():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_numeric_error_with_partial_metrics():
     train_set, meta_set = tiny_data()
-    cfg = cfg_for(train_set, T=4, record_losses=True,
+    cfg = cfg_for(train_set, T=4, trace_classes=(0, 2),
                   classifier_opt=OptSpec("adam", 1e308))
     with pytest.raises(NumericError) as info:
         train_one_seed(cfg, train_set, meta_set, tiny_model(seed=39), head_init("nometa", 3, 0))
     metrics = info.value.metrics
     assert metrics is not None
-    assert len(metrics.step_losses) >= 1  # work before the blow-up is kept
+    # work before the blow-up is kept: each step before it traced its weights
+    steps = {t for t, _, _ in metrics.weight_trace}
+    assert steps == set(range(info.value.step)) and info.value.step >= 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -721,11 +723,15 @@ def test_overflowing_evaluation_raises_numeric_error():
 def test_train_fixed_plain_ce_decreases_loss():
     train_set, meta_set = tiny_data()
     spe = train_set.size // 8
-    cfg = cfg_for(train_set, T=6 * spe, record_losses=True)
-    _, _, metrics = train_one_seed(cfg, train_set, meta_set, tiny_model(seed=40), head_init("fixed", 3, 0))
-    first = np.mean(metrics.step_losses[:spe])
-    last = np.mean(metrics.step_losses[-spe:])
-    assert last < first
+    model = tiny_model(seed=40)
+    trained, _, _ = train_one_seed(cfg_for(train_set, T=6 * spe), train_set, meta_set, model,
+                                   head_init("fixed", 3, 0))
+
+    def train_ce(m):
+        return weighted_ce_loss(classifier_logits(m, train_set.features), train_set.labels,
+                                np.ones(train_set.size))[0]
+
+    assert train_ce(trained) < train_ce(model)
 
 
 def test_train_fixed_rule_receives_refreshed_accuracy():

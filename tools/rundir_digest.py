@@ -19,6 +19,14 @@ directory next to this script, so two checkouts compare with one diff:
     python3 b/tools/rundir_digest.py /tmp/b > b.txt
     diff a.txt b.txt
 
+A change that retires or adds a config key changes every run_config.txt,
+and so the digest lines of those files alone. Check it on the trees:
+
+    diff -r -x manifest.json /tmp/a /tmp/b
+
+where only run_config.txt files may differ, each by exactly the lines of
+the keys that changed.
+
 OUT must not exist yet. Takes a few minutes on two CPUs.
 """
 

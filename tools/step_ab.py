@@ -27,8 +27,7 @@ must name, and checks that both sides raise the same message. The entry eval tim
 profile, one `nnet.per_class_accuracy(model, meta_set)` of a freshly
 built lone classifier on the meta set: at C=10 (the default config, 200
 meta rows) and at C=100 (the c100-wide data, 500 rows). It checks that
-both sides give the same bytes; a side that returns an accuracy object
-is read through its per_class field.
+both sides give the same bytes.
 
 Set OPENBLAS_NUM_THREADS=1 (or the BLAS build's equivalent) for steadier
 numbers; the shapes here are too small for BLAS threads to help.
@@ -104,7 +103,7 @@ class Side:
             def evaluate():
                 for _ in range(EVAL_CALLS):
                     acc = self.nnet.per_class_accuracy(model, meta_set)
-                return getattr(acc, "per_class", acc)
+                return acc
 
             return evaluate, EVAL_CALLS
         if method.startswith("ltds"):
