@@ -89,11 +89,11 @@ def main(argv=None) -> int:
             for r in crt_existing(cfg):
                 print(f"{r.method}+crt seed={r.seed} {_splits(r)}")
         elif args.command == "ensemble":
-            result = ensemble_existing(cfg)
-            for entry in result["members"]:
-                print(f"{entry['name']}: {_splits(entry['splits'], ('overall',))}")
-            print(f"ensemble: {_splits(result['ensemble'])}")
-            print(f"wrote {result['csv_path']}")
+            rows, csv_path = ensemble_existing(cfg)
+            for name, splits in rows[:-1]:
+                print(f"{name}: {_splits(splits, ('overall',))}")
+            print(f"ensemble: {_splits(rows[-1][1])}")
+            print(f"wrote {csv_path}")
         return 0
     except (ConfigError, FormatError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .metatrain import (
     NumericError,
     OptSpec,
     RunMetrics,
+    SplitAccuracy,
     TrainConfig,
     evaluate_epoch,
     evaluate_splits,
@@ -209,6 +210,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.classifier_optimizer in OPTIMIZERS, f"classifier_optimizer must be one of {OPTIMIZERS}")
     need(cfg.dnet_optimizer in OPTIMIZERS, f"dnet_optimizer must be one of {OPTIMIZERS}")
     need(bool(cfg.seeds), "seeds must list at least one seed")
+    for name in ("seeds", "trace_classes"):
+        items = getattr(cfg, name)
+        need(isinstance(items, str) or len(set(items)) == len(items),
+             f"{name} must not list an item twice")
     need(cfg.epochs >= 0, "epochs must be non-negative")
     need(cfg.batch_size >= 1 and cfg.meta_batch_size >= 1, "batch sizes must be positive")
     need(cfg.alpha > 0 and cfg.beta > 0, "alpha and beta must be positive")
@@ -281,13 +286,9 @@ def gen_data(cfg: ExperimentConfig) -> tuple[str, str]:
 
 
 @dataclass
-class ReportRow:
+class ReportRow(SplitAccuracy):
     method: str
     seed: int
-    overall: float
-    many: float | None
-    medium: float | None
-    few: float | None
     entropy: float | None
     wall_seconds: float = 0.0  # the run's, from train's clock or report's manifest.json
 
@@ -525,8 +526,8 @@ def _report_row(method: str, seed: int, final: dict | None) -> ReportRow:
         v = final.get(name)
         return missing if v is None or v == "" else float(v)
 
-    return ReportRow(method, seed, value("overall", float("nan")),
-                     *(value(name) for name in SPLITS[1:]), value("entropy"))
+    return ReportRow(value("overall", float("nan")), *(value(name) for name in SPLITS[1:]),
+                     method=method, seed=seed, entropy=value("entropy"))
 
 
 def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed) -> None:
@@ -581,13 +582,19 @@ def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
     return [_crt_run(cfg, _run_dir(cfg, seed), seed, datasets) for seed in cfg.seeds]
 
 
-def ensemble_existing(cfg: ExperimentConfig) -> dict:
+def ensemble_existing(cfg: ExperimentConfig) -> tuple[list[tuple[str, SplitAccuracy]], str]:
     """Mean-probability ensemble of the runs named in ensemble_members,
     evaluated on the meta set their run_config.txt files describe; members
-    trained on different data, or that recorded a failure, are rejected."""
+    trained on different data, or that recorded a failure, are rejected.
+    Returns (rows, csv_path): the (name, splits) rows written to csv_path,
+    each member's, then the ensemble's."""
     if len(cfg.ensemble_members) < 2:
         raise ConfigError("ensemble_members must list at least two run directories")
+    seen = {}  # real path -> member
     for d in cfg.ensemble_members:
+        if (real := os.path.realpath(d)) in seen:
+            raise ConfigError(f"ensemble members {seen[real]} and {d} are the same run directory")
+        seen[real] = d
         if (failure := _recorded_failure(d)) is not None:
             raise ConfigError(f"ensemble member {d} failed: {failure}")
     datasets = functools.lru_cache(build_datasets)
@@ -604,22 +611,14 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
         check_finite(acc, "evaluation", 0, "meta-set logits")
         return evaluate_splits(acc, train_set.per_class_counts, (cfg.many_min, cfg.few_max))
 
+    rows = [(n, split_row(per_class_accuracy(m, meta_set))) for n, m in zip(names, members)]
     probs = ensemble_predict(members, meta_set.features)
-    result = {
-        "members": [
-            {"name": n, "splits": split_row(per_class_accuracy(m, meta_set))}
-            for n, m in zip(names, members)
-        ],
-        "ensemble": split_row(score_accuracy(probs, meta_set)),
-    }
-    rows = [(e["name"], e["splits"]) for e in result["members"]]
-    rows.append(("ensemble", result["ensemble"]))
+    rows.append(("ensemble", split_row(score_accuracy(probs, meta_set))))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "ensemble_metrics.csv")
     _write_csv(out_path, ["name", *SPLITS],
                ([n, *(_fmt(getattr(s, name)) for name in SPLITS)] for n, s in rows))
-    result["csv_path"] = out_path
-    return result
+    return rows, out_path
 
 
 # ---------------------------------------------------------------------------
@@ -628,19 +627,21 @@ def ensemble_existing(cfg: ExperimentConfig) -> dict:
 
 def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
     """Find every run directory (one metrics.csv each) under the given
-    paths: the rows of the runs that finished, and a line for each run that
-    a failure.csv marks as failed, which gives no row."""
+    paths, each counted once however many paths reach it: the rows of the
+    runs that finished, and a line for each run that a failure.csv marks as
+    failed, which gives no row. A path that is no directory is a ConfigError."""
     rows, failed = [], []
-    metric_files = []
+    metric_files = {}  # real path of a run directory -> its metrics.csv, as first reached
     for p in paths:
+        if not os.path.isdir(p):
+            raise ConfigError(f"no directory {p!r} to report")
         direct = os.path.join(p, "metrics.csv")
-        if os.path.isfile(direct):
-            metric_files.append(direct)
-            continue
-        for root, _, names in sorted(os.walk(p)):
-            if "metrics.csv" in names:
-                metric_files.append(os.path.join(root, "metrics.csv"))
-    for mf in sorted(metric_files):
+        found = [direct] if os.path.isfile(direct) else [
+            os.path.join(root, "metrics.csv") for root, _, names in sorted(os.walk(p))
+            if "metrics.csv" in names]
+        for mf in found:
+            metric_files.setdefault(os.path.realpath(os.path.dirname(mf)), mf)
+    for mf in sorted(metric_files.values()):
         run_dir = os.path.dirname(mf)
         if (failure := _recorded_failure(run_dir)) is not None:
             failed.append(f"left out {run_dir}: {failure}")
@@ -682,8 +683,8 @@ def _malformed(path: str, *errors):
 class MethodSummary:
     method: str
     seeds: int
-    medians: dict  # split name -> float | None
-    iqrs: dict
+    median: SplitAccuracy  # per split over seeds, None for an empty split
+    iqr: SplitAccuracy
 
 
 def summarize(rows: list[ReportRow]) -> list[MethodSummary]:
@@ -694,16 +695,12 @@ def summarize(rows: list[ReportRow]) -> list[MethodSummary]:
     out = []
     for method in sorted(by_method):
         group = by_method[method]
-        medians, iqrs = {}, {}
+        medians, iqrs = [], []
         for name in SPLITS:
             vals = [getattr(r, name) for r in group if getattr(r, name) is not None]
-            if vals:
-                medians[name] = float(np.median(vals))
-                iqrs[name] = float(np.percentile(vals, 75) - np.percentile(vals, 25))
-            else:
-                medians[name] = None
-                iqrs[name] = None
-        out.append(MethodSummary(method, len(group), medians, iqrs))
+            medians.append(float(np.median(vals)) if vals else None)
+            iqrs.append(float(np.percentile(vals, 75) - np.percentile(vals, 25)) if vals else None)
+        out.append(MethodSummary(method, len(group), SplitAccuracy(*medians), SplitAccuracy(*iqrs)))
     return out
 
 
@@ -715,10 +712,8 @@ def report_text(summaries: list[MethodSummary]) -> str:
     for s in summaries:
         cells = []
         for name in SPLITS:
-            if s.medians[name] is None:
-                cells.append(f"{'-':>15}")
-            else:
-                cells.append(f"{s.medians[name]:>7.4f} ({s.iqrs[name]:.3f})")
+            median, iqr = getattr(s.median, name), getattr(s.iqr, name)
+            cells.append(f"{'-':>15}" if median is None else f"{median:>7.4f} ({iqr:.3f})")
         lines.append(f"{s.method:<14} {s.seeds:>5}  " + "  ".join(cells))
     return "\n".join(lines)
 
@@ -732,6 +727,6 @@ def report_csv(summaries: list[MethodSummary], path: str) -> None:
     for s in summaries:
         row = [s.method, str(s.seeds)]
         for name in SPLITS:
-            row += [_fmt(s.medians[name]), _fmt(s.iqrs[name])]
+            row += [_fmt(getattr(s.median, name)), _fmt(getattr(s.iqr, name))]
         rows.append(row)
     _write_csv(path, cols, rows)

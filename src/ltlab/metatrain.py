@@ -73,7 +73,7 @@ class TrainConfig:
     trace_classes: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass
 class SplitAccuracy:
     overall: float
     many: float | None
@@ -106,13 +106,9 @@ def evaluate_splits(acc, counts, thresholds) -> SplitAccuracy:
 
 
 @dataclass
-class EpochRecord:
+class EpochRecord(SplitAccuracy):
     epoch: int
     accuracy: np.ndarray  # (C,) per-class, on the meta/val set
-    overall: float
-    many: float | None
-    medium: float | None
-    few: float | None
     entropy: float | None
     difficulty: np.ndarray | None  # (C,) snapshot, for heads that record one
 

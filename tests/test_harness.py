@@ -145,6 +145,8 @@ def test_missing_config_file_rejected(tmp_path):
         "head=tanh",
         "classifier_optimizer=lbfgs",
         "seeds=",
+        "seeds=3,3",
+        "trace_classes=1,2,1",
         "epochs=-1",
         "batch_size=0",
         "alpha=0",
@@ -704,9 +706,10 @@ def test_manifest_is_written_last_and_only_by_train(tmp_path, monkeypatch):
 def test_ensemble_existing_writes_summary(runs_dir, tmp_path):
     members = (str(runs_dir / "dnet" / "seed0"), str(runs_dir / "ce" / "seed0"))
     cfg = base_cfg(tmp_path / "ens", ensemble_members=members)
-    result = ensemble_existing(cfg)
-    assert len(result["members"]) == 2
-    assert result["ensemble"].overall is not None
+    rows, csv_path = ensemble_existing(cfg)
+    assert [name for name, _ in rows] == [*members, "ensemble"]
+    assert rows[-1][1].overall is not None
+    assert csv_path == str(tmp_path / "ens" / "ensemble_metrics.csv")
     csv = (tmp_path / "ens" / "ensemble_metrics.csv").read_text("ascii").splitlines()
     assert csv[0] == "name,overall,many,medium,few"
     assert len(csv) == 4  # two members + the ensemble line
@@ -743,6 +746,19 @@ def test_ensemble_needs_two_members(tmp_path):
         ensemble_existing(base_cfg(tmp_path, ensemble_members=("just_one",)))
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot"])
+def test_ensemble_rejects_one_run_named_twice(spelling, runs_dir, tmp_path, capsys):
+    # one run is no two-member ensemble, however its directory is spelled
+    first = str(runs_dir / "ce" / "seed0")
+    second = first if spelling == "same" else str(runs_dir / "ce" / "." / "seed0")
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--set", f"ensemble_members={first},{second}",
+                 "--set", f"out_dir={out}"]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: ensemble members {first} and {second} are the same run directory\n"
+    assert not out.exists()
+
+
 def test_ensemble_needs_run_config(runs_dir, tmp_path):
     bogus = tmp_path / "notarun"
     bogus.mkdir()
@@ -763,8 +779,8 @@ def test_collect_and_summarize(runs_dir):
     assert [s.method for s in summaries] == ["ce", "dnet"]
     for s in summaries:
         assert s.seeds == 1
-        assert s.medians["many"] is None  # empty split stays empty
-        assert s.iqrs["overall"] == 0.0
+        assert s.median.many is None  # empty split stays empty
+        assert s.iqr.overall == 0.0
     text = report_text(summaries)
     assert "dnet" in text and "ce" in text
     assert "-" in text  # the empty many column
@@ -795,6 +811,40 @@ def test_collect_rows_reads_a_non_numeric_seed_dir_as_seed_minus_one(runs_dir, t
     assert sorted(r.seed for r in collect_rows([str(tmp_path)])[0]) == [-1, 7]
     assert main(["report", str(tmp_path)]) == 0
     assert "ce" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("second", ["ce/seed0", "."])
+def test_report_counts_each_run_directory_once(second, runs_dir, capsys):
+    # a run that two paths reach is one run: one row, one seed in the table
+    rows, _ = collect_rows([str(runs_dir), os.path.join(runs_dir, second)])
+    assert sorted((r.method, r.seed) for r in rows) == [("ce", 0), ("dnet", 0)]
+    assert main(["report", str(runs_dir), os.path.join(runs_dir, second)]) == 0
+    table = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split()[:2] for line in table] == [["ce", "1"], ["dnet", "1"]]
+
+
+def test_report_leaves_out_a_failed_run_once_in_its_first_spelling(runs_dir, tmp_path, capsys):
+    shutil.copytree(runs_dir / "ce", tmp_path / "ce")
+    (tmp_path / "ce" / "seed0" / "failure.csv").write_text(
+        "phase,step,quantity\nclassifier,3,classifier gradient\n", encoding="ascii")
+    first = os.path.join(tmp_path, "ce", ".", "seed0")
+    assert main(["report", first, str(tmp_path)]) == 0
+    failure = NumericError("classifier", 3, "classifier gradient")
+    assert capsys.readouterr().out.splitlines()[2:] == [f"left out {first}: {failure}"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_report_on_no_directory_exits_2(kind, tmp_path, capsys):
+    path = tmp_path / "runs"
+    if kind == "file":
+        path.write_text("", encoding="ascii")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: no directory {str(path)!r} to report\n"
+    # a directory without runs is an empty table
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["report", str(empty)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_collect_rows_direct_run_dir(runs_dir):
@@ -941,6 +991,15 @@ def test_cli_config_that_does_not_fit_the_data_exits_2(sets, keyword, tmp_path, 
         argv += ["--set", item]
     assert main(argv) == 2
     assert keyword in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_repeated_seed_exits_2(tmp_path, capsys):
+    # a seed named twice would train twice in one stack into one directory
+    out = tmp_path / "x"
+    assert main(["train", "--set", "method=ce", "--set", "seeds=3,3", "--set", "epochs=1",
+                 "--set", f"out_dir={out}"]) == 2
+    assert capsys.readouterr().err == "config error: seeds must not list an item twice\n"
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import ast
 import pathlib
 
 import ltlab
+from ltlab.metatrain import SPLITS
 
 
 def unreferenced_definitions(package: pathlib.Path) -> list[tuple[str, str]]:
@@ -23,6 +24,37 @@ def unreferenced_definitions(package: pathlib.Path) -> list[tuple[str, str]]:
                 read.add(node.attr)
     return [(module, name) for module, name in defs
             if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def split_fields_outside_split_accuracy(package: pathlib.Path) -> list[tuple[str, str, str]]:
+    """(module, class, field) of each field named in SPLITS that a
+    dataclass in the package other than SplitAccuracy declares."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name == "SplitAccuracy":
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                continue
+            found += [(path.stem, node.name, item.target.id) for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and item.target.id in SPLITS]
+    return found
+
+
+def test_only_split_accuracy_declares_the_splits():
+    # every per-split row extends SplitAccuracy, so the split names are declared once
+    assert split_fields_outside_split_accuracy(pathlib.Path(ltlab.__file__).parent) == []
+
+
+def test_the_split_scan_reads_dataclasses(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass SplitAccuracy:\n    overall: float\n\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Row:\n    few: float\n    name: str\n\n\n"
+        "class Plain:\n    many: float\n", encoding="utf-8")
+    assert split_fields_outside_split_accuracy(tmp_path) == [("m", "Row", "few")]
 
 
 def test_every_definition_in_src_is_used_or_exported():
