@@ -11,6 +11,7 @@ import contextlib
 import functools
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -257,6 +258,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             raise ConfigError(f"cannot read dataset: {e}") from None
         if train.class_count != meta.class_count:
             raise ConfigError("train and meta files disagree on class count")
+        for path, ds in ((cfg.train_file, train), (cfg.meta_file, meta)):
+            if (missing := np.flatnonzero(ds.per_class_counts == 0)).size:
+                raise ConfigError(f"{path}: no rows of classes {missing.tolist()}")
         return train, meta
     try:
         profile = exp_profile(cfg.classes, cfg.n_max, cfg.imbalance)
@@ -295,7 +299,7 @@ class ReportRow(SplitAccuracy):
 
 def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
     if cfg.trace_classes == "auto":
-        return (0, class_count // 2, class_count - 1)
+        return tuple(dict.fromkeys((0, class_count // 2, class_count - 1)))  # once each at C < 3
     if cfg.trace_classes == "none":
         return ()
     return tuple(cfg.trace_classes)
@@ -446,7 +450,7 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
             acc = per_class_accuracy(model, meta_set)
         check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
         (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
-                                (cfg.many_min, cfg.few_max))[1]
+                                (rcfg.many_min, rcfg.few_max))[1]
         save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
         _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
         return _report_row(rcfg.method, seed, vars(rec))
@@ -462,7 +466,8 @@ def _recording_failure(run_dir: str):
         _write_csv(os.path.join(run_dir, "failure.csv"), ["phase", "step", "quantity"],
                    [[e.phase, str(e.step), e.quantity]])
         raise
-    _remove(run_dir, "failure.csv")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(run_dir, "failure.csv"))
 
 
 def _recorded_failure(run_dir: str) -> NumericError | None:
@@ -477,26 +482,27 @@ def _recorded_failure(run_dir: str) -> NumericError | None:
 
 def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int,
                trained, started: float) -> ReportRow:
-    """One seed's run directory from what train_all returned for it, with
-    stage 2 when configured. A seed that failed in stage 1 leaves its
-    flushed metrics, and one that failed in either stage a failure.csv;
-    then its NumericError is raised. started is when the command's training
-    started."""
+    """One seed's run directory, written from empty, from what train_all
+    returned for it, with stage 2 when configured. A seed that failed in
+    stage 1 leaves its flushed metrics, and one that failed in either stage
+    a failure.csv; then its NumericError is raised. started is when the
+    command's training started."""
     run_dir = _run_dir(cfg, seed)
+    # emptied only after training, so that a rejected config leaves no
+    # directory, and before the first write, so that no file of an earlier
+    # run stays next to this run's
+    with contextlib.suppress(FileNotFoundError):
+        shutil.rmtree(run_dir)
+    os.makedirs(run_dir)
     try:
         with _recording_failure(run_dir):
             if isinstance(trained, NumericError):
-                # no checkpoint of an earlier run outlives the metrics of this one
-                _remove(run_dir, "classifier.ltnn", "dnet.ltnn", "classifier_crt.ltnn")
                 _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
                 raise trained
             model, head, metrics = trained
-            # made only after training, so that a rejected config leaves no directory
-            os.makedirs(run_dir, exist_ok=True)
             save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
             if head.net is not None:
                 save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
-            _remove(run_dir, "classifier_crt.ltnn")  # of an earlier run
             _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
         if cfg.stage2 == "crt":
             row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))
@@ -508,12 +514,6 @@ def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, see
         _write_manifest(run_dir, started)
     row.wall_seconds = time.time() - started
     return row
-
-
-def _remove(run_dir: str, *names: str) -> None:
-    for name in names:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(run_dir, name))
 
 
 def _report_row(method: str, seed: int, final: dict | None) -> ReportRow:
@@ -533,7 +533,6 @@ def _report_row(method: str, seed: int, final: dict | None) -> ReportRow:
 def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed) -> None:
     """Write a run's metrics.csv (one row per record in metrics.epochs),
     weights_trace.csv for heads that record, and run_config.txt."""
-    os.makedirs(run_dir, exist_ok=True)
     cols = ["epoch", *SPLITS]
     if metrics.records:
         cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]

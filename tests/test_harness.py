@@ -217,6 +217,38 @@ def test_files_must_agree_on_class_count(tmp_path):
         build_datasets(ExperimentConfig(train_file=str(a), meta_file=str(b)))
 
 
+@pytest.mark.parametrize("which, sets", [
+    ("meta", ("method=ce",)),
+    ("meta", ("method=dnet",)),
+    ("train", ("method=invfreq",)),
+    ("train", ("method=effnum",)),
+    ("train", ("method=ce", "stage2=crt")),
+    ("train", ("method=dnet",)),
+], ids=["meta-ce", "meta-dnet", "train-invfreq", "train-effnum", "train-ce-crt", "train-dnet"])
+def test_cli_a_file_without_rows_of_a_class_exits_2(which, sets, tmp_path, capsys):
+    # a class without train rows has no frequency weight and no cRT sample,
+    # and one without meta rows no accuracy: the file is rejected, by name,
+    # before anything is written
+    data = ["--set", "classes=3", "--set", "n_max=60", "--set", "imbalance=10",
+            "--set", "dim=4", "--set", "m_per_class=4"]
+    assert main(["gen-data", *data, "--set", f"out_dir={tmp_path}"]) == 0
+    path = tmp_path / f"{which}.ltds"
+    ds = load_dataset(str(path))
+    keep = ds.labels != 1
+    save_dataset(Dataset(ds.features[keep], ds.labels[keep], ds.class_count), str(path))
+    out = tmp_path / "runs"
+    args = ["--set", "seeds=0", "--set", "epochs=1", "--set", "batch_size=8",
+            "--set", "meta_batch_size=8", "--set", "hidden=8", "--set", f"out_dir={out}",
+            "--set", f"train_file={tmp_path / 'train.ltds'}",
+            "--set", f"meta_file={tmp_path / 'meta.ltds'}"]
+    for item in sets:
+        args += ["--set", item]
+    capsys.readouterr()
+    assert main(["train", *args]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: no rows of classes [1]\n"
+    assert not out.exists()
+
+
 def test_missing_dataset_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         build_datasets(ExperimentConfig(train_file=str(tmp_path / "no.ltds"),
@@ -257,6 +289,15 @@ def test_dnet_run_layout_and_schemas(runs_dir):
 
     manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest) == {"started", "finished", "wall_seconds"}
+
+
+def test_auto_trace_names_each_class_once_at_two_classes(tmp_path):
+    # auto's (0, C//2, C-1) is (0, 1, 1) at C=2
+    run(base_cfg(tmp_path, method="dnet", classes=2, epochs=1))
+    _, rows = harness._read_csv(str(tmp_path / "dnet" / "seed0" / "weights_trace.csv"))
+    steps = sorted({int(step) for step, _, _ in rows})
+    assert steps == list(range(len(steps)))
+    assert [(int(step), cls) for step, cls, _ in rows] == [(t, c) for t in steps for c in "01"]
 
 
 def test_ce_run_uses_base_schema(runs_dir):
@@ -422,6 +463,18 @@ def test_crt_existing_appends_row_and_checkpoint(runs_dir, tmp_path):
     assert after[-1].split(",")[0] == str(int(before[-1].split(",")[0]) + 1)
     assert (work / "ce" / "seed0" / "classifier_crt.ltnn").exists()
     assert len(rows) == 1 and rows[0].method == "ce"
+
+
+def test_crt_scores_with_the_runs_split_thresholds(runs_dir, tmp_path):
+    # the stage-2 row joins stage-1 rows scored with the run's thresholds,
+    # so the invoking command's thresholds change none of its cells
+    for name in ("same", "other"):
+        shutil.copytree(runs_dir / "ce", tmp_path / name / "ce")
+    crt_existing(base_cfg(tmp_path / "same", method="ce"))
+    crt_existing(base_cfg(tmp_path / "other", method="ce", many_min=30, few_max=25))
+    same, other = ((tmp_path / name / "ce" / "seed0" / "metrics.csv").read_bytes()
+                   for name in ("same", "other"))
+    assert same == other
 
 
 def test_crt_existing_is_idempotent(runs_dir, tmp_path):
@@ -641,6 +694,35 @@ def test_failed_rerun_leaves_no_checkpoint_of_the_earlier_run(tmp_path):
     assert (d / "metrics.csv").exists()
     with pytest.raises(ConfigError, match="checkpoint"):
         crt_existing(base_cfg(tmp_path, method="dnet"))
+
+
+def test_an_interrupted_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
+    # a rerun stopped after its first write: the earlier run's metrics,
+    # config and models would pass for the new classifier's, and crt would
+    # retrain that classifier into the earlier run's metrics.csv
+    run(base_cfg(tmp_path, method="dnet", stage2="crt"))
+    real = harness.save_checkpoint
+
+    def interrupted(*args, **kwargs):
+        real(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "save_checkpoint", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(base_cfg(tmp_path, method="dnet", epochs=1, alpha=0.05))
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path / "dnet" / "seed0")) == ["classifier.ltnn", "manifest.json"]
+    with pytest.raises(ConfigError, match="run_config.txt"):
+        crt_existing(base_cfg(tmp_path, method="dnet"))
+
+
+def test_a_rerun_leaves_no_foreign_file(tmp_path):
+    old, ref = tmp_path / "old", tmp_path / "ref"
+    run(base_cfg(old, method="ce"))
+    (old / "ce" / "seed0" / "notes.txt").write_text("kept by hand\n", encoding="ascii")
+    run(base_cfg(old, method="ce"))
+    run(base_cfg(ref, method="ce"))
+    assert sorted(os.listdir(old / "ce" / "seed0")) == sorted(os.listdir(ref / "ce" / "seed0"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

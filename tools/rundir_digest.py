@@ -12,8 +12,16 @@ it then runs `ltlab ensemble` over two members (a stage2 = crt dnet run and
 a stage2 = none ce run) and `ltlab report --csv` over all of the config's
 runs, keeping the stdout of both next to their CSV files. It prints one "sha256  path" line per file
 under OUT, paths relative to OUT, leaving out manifest.json (the only file
-with wall-clock times). The package is imported from the src/
-directory next to this script, so two checkouts compare with one diff:
+with wall-clock times).
+
+Before it prints, it pins that `ltlab train` writes each run directory from
+empty: it copies the c10 config's stage2 = crt tree, retrains every method
+over the copy with stage2 = none, and exits non-zero unless the copy then
+holds the stage2 = none tree's files byte for byte (manifest.json left
+out). It deletes the copy, so it prints no line of it.
+
+The package is imported from the src/ directory next to this script, so
+two checkouts compare with one diff:
 
     python3 a/tools/rundir_digest.py /tmp/a > a.txt
     python3 b/tools/rundir_digest.py /tmp/b > b.txt
@@ -73,6 +81,34 @@ def with_sets(command: str, *items: str) -> list[str]:
     return argv
 
 
+def digests(root: str) -> dict[str, str]:
+    """The sha256 of every file under root but manifest.json, keyed by its
+    path relative to root, in walk order."""
+    out = {}
+    for dirpath, dirs, files in os.walk(root):
+        dirs.sort()
+        for f in sorted(files):
+            if f == "manifest.json":
+                continue
+            path = os.path.join(dirpath, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def check_rerun(name: str) -> None:
+    """Retrain every method with stage2 = none over a copy of the config's
+    stage2 = crt tree; the copy must then hold the stage2 = none tree's files."""
+    shutil.copytree(f"{name}/crt", f"rerun/{name}/none")
+    os.chdir("rerun")  # the same relative out_dir, so the same run_config.txt
+    for method in METHODS:
+        ltlab(*with_sets("train", *CONFIGS[name], f"method={method}", f"out_dir={name}/none"))
+    os.chdir("..")
+    if digests(f"rerun/{name}/none") != digests(f"{name}/none"):
+        sys.exit(f"a stage2 = none rerun over {name}/crt left other files than {name}/none")
+    shutil.rmtree("rerun")
+
+
 def main_digest(out: str) -> None:
     os.makedirs(out)
     os.chdir(out)  # run_config.txt records out_dir, so keep it relative
@@ -88,15 +124,9 @@ def main_digest(out: str) -> None:
         save(f"{name}/ensemble.out", ltlab(*with_sets("ensemble", *keys, f"ensemble_members={members}",
                                                       f"out_dir={name}")))
         save(f"{name}/report.out", ltlab("report", name, "--csv", f"{name}/summary.csv"))
-    for root, dirs, files in os.walk("."):
-        dirs.sort()
-        for f in sorted(files):
-            if f == "manifest.json":
-                continue
-            path = os.path.join(root, f)
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            print(f"{digest}  {os.path.relpath(path)}")
+    check_rerun("c10")
+    for path, digest in digests(".").items():
+        print(f"{digest}  {path}")
 
 
 if __name__ == "__main__":
