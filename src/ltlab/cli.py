@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration problem (bad key, bad value, bad
-input file), 3 numeric failure during training.
+input file, or a file that cannot be read or written, named by its path),
+3 numeric failure during training.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
             print(f"ensemble: {_splits(rows[-1][1])}")
             print(f"wrote {csv_path}")
         return 0
-    except (ConfigError, FormatError) as e:
+    except (ConfigError, FormatError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

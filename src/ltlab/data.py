@@ -66,28 +66,9 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class ImbalanceProfile:
-    """Per-class sample budget for a synthetic long-tailed set."""
-
-    counts: np.ndarray  # (class_count,) int64, all >= 1
-
-    def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ValueError("counts must be a non-empty vector")
-        if counts.min() < 1:
-            raise ValueError("every class needs at least one sample")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def class_count(self) -> int:
-        return self.counts.size
-
-
-def exp_profile(class_count: int, n_max: int, imbalance: float) -> ImbalanceProfile:
-    """Exponentially decaying class counts from n_max down to ~n_max/imbalance.
+def exp_profile(class_count: int, n_max: int, imbalance: float) -> np.ndarray:
+    """Exponentially decaying class counts from n_max down to ~n_max/imbalance,
+    as a read-only int64 vector.
 
     counts[c] = max(1, round_half_up(n_max * imbalance**(-c / (C - 1)))).
     Class 0 holds exactly n_max; counts never increase with c.
@@ -101,38 +82,43 @@ def exp_profile(class_count: int, n_max: int, imbalance: float) -> ImbalanceProf
     c = np.arange(class_count, dtype=np.float64)
     raw = n_max * imbalance ** (-c / (class_count - 1))
     counts = np.maximum(1, np.floor(raw + 0.5).astype(np.int64))
-    return ImbalanceProfile(counts)
+    counts.setflags(write=False)
+    return counts
 
 
-def synth_gaussian(
-    profile: ImbalanceProfile, dim: int, separation: float, seed: int
-) -> Dataset:
-    """Isotropic unit-variance Gaussian blobs on seeded unit directions.
+def synth_gaussian(counts: np.ndarray, dim: int, separation: float, seed: int) -> Dataset:
+    """Isotropic unit-variance Gaussian blobs on seeded unit directions,
+    counts[c] of class c.
 
     Class means are separation * u_c with u_c a random unit vector drawn from
     a stream keyed only by (seed, class_count, dim), so changing the counts
     reshuffles nothing about the geometry.
     """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or counts.size == 0:
+        raise ValueError("counts must be a non-empty vector")
+    if counts.min() < 1:
+        raise ValueError("every class needs at least one sample")
     if dim < 1:
         raise ValueError("dim must be positive")
     if separation <= 0:
         raise ValueError("separation must be positive")
     mean_rng = consumer_rng(seed, "synth", "means")
-    dirs = mean_rng.standard_normal((profile.class_count, dim))
+    dirs = mean_rng.standard_normal((counts.size, dim))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     means = separation * dirs / norms
 
     noise_rng = consumer_rng(seed, "synth", "noise")
-    feats = np.empty((int(profile.counts.sum()), dim), dtype=np.float64)
+    feats = np.empty((int(counts.sum()), dim), dtype=np.float64)
     labels = np.empty(feats.shape[0], dtype=np.int64)
     row = 0
-    for c, n in enumerate(profile.counts):
+    for c, n in enumerate(counts):
         n = int(n)
         feats[row : row + n] = means[c] + noise_rng.standard_normal((n, dim))
         labels[row : row + n] = c
         row += n
-    return Dataset(feats, labels, profile.class_count)
+    return Dataset(feats, labels, counts.size)
 
 
 def split_meta(pool: Dataset, m_per_class: int, seed: int) -> tuple[Dataset, Dataset]:
@@ -167,12 +153,17 @@ def split_meta(pool: Dataset, m_per_class: int, seed: int) -> tuple[Dataset, Dat
 def atomic_write(path: str, mode: str, **open_kwargs):
     """open(path, mode) for writing through a temp file next to path, moved
     onto path when the block ends without error. An interrupted write leaves
-    the previous file, not part of the new one, and no temp file behind."""
+    the previous file, not part of the new one, and no temp file behind.
+    A failed write raises its OSError under path, not the temp file's name."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename not in (tmp, None):
+            raise
+        raise OSError(e.errno, e.strerror, path) from None
     finally:
         if os.path.exists(tmp):  # the write failed
             os.unlink(tmp)

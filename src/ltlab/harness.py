@@ -176,11 +176,8 @@ def parse_config(path: str | None = None, overrides: tuple[str, ...] = ()) -> Ex
     """Read a flat key = value file (optional), then apply key=value overrides."""
     values: dict[str, object] = {}
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path!r}: {e}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -211,6 +208,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.classifier_optimizer in OPTIMIZERS, f"classifier_optimizer must be one of {OPTIMIZERS}")
     need(cfg.dnet_optimizer in OPTIMIZERS, f"dnet_optimizer must be one of {OPTIMIZERS}")
     need(bool(cfg.seeds), "seeds must list at least one seed")
+    need(min(cfg.seeds) >= 0, "seeds must be non-negative")
+    need(cfg.data_seed >= 0, "data_seed must be non-negative")
     for name in ("seeds", "trace_classes"):
         items = getattr(cfg, name)
         need(isinstance(items, str) or len(set(items)) == len(items),
@@ -249,13 +248,10 @@ def config_text(cfg: ExperimentConfig) -> str:
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Load the configured files, or synthesize the pool and split it."""
     if cfg.train_file:
-        try:
-            with _malformed(cfg.train_file):
-                train = load_dataset(cfg.train_file)
-            with _malformed(cfg.meta_file):
-                meta = load_dataset(cfg.meta_file)
-        except OSError as e:
-            raise ConfigError(f"cannot read dataset: {e}") from None
+        with _malformed(cfg.train_file):
+            train = load_dataset(cfg.train_file)
+        with _malformed(cfg.meta_file):
+            meta = load_dataset(cfg.meta_file)
         if train.class_count != meta.class_count:
             raise ConfigError("train and meta files disagree on class count")
         for path, ds in ((cfg.train_file, train), (cfg.meta_file, meta)):
@@ -263,8 +259,8 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
                 raise ConfigError(f"{path}: no rows of classes {missing.tolist()}")
         return train, meta
     try:
-        profile = exp_profile(cfg.classes, cfg.n_max, cfg.imbalance)
-        pool = synth_gaussian(profile, cfg.dim, cfg.separation, cfg.data_seed)
+        counts = exp_profile(cfg.classes, cfg.n_max, cfg.imbalance)
+        pool = synth_gaussian(counts, cfg.dim, cfg.separation, cfg.data_seed)
         return split_meta(pool, cfg.m_per_class, cfg.data_seed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
@@ -434,9 +430,10 @@ def _run_dir(cfg: ExperimentConfig, seed: int) -> str:
 def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> ReportRow:
     """Stage 2 of one trained run: load its stage-1 checkpoint, head and
     data (datasets maps _data_config of its run_config.txt to the train and
-    meta sets) as the run recorded them, retrain the final layer, save it,
-    and rewrite metrics.csv as the stage-1 rows plus one stage-2 row, so
-    running this again gives the same files; failure.csv records a failure."""
+    meta sets) as the run recorded them, retrain the final layer with the
+    run's weight decay, save it, and rewrite metrics.csv as the stage-1 rows
+    plus one stage-2 row, so running this again gives the same files;
+    failure.csv records a failure."""
     with _recording_failure(run_dir):
         rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
         head = _difficulty_head(rcfg, train_set, seed, run_dir)
@@ -445,7 +442,7 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
             header, stage1 = _read_csv(metrics_path)
         stage1 = stage1[: rcfg.epochs]  # one row per epoch
         model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
-                            OptSpec("momentum", cfg.crt_lr, 0.9, cfg.classifier_weight_decay), seed)
+                            OptSpec("momentum", cfg.crt_lr, 0.9, rcfg.classifier_weight_decay), seed)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as crt_retrain
             acc = per_class_accuracy(model, meta_set)
         check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
@@ -562,6 +559,8 @@ def run(cfg: ExperimentConfig) -> list[ReportRow]:
     then write each seed's run directory. A seed that fails stops alone:
     the others train on and write their files, and the first failure is
     raised once every seed's directory is written."""
+    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        raise ConfigError(f"out_dir {cfg.out_dir!r} is not a directory")
     train_set, meta_set = build_datasets(cfg)
     started = time.time()
     rows, failure = [], None

@@ -206,8 +206,8 @@ def test_criterion_07_hidden_width_rule():
 
 def test_criterion_08_profile_endpoints():
     started = time.perf_counter()
-    lo = exp_profile(100, 490, 10.0).counts
-    hi = exp_profile(100, 490, 200.0).counts
+    lo = exp_profile(100, 490, 10.0)
+    hi = exp_profile(100, 490, 200.0)
     elapsed = time.perf_counter() - started
     print(f"criterion 8 PASS: min counts {lo.min()} (imb 10) and {hi.min()} "
           f"(imb 200) ({elapsed:.1f}s)")

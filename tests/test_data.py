@@ -26,24 +26,25 @@ from ltlab.data import (
 
 def test_exp_profile_small_frozen():
     p = exp_profile(5, 100, 100.0)
-    assert p.counts.tolist() == [100, 32, 10, 3, 1]
+    assert p.tolist() == [100, 32, 10, 3, 1]
+    assert p.dtype == np.int64 and not p.flags.writeable
 
 
 def test_exp_profile_tail_endpoints():
     # published split construction: 490 head samples, tail 49 at ratio 10
     # and tail 2 at ratio 200
-    assert exp_profile(100, 490, 10.0).counts[99] == 49
-    assert exp_profile(100, 490, 200.0).counts[99] == 2
+    assert exp_profile(100, 490, 10.0)[99] == 49
+    assert exp_profile(100, 490, 200.0)[99] == 2
 
 
 def test_exp_profile_head_is_n_max():
     p = exp_profile(7, 123, 50.0)
-    assert p.counts[0] == 123
-    assert p.class_count == 7
+    assert p[0] == 123
+    assert p.size == 7
 
 
 def test_exp_profile_balanced_when_ratio_one():
-    assert exp_profile(4, 10, 1.0).counts.tolist() == [10, 10, 10, 10]
+    assert exp_profile(4, 10, 1.0).tolist() == [10, 10, 10, 10]
 
 
 def test_exp_profile_rejects_bad_args():
@@ -62,8 +63,7 @@ def test_exp_profile_rejects_bad_args():
 )
 @settings(max_examples=200, deadline=None)
 def test_exp_profile_properties(c, n_max, imb):
-    p = exp_profile(c, n_max, imb)
-    counts = p.counts
+    counts = exp_profile(c, n_max, imb)
     assert counts.shape == (c,)
     assert counts[0] == n_max
     assert (counts >= 1).all()
@@ -74,7 +74,7 @@ def test_realized_imbalance_close_to_requested():
     p = exp_profile(10, 2300, 100.0)
     # rounding moves the realized ratio a bit; it must stay within one
     # rounding unit of the request (23 -> ratio 100, 22.5 would be 102)
-    assert abs(p.counts.max() / p.counts.min() - 100.0) <= 100.0 / (p.counts[-1] - 0.5) * 0.5 + 5
+    assert abs(p.max() / p.min() - 100.0) <= 100.0 / (p[-1] - 0.5) * 0.5 + 5
 
 
 # -------------------------------------------------------------- synth_gaussian
@@ -97,15 +97,25 @@ def test_synth_seed_changes_data():
 def test_synth_counts_follow_profile():
     p = exp_profile(4, 40, 20.0)
     d = synth_gaussian(p, dim=3, separation=1.5, seed=0)
-    assert d.per_class_counts.tolist() == p.counts.tolist()
+    assert d.per_class_counts.tolist() == p.tolist()
     assert d.dim == 3
-    assert d.size == int(p.counts.sum())
+    assert d.size == int(p.sum())
 
 
 def test_synth_rejects_zero_separation():
     p = exp_profile(2, 10, 2.0)
     with pytest.raises(ValueError):
         synth_gaussian(p, dim=2, separation=0.0, seed=0)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([], "non-empty vector"),
+    ([[3, 2]], "non-empty vector"),
+    ([3, 0], "at least one sample"),
+])
+def test_synth_rejects_bad_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        synth_gaussian(np.array(counts, dtype=np.int64), dim=2, separation=1.0, seed=0)
 
 
 def test_synth_class_mean_norm_tracks_separation():

@@ -133,8 +133,10 @@ def test_override_requires_key_value():
 
 
 def test_missing_config_file_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
+    # the library raises the OS's error, and the CLI exits 2 on it
+    with pytest.raises(FileNotFoundError):
         parse_config(str(tmp_path / "nope.cfg"))
+    assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
 @pytest.mark.parametrize(
@@ -146,6 +148,9 @@ def test_missing_config_file_rejected(tmp_path):
         "classifier_optimizer=lbfgs",
         "seeds=",
         "seeds=3,3",
+        "seeds=-1",
+        "seeds=0,-2",
+        "data_seed=-1",
         "trace_classes=1,2,1",
         "epochs=-1",
         "batch_size=0",
@@ -250,9 +255,11 @@ def test_cli_a_file_without_rows_of_a_class_exits_2(which, sets, tmp_path, capsy
 
 
 def test_missing_dataset_file_is_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
-        build_datasets(ExperimentConfig(train_file=str(tmp_path / "no.ltds"),
-                                        meta_file=str(tmp_path / "no2.ltds")))
+    # the library raises the OS's error, and the CLI exits 2 on it
+    files = (f"train_file={tmp_path / 'no.ltds'}", f"meta_file={tmp_path / 'no2.ltds'}")
+    with pytest.raises(FileNotFoundError):
+        build_datasets(parse_config(None, files))
+    assert main(["train", "--set", files[0], "--set", files[1]]) == 2
 
 
 def test_impossible_synthetic_profile_is_config_error(tmp_path):
@@ -570,6 +577,17 @@ def test_crt_existing_uses_the_runs_recorded_head(tmp_path):
     for name in ("metrics.csv", "classifier_crt.ltnn"):
         assert ((tmp_path / "later" / "dnet" / "seed0" / name).read_bytes()
                 == (tmp_path / "inrun" / "dnet" / "seed0" / name).read_bytes())
+
+
+def test_crt_uses_the_runs_recorded_weight_decay(tmp_path):
+    # stage 2 under the default decay must retrain a run trained with another
+    # decay as that run's own in-run stage 2 does
+    run(base_cfg(tmp_path / "later", method="ce", classifier_weight_decay=0.05))
+    crt_existing(base_cfg(tmp_path / "later", method="ce"))
+    run(base_cfg(tmp_path / "inrun", method="ce", classifier_weight_decay=0.05, stage2="crt"))
+    for name in ("metrics.csv", "classifier_crt.ltnn"):
+        assert ((tmp_path / "later" / "ce" / "seed0" / name).read_bytes()
+                == (tmp_path / "inrun" / "ce" / "seed0" / name).read_bytes())
 
 
 def test_crt_uses_the_runs_recorded_data(tmp_path):
@@ -1083,6 +1101,42 @@ def test_cli_repeated_seed_exits_2(tmp_path, capsys):
                  "--set", f"out_dir={out}"]) == 2
     assert capsys.readouterr().err == "config error: seeds must not list an item twice\n"
     assert not out.exists()
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    # numpy refuses a negative seed only once the data are built
+    out = tmp_path / "x"
+    assert main(["train", "--set", "method=ce", "--set", "seeds=-1", "--set", "epochs=1",
+                 "--set", f"out_dir={out}"]) == 2
+    assert capsys.readouterr().err == "config error: seeds must be non-negative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["report-csv", "gen-data", "train", "crt"])
+def test_cli_a_file_it_cannot_read_or_write_exits_2(case, runs_dir, tmp_path, monkeypatch,
+                                                    capsys):
+    # one config error line that names the user's path, not a temp file's
+    path = tmp_path / "afile"
+    path.write_text("", encoding="ascii")
+    argv = [case, "--set", "method=ce", "--set", "seeds=0", "--set", "classes=3",
+            "--set", "n_max=60", "--set", "imbalance=10", "--set", "m_per_class=4",
+            "--set", f"out_dir={path}"]
+    if case == "report-csv":
+        path = tmp_path / "nodir" / "s.csv"
+        argv = ["report", str(runs_dir), "--csv", str(path)]
+    elif case == "train":  # rejected before the data are built
+        monkeypatch.setattr(harness, "build_datasets", None)
+    elif case == "crt":
+        shutil.copytree(runs_dir / "ce", tmp_path / "ce")
+        path = tmp_path / "ce" / "seed0" / "metrics.csv"
+        path.unlink()
+        argv = ["crt", "--set", "method=ce", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(path) in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", *(["ce"] if case == "crt" else [])]
 
 
 def test_cli_config_error_leaves_no_run_dir(tmp_path, capsys):

@@ -18,7 +18,11 @@ Before it prints, it pins that `ltlab train` writes each run directory from
 empty: it copies the c10 config's stage2 = crt tree, retrains every method
 over the copy with stage2 = none, and exits non-zero unless the copy then
 holds the stage2 = none tree's files byte for byte (manifest.json left
-out). It deletes the copy, so it prints no line of it.
+out). It also pins that `ltlab crt` retrains with each run's own weight
+decay: it runs `ltlab crt --set classifier_weight_decay=0.05` over another
+copy of the c10 stage2 = none tree, and exits non-zero unless that copy
+then holds the files that the default-decay `ltlab crt` left. It deletes
+both copies, so it prints no line of them.
 
 The package is imported from the src/ directory next to this script, so
 two checkouts compare with one diff:
@@ -109,6 +113,20 @@ def check_rerun(name: str) -> None:
     shutil.rmtree("rerun")
 
 
+def check_crt_decay(name: str) -> None:
+    """Run `ltlab crt` with another classifier_weight_decay over a copy of
+    the config's stage2 = none tree; the copy must then hold the files of
+    the default-decay `ltlab crt`."""
+    shutil.copytree(f"{name}/none", "decay")
+    for method in METHODS:
+        ltlab(*with_sets("crt", *CONFIGS[name], f"method={method}", "classifier_weight_decay=0.05",
+                         "out_dir=decay"))
+    if digests("decay") != digests(f"{name}/none+crt"):
+        sys.exit(f"a crt with another weight decay over {name}/none left other files than "
+                 f"{name}/none+crt")
+    shutil.rmtree("decay")
+
+
 def main_digest(out: str) -> None:
     os.makedirs(out)
     os.chdir(out)  # run_config.txt records out_dir, so keep it relative
@@ -125,6 +143,7 @@ def main_digest(out: str) -> None:
                                                       f"out_dir={name}")))
         save(f"{name}/report.out", ltlab("report", name, "--csv", f"{name}/summary.csv"))
     check_rerun("c10")
+    check_crt_decay("c10")
     for path, digest in digests(".").items():
         print(f"{digest}  {path}")
 
