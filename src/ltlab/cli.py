@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .data import FormatError
 from .harness import (
@@ -72,9 +73,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            rows, failed = collect_rows(args.paths)
+            rows, left_out = collect_rows(args.paths)
             summaries = summarize(rows)
-            print("\n".join([report_text(summaries), *failed]))
+            print("\n".join([report_text(summaries), *left_out]))
             if args.csv:
                 report_csv(summaries, args.csv)
             return 0
@@ -84,8 +85,11 @@ def main(argv=None) -> int:
             train_path, meta_path = gen_data(cfg)
             print(f"wrote {train_path} and {meta_path}")
         elif args.command == "train":
-            for r in run(cfg):
-                print(f"{r.method} seed={r.seed} {_splits(r)} ({r.wall_seconds:.1f}s)")
+            started = time.perf_counter()
+            rows = run(cfg)
+            seconds = time.perf_counter() - started  # the whole command's, on every row
+            for r in rows:
+                print(f"{r.method} seed={r.seed} {_splits(r)} ({seconds:.1f}s)")
         elif args.command == "crt":
             for r in crt_existing(cfg):
                 print(f"{r.method}+crt seed={r.seed} {_splits(r)}")

@@ -289,8 +289,6 @@ def gen_data(cfg: ExperimentConfig) -> tuple[str, str]:
 class ReportRow(SplitAccuracy):
     method: str
     seed: int
-    entropy: float | None
-    wall_seconds: float = 0.0  # the run's, from train's clock or report's manifest.json
 
 
 def _resolve_trace(cfg: ExperimentConfig, class_count: int) -> tuple[int, ...]:
@@ -492,15 +490,20 @@ def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, see
         shutil.rmtree(run_dir)
     os.makedirs(run_dir)
     try:
+        # first, so that no interrupted write leaves a metrics.csv that no
+        # config describes
+        with atomic_write(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8",
+                          newline="\n") as fh:
+            fh.write(config_text(replace(cfg, seeds=(seed,))))
         with _recording_failure(run_dir):
             if isinstance(trained, NumericError):
-                _flush_run(cfg, run_dir, trained.metrics, train_set.class_count, seed)
+                _flush_run(run_dir, trained.metrics, train_set.class_count)
                 raise trained
             model, head, metrics = trained
             save_checkpoint(model.net, os.path.join(run_dir, "classifier.ltnn"))
             if head.net is not None:
                 save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
-            _flush_run(cfg, run_dir, metrics, train_set.class_count, seed)
+            _flush_run(run_dir, metrics, train_set.class_count)
         if cfg.stage2 == "crt":
             row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))
         else:
@@ -509,7 +512,6 @@ def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, see
     finally:
         # last, so that its times cover stage 2 too, also when a stage fails
         _write_manifest(run_dir, started)
-    row.wall_seconds = time.time() - started
     return row
 
 
@@ -524,12 +526,12 @@ def _report_row(method: str, seed: int, final: dict | None) -> ReportRow:
         return missing if v is None or v == "" else float(v)
 
     return ReportRow(value("overall", float("nan")), *(value(name) for name in SPLITS[1:]),
-                     method=method, seed=seed, entropy=value("entropy"))
+                     method=method, seed=seed)
 
 
-def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed) -> None:
-    """Write a run's metrics.csv (one row per record in metrics.epochs),
-    weights_trace.csv for heads that record, and run_config.txt."""
+def _flush_run(run_dir, metrics: RunMetrics, class_count) -> None:
+    """Write a run's metrics.csv (one row per record in metrics.epochs) and
+    weights_trace.csv for heads that record."""
     cols = ["epoch", *SPLITS]
     if metrics.records:
         cols += ["entropy"] + [f"d_{c}" for c in range(class_count)]
@@ -537,9 +539,6 @@ def _flush_run(cfg, run_dir, metrics: RunMetrics, class_count, seed) -> None:
     if metrics.records:
         _write_csv(os.path.join(run_dir, "weights_trace.csv"), ["step", "class", "normalized_weight"],
                    ([str(step), str(cls), _fmt(w)] for step, cls, w in metrics.weight_trace))
-    with atomic_write(os.path.join(run_dir, "run_config.txt"), "w", encoding="utf-8",
-                      newline="\n") as fh:
-        fh.write(config_text(replace(cfg, seeds=(seed,))))
 
 
 def _write_manifest(run_dir: str, started: float) -> None:
@@ -558,9 +557,12 @@ def run(cfg: ExperimentConfig) -> list[ReportRow]:
     """Train cfg.method for every seed in one stacked call on this thread,
     then write each seed's run directory. A seed that fails stops alone:
     the others train on and write their files, and the first failure is
-    raised once every seed's directory is written."""
-    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-        raise ConfigError(f"out_dir {cfg.out_dir!r} is not a directory")
+    raised once every seed's directory is written. A run directory or parent
+    that exists and is no directory is a ConfigError before training."""
+    for path in (cfg.out_dir, os.path.join(cfg.out_dir, cfg.method),
+                 *(_run_dir(cfg, seed) for seed in cfg.seeds)):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"{path!r} is not a directory")
     train_set, meta_set = build_datasets(cfg)
     started = time.time()
     rows, failure = [], None
@@ -625,10 +627,13 @@ def ensemble_existing(cfg: ExperimentConfig) -> tuple[list[tuple[str, SplitAccur
 
 def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
     """Find every run directory (one metrics.csv each) under the given
-    paths, each counted once however many paths reach it: the rows of the
-    runs that finished, and a line for each run that a failure.csv marks as
-    failed, which gives no row. A path that is no directory is a ConfigError."""
-    rows, failed = [], []
+    paths, each counted once however many paths reach it. A run counts by
+    its run_config.txt (method and seed) and the last row of its
+    metrics.csv: the rows of such runs, and one `left out` line for each
+    other directory, with its failure.csv's failure, no run_config.txt or
+    no epochs in metrics.csv as the reason. A path that is no directory is
+    a ConfigError."""
+    rows, left_out = [], []
     metric_files = {}  # real path of a run directory -> its metrics.csv, as first reached
     for p in paths:
         if not os.path.isdir(p):
@@ -641,38 +646,27 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
             metric_files.setdefault(os.path.realpath(os.path.dirname(mf)), mf)
     for mf in sorted(metric_files.values()):
         run_dir = os.path.dirname(mf)
-        if (failure := _recorded_failure(run_dir)) is not None:
-            failed.append(f"left out {run_dir}: {failure}")
-            continue
         rc = os.path.join(run_dir, "run_config.txt")
-        if os.path.exists(rc):
+        reason = _recorded_failure(run_dir)
+        if reason is None and os.path.exists(rc):
             rcfg = parse_config(rc)
-            method, seed = rcfg.method, rcfg.seeds[0]
-        else:
-            method = os.path.basename(os.path.dirname(run_dir))
-            name = os.path.basename(run_dir)
-            digits = name.removeprefix("seed")
-            seed = int(digits) if name.startswith("seed") and digits.isdecimal() else -1
-        with _malformed(mf):
-            header, body = _read_csv(mf)
-            if not body:
-                continue
-            row = _report_row(method, seed, dict(zip(header, body[-1])))
-        man = os.path.join(run_dir, "manifest.json")
-        if os.path.exists(man):
-            with open(man, "r", encoding="utf-8") as fh, _malformed(man, AttributeError, TypeError):
-                row.wall_seconds = float(json.load(fh).get("wall_seconds", 0.0))
-        rows.append(row)
-    return rows, failed
+            with _malformed(mf):
+                header, body = _read_csv(mf)
+                if body:
+                    rows.append(_report_row(rcfg.method, rcfg.seeds[0], dict(zip(header, body[-1]))))
+                    continue
+            reason = "no epochs in metrics.csv"
+        left_out.append(f"left out {run_dir}: {reason or 'no run_config.txt'}")
+    return rows, left_out
 
 
 @contextlib.contextmanager
-def _malformed(path: str, *errors):
-    """A block that reads a file: a ValueError, or one of errors, that its
-    content raises comes out as a FormatError naming the file once."""
+def _malformed(path: str):
+    """A block that reads a file: a ValueError that its content raises
+    comes out as a FormatError naming the file once."""
     try:
         yield
-    except (ValueError, *errors) as e:
+    except ValueError as e:
         named = str(e).startswith(f"{path}: ")
         raise FormatError(str(e) if named else f"{path}: {e}") from None
 

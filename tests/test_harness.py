@@ -322,7 +322,6 @@ def test_run_returns_final_epoch_rows(runs_dir):
     assert r.method == "dnet" and r.seed == 0
     assert 0.0 <= r.overall <= 1.0
     assert r.many is None  # counts (56, 15, 2) leave the many split empty
-    assert r.wall_seconds >= 0
 
 
 @pytest.mark.parametrize("method", list(METHODS))
@@ -729,9 +728,53 @@ def test_an_interrupted_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkey
     with pytest.raises(KeyboardInterrupt):
         run(base_cfg(tmp_path, method="dnet", epochs=1, alpha=0.05))
     monkeypatch.undo()
-    assert sorted(os.listdir(tmp_path / "dnet" / "seed0")) == ["classifier.ltnn", "manifest.json"]
-    with pytest.raises(ConfigError, match="run_config.txt"):
+    assert sorted(os.listdir(tmp_path / "dnet" / "seed0")) == [
+        "classifier.ltnn", "manifest.json", "run_config.txt"]
+    with pytest.raises(ConfigError, match="dnet.ltnn"):
         crt_existing(base_cfg(tmp_path, method="dnet"))
+
+
+@pytest.mark.parametrize("name", ["run_config.txt", "classifier.ltnn", "dnet.ltnn", "metrics.csv",
+                                  "weights_trace.csv", "classifier_crt.ltnn"])
+def test_no_interrupted_write_leaves_metrics_without_run_config(name, tmp_path, monkeypatch):
+    # train stopped as it starts to write a file: report would leave out a
+    # metrics.csv without its run_config.txt, so no directory may hold one
+    def interrupt_at(write, path_arg):
+        def hooked(*args, **kwargs):
+            if os.path.basename(args[path_arg]) == name:
+                raise KeyboardInterrupt
+            return write(*args, **kwargs)
+
+        return hooked
+
+    monkeypatch.setattr(harness, "atomic_write", interrupt_at(harness.atomic_write, 0))
+    monkeypatch.setattr(harness, "save_checkpoint", interrupt_at(harness.save_checkpoint, 1))
+    with pytest.raises(KeyboardInterrupt):
+        run(base_cfg(tmp_path, method="dnet", epochs=1, stage2="crt"))
+    monkeypatch.undo()
+    assert [p.parent for p in tmp_path.rglob("metrics.csv")
+            if not (p.parent / "run_config.txt").exists()] == []
+
+
+@pytest.mark.parametrize("file_at", ["dnet", "dnet/seed1"])
+def test_train_rejects_a_run_dir_that_is_a_file_before_training(file_at, tmp_path, monkeypatch):
+    # a file where a run directory or its parent must go: nothing trains,
+    # and no seed's directory is written
+    path = tmp_path / file_at
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("", encoding="ascii")
+    real, calls = harness.train_seeds, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "train_seeds", spy)
+    with pytest.raises(ConfigError) as info:
+        run(base_cfg(tmp_path, method="dnet", seeds=(0, 1)))
+    assert str(info.value) == f"{str(path)!r} is not a directory"
+    assert calls == []
+    assert not (tmp_path / "dnet" / "seed0").exists()
 
 
 def test_a_rerun_leaves_no_foreign_file(tmp_path):
@@ -893,24 +936,13 @@ def test_run_rows_equal_collected_rows(stage2, tmp_path):
     out = tmp_path / stage2
     returned = run(base_cfg(out, method="dnet", seeds=(0, 1), stage2=stage2))
     collected, _ = collect_rows([str(out)])
-    names = ("method", "seed", "overall", "many", "medium", "few", "entropy")
+    names = ("method", "seed", "overall", "many", "medium", "few")
 
     def key(r):
         return tuple(getattr(r, n) for n in names)
 
     assert sorted(map(key, collected)) == sorted(map(key, returned))
-    assert all(r.many is None and r.entropy is not None for r in returned)
-
-
-def test_collect_rows_reads_a_non_numeric_seed_dir_as_seed_minus_one(runs_dir, tmp_path, capsys):
-    # without run_config.txt the seed comes from the directory name; a name
-    # like seedx is no seed<k> and must not stop `ltlab report`
-    for name in ("seedx", "seed7"):
-        (tmp_path / "ce" / name).mkdir(parents=True)
-        shutil.copy(runs_dir / "ce" / "seed0" / "metrics.csv", tmp_path / "ce" / name)
-    assert sorted(r.seed for r in collect_rows([str(tmp_path)])[0]) == [-1, 7]
-    assert main(["report", str(tmp_path)]) == 0
-    assert "ce" in capsys.readouterr().out
+    assert all(r.many is None for r in returned)
 
 
 @pytest.mark.parametrize("second", ["ce/seed0", "."])
@@ -951,20 +983,43 @@ def test_collect_rows_direct_run_dir(runs_dir):
     rows, _ = collect_rows([str(runs_dir / "dnet" / "seed0")])
     assert len(rows) == 1
     assert rows[0].method == "dnet" and rows[0].seed == 0
-    assert rows[0].entropy is not None
 
 
-def test_collect_rows_without_run_config_reads_the_layout(runs_dir, tmp_path):
-    # a metrics.csv without run_config.txt: <method>/seed<k> names the method
-    # and the seed, and a directory not named seed<k> reports seed -1
-    src = runs_dir / "ce" / "seed0" / "metrics.csv"
-    for d in ("focal/seed3", "focal/latest"):
-        (tmp_path / d).mkdir(parents=True)
-        shutil.copy(src, tmp_path / d / "metrics.csv")
-    rows, _ = collect_rows([str(tmp_path)])
-    assert sorted((r.method, r.seed) for r in rows) == [("focal", -1), ("focal", 3)]
-    want = collect_rows([str(runs_dir / "ce" / "seed0")])[0][0]
-    assert all(r.overall == want.overall and r.wall_seconds == 0.0 for r in rows)
+def test_report_leaves_out_a_run_without_run_config_or_epochs(runs_dir, tmp_path, capsys):
+    # a run counts by its run_config.txt and the last row of its
+    # metrics.csv: a metrics.csv without the config, wherever it lies, and
+    # an epochs = 0 run, which train prints as overall=nan, give one line
+    # each after the table and no row
+    shutil.copytree(runs_dir / "ce", tmp_path / "ce")
+    (tmp_path / "ce" / "seed0" / "run_config.txt").unlink()
+    (tmp_path / "focal" / "latest").mkdir(parents=True)
+    shutil.copy(runs_dir / "ce" / "seed0" / "metrics.csv", tmp_path / "focal" / "latest")
+    (row,) = run(base_cfg(tmp_path, method="dnet", epochs=0))
+    assert np.isnan(row.overall)
+    assert collect_rows([str(tmp_path)])[0] == []
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"left out {tmp_path / 'ce' / 'seed0'}: no run_config.txt",
+        f"left out {tmp_path / 'dnet' / 'seed0'}: no epochs in metrics.csv",
+        f"left out {tmp_path / 'focal' / 'latest'}: no run_config.txt"]
+
+
+@pytest.mark.parametrize("manifest", [b"[1,2]\n", b"{not json\xff"], ids=["list", "not-json"])
+def test_report_reads_no_manifest(manifest, runs_dir, tmp_path, capsys):
+    # manifest.json holds wall-clock times that report never prints: a bad
+    # one changes neither its output nor its exit code
+    shutil.copytree(runs_dir, tmp_path / "runs")
+    outs = []
+    for name in ("valid", "bad"):
+        if name == "bad":
+            for path in (tmp_path / "runs").glob("*/seed0/manifest.json"):
+                path.write_bytes(manifest)
+        csv_path = tmp_path / f"{name}.csv"
+        capsys.readouterr()
+        code = main(["report", str(tmp_path / "runs"), "--csv", str(csv_path)])
+        outs.append((code, capsys.readouterr().out, csv_path.exists() and csv_path.read_bytes()))
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0]
 
 
 def _bad_float(path):
@@ -979,15 +1034,14 @@ def _non_ascii(path):
     path.write_bytes(path.read_bytes() + b"\xff\n")
 
 
-@pytest.mark.parametrize("command, name, corrupt", [
-    ("report", "metrics.csv", _bad_float),
-    ("report", "manifest.json", lambda path: path.write_text("{not json", encoding="utf-8")),
-    ("report", "metrics.csv", _non_ascii),
-    ("crt", "metrics.csv", _non_ascii),
-], ids=["report-bad-float", "report-manifest-not-json", "report-non-ascii", "crt-non-ascii"])
-def test_cli_malformed_run_file_exits_2(command, name, corrupt, runs_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command, corrupt", [
+    ("report", _bad_float),
+    ("report", _non_ascii),
+    ("crt", _non_ascii),
+], ids=["report-bad-float", "report-non-ascii", "crt-non-ascii"])
+def test_cli_malformed_run_file_exits_2(command, corrupt, runs_dir, tmp_path, capsys):
     shutil.copytree(runs_dir / "ce", tmp_path / "ce")
-    path = tmp_path / "ce" / "seed0" / name
+    path = tmp_path / "ce" / "seed0" / "metrics.csv"
     corrupt(path)
     if command == "crt":
         args = ["--set", "method=ce", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
