@@ -16,7 +16,6 @@ from .nnet import (
     accuracy_array,
     check_finite,
     classifier_logits,
-    forward_layers,
     forward_tape,
     optimizer_step,
     softmax,
@@ -81,9 +80,10 @@ def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_s
     not match the data's classes raises ConfigError; a non-finite gradient
     or final layer raises NumericError in the stage2 phase.
 
-    The frozen layers only run forward; each step's tape and gradient cover
-    the final layer alone, which is what the gradient of the whole net
-    holds for that layer, bit for bit."""
+    The frozen layers only run forward, their tape's logits being the
+    features; each step's tape and gradient cover the final layer alone,
+    which is what the gradient of the whole net holds for that layer, bit
+    for bit."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps == 0:
@@ -95,17 +95,18 @@ def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_s
     rng = consumer_rng(seed, "init", "crt")
     bound = 1.0 / np.sqrt(old.w.shape[1])
     fresh = Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)
-    # the features copied bit for bit; the optimizer steps a net over the
-    # final layer's slice of the parameter vector
+    # the features copied bit for bit; the frozen layers and the final one
+    # that the optimizer steps are nets over the two parts of one vector
     net = MLP(model.net.layers[:-1] + [fresh])
     start = net.params.size - fresh.w.size - fresh.b.size
-    frozen, last = net.layers[:-1], replace(model, net=MLP([fresh], net.params[start:]))
+    frozen = MLP(net.layers[:-1], net.params[:start])
+    last = replace(model, net=MLP([fresh], net.params[start:]))
     grad = last.net.over(np.empty_like(last.net.params))
     opt = opt_spec.build()
     batches = class_balanced_batches(train_set, batch_size, seed)
     for step in range(steps):
         idx = next(batches)
-        feats = forward_layers(frozen, train_set.features[idx])
+        feats = forward_tape(frozen, train_set.features[idx]).logits
         # labels of the data, matched to the logits above
         tape = forward_tape(last, feats).with_labels(train_set.labels[idx])
         grads = tape.grads(tape.resid * (1.0 / idx.size), grad)  # the mean CE's cotangent

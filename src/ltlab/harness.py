@@ -153,16 +153,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     for f in fields(ExperimentConfig)
 }
 
-# retired keys that older run_config.txt files hold, ignored at the values
-# that changed no file: record_losses at any boolean, sample_width at 0
-RETIRED = {"record_losses": {"true", "false", "1", "0", "yes", "no"}, "sample_width": {"0"}}
-
-
 def _apply_kv(values: dict, key: str, raw: str, where: str) -> None:
-    if key in RETIRED:
-        if raw.lower() in RETIRED[key]:
-            return
-        raise ConfigError(f"retired config key {key!r} cannot be {raw!r} ({where})")
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key {key!r} ({where})")
     attr, parser = SCHEMA[key]

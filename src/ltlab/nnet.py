@@ -203,22 +203,6 @@ def _cache_layers(layers, x):
     return steps, h
 
 
-def forward_layers(layers, x) -> np.ndarray:
-    """A slice of layers' output over x, forward only: the h that
-    _cache_layers ends with, bit for bit, without the per-layer steps."""
-    h = np.ascontiguousarray(x, dtype=np.float64)
-    for layer in layers:
-        h = h @ layer.wt
-        h += layer.b_row
-        if layer.act == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif layer.act == "sigmoid":
-            h = clamp_sigmoid(sigmoid(h))
-        elif layer.act != "identity":
-            raise ValueError(f"unknown activation {layer.act!r}")
-    return h
-
-
 def _cosine_parts(last: Layer, feats, scale):
     """The cosine head's parts (r_f, f_hat, r_w, w_hat, scale) and its logits
     scale * cos(feature, class row), using the last layer as prototypes;

@@ -88,28 +88,6 @@ def test_parse_file_with_comments_and_overrides(tmp_path):
     assert cfg.epochs == 7
 
 
-@pytest.mark.parametrize("item", ["record_losses=true", "record_losses=No", "sample_width=0"])
-def test_retired_keys_are_read_and_ignored(item):
-    # older run_config.txt files hold record_losses and sample_width = 0,
-    # which left every file as it is without them
-    cfg = parse_config(None, (item,))
-    assert cfg == ExperimentConfig()
-    assert item.partition("=")[0] not in config_text(cfg)
-
-
-@pytest.mark.parametrize("item", ["sample_width=8", "record_losses=maybe"],
-                         ids=["sample_width", "record_losses"])
-def test_cli_retired_key_at_another_value_exits_2(item, tmp_path, capsys):
-    # the sample net is one batch wide, so no other width is read
-    out = tmp_path / "x"
-    assert main(["train", "--set", "method=dnet-sample", "--set", "epochs=1",
-                 "--set", "seeds=0", "--set", item, "--set", f"out_dir={out}"]) == 2
-    key, _, raw = item.partition("=")
-    assert capsys.readouterr().err == \
-        f"config error: retired config key {key!r} cannot be {raw!r} (--set)\n"
-    assert not out.exists()
-
-
 def test_unknown_key_named_in_error(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text("lamda = 0.3\n", encoding="utf-8")
@@ -408,6 +386,27 @@ def test_a_seeds_files_do_not_depend_on_the_seeds_it_trains_with(method, head, t
     assert together == alone
 
 
+def test_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at C=100 the classifier's 64x64x100 products and the difficulty net's
+    # 100x128 ones are large enough for OpenBLAS to split over threads
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ltlab.__file__)))
+    sets = ["method=dnet", "classes=100", "n_max=20", "imbalance=2", "m_per_class=2",
+            "epochs=1", "seeds=0,1", "out_dir=runs"]
+    files = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-m", "ltlab.cli", "train",
+                        *(a for item in sets for a in ("--set", item))],
+                       cwd=cwd, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+        files.append({p.relative_to(cwd): p.read_bytes() for p in sorted(cwd.rglob("*"))
+                      if p.is_file() and p.name != "manifest.json"})
+    one, two = files
+    assert len(one) == 10  # five files in each seed's directory
+    assert two == one
+
+
 def poison_seed(monkeypatch, row, from_step):
     """From step from_step on, the classifier cotangent of one seed turns
     NaN: the whole cotangent for row None (a lone seed), else the seed's
@@ -602,33 +601,22 @@ def test_crt_uses_the_runs_recorded_data(tmp_path):
             == (inrun / "metrics.csv").read_text("ascii").splitlines()[-1])
 
 
-def test_an_old_run_config_serves_crt_ensemble_and_report_as_before(runs_dir, tmp_path, capsys):
-    # run_config.txt files written before record_losses and sample_width
-    # were retired hold both keys: crt, ensemble and report read such runs
-    # as they read the same runs without them, byte for byte
-    outs, files = {}, {}
-    for name in ("old", "new"):
-        out = tmp_path / name
-        shutil.copytree(runs_dir, out)
-        if name == "old":
-            for rc in out.glob("*/seed0/run_config.txt"):
-                rc.write_text(rc.read_text("utf-8") + "record_losses = false\nsample_width = 0\n",
-                              encoding="utf-8")
-        capsys.readouterr()
-        for method in ("dnet", "ce"):
-            assert main(["crt", "--set", f"method={method}", "--set", "seeds=0",
-                         "--set", "crt_steps=8", "--set", f"out_dir={out}"]) == 0
-        members = f"{out / 'dnet' / 'seed0'},{out / 'ce' / 'seed0'}"
-        assert main(["ensemble", "--set", f"ensemble_members={members}",
-                     "--set", f"out_dir={out}"]) == 0
-        assert main(["report", str(out)]) == 0
-        outs[name] = capsys.readouterr().out.replace(str(out), "OUT")
-        files[name] = {p.relative_to(out): p.read_bytes().replace(bytes(out), b"OUT")
-                       for p in sorted(out.rglob("*"))
-                       if p.is_file() and p.name not in ("run_config.txt", "manifest.json")}
-    assert outs["old"] == outs["new"]
-    assert files["old"] == files["new"]
-    assert "classifier_crt.ltnn" in {p.name for p in files["old"]}
+def test_a_retired_key_in_run_config_exits_2_in_report_and_crt(runs_dir, tmp_path, capsys):
+    # record_losses was retired like any key that no file needs: a
+    # run_config.txt that still holds it is read as holding an unknown key
+    out = tmp_path / "old"
+    shutil.copytree(runs_dir / "ce", out / "ce")
+    rc = out / "ce" / "seed0" / "run_config.txt"
+    rc.write_text(rc.read_text("utf-8") + "record_losses = false\n", encoding="utf-8")
+    line = len(rc.read_text("utf-8").splitlines())
+    before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    capsys.readouterr()
+    for argv in (["report", str(out)],
+                 ["crt", "--set", "method=ce", "--set", "seeds=0", "--set", f"out_dir={out}"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: unknown config key 'record_losses' ({rc}:{line})\n")
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
 
 
 def test_crt_existing_requires_stage1_checkpoint(tmp_path):
