@@ -72,7 +72,6 @@ def class_balanced_batches(dataset, batch_size: int, seed: int):
         yield table[classes, within]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as train_seeds
 def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_spec, seed: int):
     """Classifier retraining: freeze every feature layer bit-for-bit, re-init
     the final layer, and train it alone with class-balanced batches and plain

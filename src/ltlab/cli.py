@@ -11,6 +11,8 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from .data import FormatError
 from .harness import (
     ConfigError,
@@ -69,6 +71,9 @@ def _splits(row, names=SPLITS) -> str:
     return " ".join(f"{n}={_fmt_split(getattr(row, n))}" for n in names)
 
 
+# a command's finite checks name a failure's phase, step and quantity, so
+# numpy's floating-point warnings would only repeat it, less precisely
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

@@ -432,9 +432,8 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Report
         stage1 = stage1[: rcfg.epochs]  # one row per epoch
         model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
                             OptSpec("momentum", cfg.crt_lr, 0.9, rcfg.classifier_weight_decay), seed)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as crt_retrain
-            acc = per_class_accuracy(model, meta_set)
-        check_finite(acc, "evaluation", cfg.crt_steps - 1, "meta-set logits")
+        acc = per_class_accuracy(model, meta_set)
+        check_finite(acc, "evaluation", max(cfg.crt_steps - 1, 0), "meta-set logits")
         (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
                                 (rcfg.many_min, rcfg.few_max))[1]
         save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))

@@ -247,9 +247,6 @@ def evaluate_epoch(epoch: int, acc: np.ndarray, live, head: DifficultyHead, trai
     return head_pass, records
 
 
-# the finite checks name a failure's phase, step and quantity, so numpy's
-# floating-point warnings would only repeat it, less precisely
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_seeds(cfg: TrainConfig, train_set, meta_set, classifiers, heads, seeds) -> list:
     """Run cfg.T iterations of the three-update step (the classifier step
     alone for heads without a net) for every seed at once, with batching, a

@@ -35,6 +35,7 @@ from ltlab.harness import (
     train_one,
 )
 from ltlab.metatrain import NumericError
+from ltlab.nnet import load_checkpoint, save_checkpoint
 
 
 def base_cfg(out_dir, **kw):
@@ -1245,17 +1246,49 @@ DIVERGING = ["--set", "method=ce", "--set", "alpha=30", "--set", "seeds=0"]
 DIVERGED = "non-finite classifier gradient in the classifier phase at step 150"
 
 
-def test_a_numeric_failure_prints_one_line(tmp_path):
-    # numpy's floating-point warnings (overflow in matmul, then overflow and
-    # invalid value in subtract) would come before the one line that names
-    # the phase, step and quantity
+def overflow_checkpoint(path):
+    """Scale the checkpoint at path by 1e306: its parameters stay finite
+    and its logits overflow."""
+    net = load_checkpoint(str(path))
+    net.params *= 1e306
+    save_checkpoint(net, str(path))
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", DIVERGED),
+    ("crt", "non-finite classifier gradient in the stage2 phase at step 2"),
+    ("ensemble", "non-finite meta-set logits in the evaluation phase at step 0"),
+], ids=["train", "crt", "ensemble"])
+def test_a_numeric_failure_prints_one_line(command, message, runs_dir, tmp_path):
+    # numpy's floating-point warnings (overflow in matmul, and for train
+    # overflow and invalid value in subtract) would come before the one line
+    # that names the phase, step and quantity
+    if command == "train":
+        args = [*DIVERGING, "--set", f"out_dir={tmp_path}"]
+    else:
+        args = _copy_runs_for(command, runs_dir, tmp_path)
+    if command == "crt":
+        args += ["--set", "crt_lr=1e300"]
+    if command == "ensemble":
+        overflow_checkpoint(tmp_path / "dnet" / "seed0" / "classifier.ltnn")
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=os.path.dirname(os.path.dirname(ltlab.__file__)))
-    done = subprocess.run([sys.executable, "-m", "ltlab.cli", "train", *DIVERGING,
-                           "--set", f"out_dir={tmp_path}"],
+    done = subprocess.run([sys.executable, "-m", "ltlab.cli", command, *args],
                           capture_output=True, text=True, env=env, check=False)
     assert done.returncode == 3
-    assert done.stderr == f"numeric failure: {DIVERGED}\n"
+    assert done.stderr == f"numeric failure: {message}\n"
+
+
+def test_a_crt_evaluation_failure_without_steps_names_step_0(runs_dir, tmp_path, capsys):
+    # no stage-2 step ran, so the failure is at step 0, as in ensemble
+    args = _copy_runs_for("crt", runs_dir, tmp_path)
+    run_dir = tmp_path / "dnet" / "seed0"
+    overflow_checkpoint(run_dir / "classifier.ltnn")
+    assert main(["crt", *args, "--set", "crt_steps=0"]) == 3
+    assert capsys.readouterr().err == \
+        "numeric failure: non-finite meta-set logits in the evaluation phase at step 0\n"
+    assert (run_dir / "failure.csv").read_text("ascii") == \
+        "phase,step,quantity\nevaluation,0,meta-set logits\n"
 
 
 def test_report_leaves_out_a_failed_run(tmp_path, capsys):
@@ -1277,6 +1310,7 @@ def test_report_leaves_out_a_failed_run(tmp_path, capsys):
     assert row.split()[:2] == ["ce", "1"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failed_stage2_is_recorded_until_a_stage2_succeeds(tmp_path):
     with pytest.raises(NumericError) as info:
         run(base_cfg(tmp_path, method="ce", stage2="crt", crt_lr=1e300))

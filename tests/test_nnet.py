@@ -319,6 +319,14 @@ def test_tape_keeps_the_ce_residual_bit_for_bit(head):
     assert tape.dots(net.over(direction)).tobytes() == reference_dots(model, x, y, direction).tobytes()
 
 
+def test_softmax_of_a_stack_is_each_slices_softmax():
+    # a stack of logits (S, n, C) normalizes over its classes, the last axis
+    logits = np.random.default_rng(3).standard_normal((3, 5, 4)) * 10.0
+    stacked = softmax(logits)
+    for s in range(3):
+        assert stacked[s].tobytes() == softmax(logits[s]).tobytes()
+
+
 def with_labels_reference(logits, labels):
     """Tape.with_labels' (resid, ce, p), each label's logit found through a
     tuple of arange arrays, one per leading axis."""

@@ -43,6 +43,36 @@ def split_fields_outside_split_accuracy(package: pathlib.Path) -> list[tuple[str
     return found
 
 
+def errstate_uses_outside_cli(package: pathlib.Path) -> list[tuple[str, int]]:
+    """(module, line) of each name errstate that a module in the package
+    other than cli.py reads or imports."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:  # a Name's id or an Attribute's attr
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [(path.stem, node.lineno) for name in names if name == "errstate"]
+    return found
+
+
+def test_only_the_cli_sets_numpys_error_state():
+    # every command runs under cli.main's one floating-point policy, and the
+    # library leaves numpy's error state to its caller
+    assert errstate_uses_outside_cli(pathlib.Path(ltlab.__file__).parent) == []
+
+
+def test_the_errstate_scan_reads_code_not_comments(tmp_path):
+    (tmp_path / "cli.py").write_text("import numpy as np\n\nnp.errstate()\n", encoding="utf-8")
+    (tmp_path / "m.py").write_text(
+        '"""np.errstate is named here."""\nimport numpy as np\nfrom numpy import errstate\n\n'
+        "# np.errstate()\n@np.errstate(over='ignore')\ndef f():\n    pass\n", encoding="utf-8")
+    assert errstate_uses_outside_cli(tmp_path) == [("m", 3), ("m", 6)]
+
+
 def test_only_split_accuracy_declares_the_splits():
     # every per-split row extends SplitAccuracy, so the split names are declared once
     assert split_fields_outside_split_accuracy(pathlib.Path(ltlab.__file__).parent) == []
