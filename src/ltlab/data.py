@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import math
 import os
+import struct
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -189,6 +191,29 @@ def save_dataset(ds: Dataset, path: str) -> None:
                 fh.write(row % (label, *values))
 
 
+_TWIN = struct.Struct("<8s32sQQQ")  # magic, the text's SHA-256, class count, rows, dim
+_TWIN_MAGIC = b"LTDSBIN1"
+
+
+def save_twin(ds: Dataset, path: str) -> None:
+    """Write <path>.bin, the binary twin of the LTDS text that save_dataset just
+    wrote from ds at path: a _TWIN header, then ds's int64 labels and float64 features."""
+    with open(path, "rb") as fh:
+        digest = _digest(fh)
+    with atomic_write(f"{path}.bin", "wb") as fh:
+        fh.write(_TWIN.pack(_TWIN_MAGIC, digest, ds.class_count, ds.size, ds.dim))
+        fh.write(ds.labels.astype("<i8", copy=False))
+        fh.write(ds.features.astype("<f8", copy=False))
+
+
+def _digest(fh, head: bytes = b"") -> bytes:
+    """SHA-256 of head and the rest of the binary file fh, read 1 MiB at a time."""
+    h = hashlib.sha256(head)
+    while block := fh.read(1 << 20):
+        h.update(block)
+    return h.digest()
+
+
 # Whitespace that np.loadtxt skips around a field but int() and float() refuse.
 _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
@@ -196,10 +221,45 @@ _C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 def load_dataset(path: str) -> Dataset:
     """Parse an LTDS file back into a Dataset, bit-exact with what was saved.
 
-    The file is read once, a chunk of lines at a time. numpy's C text
-    reader keeps every chunk it carries; the line parser takes any other
-    chunk, naming its first defect or parsing spellings the C reader
-    refuses, such as 1_000.5."""
+    The arrays come from the binary twin <path>.bin when it matches the
+    text's bytes, so an edited text parses again. Otherwise the file is read
+    once, a chunk of lines at a time. numpy's C text reader keeps every
+    chunk it carries; the line parser takes any other chunk, naming its first
+    defect or parsing spellings the C reader refuses, such as 1_000.5."""
+    class_count, labels, features = _twin_rows(path) or _text_rows(path)
+    # what the text parser rejects beyond single rows, checked on either path
+    if not labels.size:
+        raise FormatError("no data rows")
+    if labels.max() != class_count - 1:
+        raise FormatError(f"header C={class_count} does not match max label {labels.max()}")
+    return Dataset(features, labels, class_count)
+
+
+def _twin_rows(path) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """The class count, labels and features in the twin of the LTDS file at
+    path; None when there is none or it is malformed or does not match the text."""
+    if not os.path.isfile(twin := f"{os.fspath(path)}.bin"):  # no open(): a lone text opens once
+        return None
+    try:
+        with open(twin, "rb") as fh:
+            raw = fh.read()
+        magic, digest, class_count, size, dim = _TWIN.unpack_from(raw)
+        # the text's header pins the class count and dim, the twin's length the rows
+        header = b"#LTDS C=%d DIM=%d\n" % (class_count, dim)
+        if magic != _TWIN_MAGIC or dim < 1 or len(raw) != _TWIN.size + 8 * size * (1 + dim):
+            return None
+        with open(path, "rb") as fh:
+            if fh.readline(len(header)) != header or _digest(fh, header) != digest:
+                return None
+    except (FileNotFoundError, struct.error):  # gone since isfile() saw it, or cut short
+        return None  # a missing text then fails in _text_rows, as without a twin
+    labels = np.frombuffer(raw, "<i8", size, _TWIN.size)
+    features = np.frombuffer(raw, "<f8", size * dim, _TWIN.size + labels.nbytes)
+    return class_count, labels, features.reshape(size, dim)
+
+
+def _text_rows(path) -> tuple[int, np.ndarray, np.ndarray]:
+    """The header's class count and the labels and features of the LTDS text at path."""
     # no per-row lists: the arrays returned are views of these buffers
     labels, values = array("q"), array("d")
     try:
@@ -212,17 +272,8 @@ def load_dataset(path: str) -> Dataset:
                 first_line += len(lines)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not an ASCII text file") from None
-
-    labels = np.frombuffer(labels, dtype=np.int64)
-    if not labels.size:
-        raise FormatError("no data rows")
-    if labels.max() != class_count - 1:
-        raise FormatError(
-            f"header C={class_count} does not match max label {labels.max()}"
-        )
-    return Dataset(
-        np.frombuffer(values, dtype=np.float64).reshape(-1, dim), labels, class_count
-    )
+    features = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
+    return class_count, np.frombuffer(labels, dtype=np.int64), features
 
 
 def _read_header(fh) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import cdb_weights, crt_retrain, effective_number_weights, ensemble_predict, inverse_frequency_weights
-from .data import Dataset, FormatError, atomic_write, exp_profile, load_dataset, save_dataset, split_meta, synth_gaussian
+from .data import Dataset, FormatError, atomic_write, exp_profile, load_dataset, save_dataset, save_twin, split_meta, synth_gaussian
 from .difficulty import DifficultyHead, head_init
 from .metatrain import (
     SPLITS,
@@ -266,13 +266,14 @@ def _data_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def gen_data(cfg: ExperimentConfig) -> tuple[str, str]:
-    """Write train.ltds and meta.ltds under out_dir; returns the two paths."""
+    """Write train.ltds and meta.ltds, each with its twin, under out_dir; returns the paths."""
     train, meta = build_datasets(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_path = os.path.join(cfg.out_dir, "train.ltds")
     meta_path = os.path.join(cfg.out_dir, "meta.ltds")
-    save_dataset(train, train_path)
-    save_dataset(meta, meta_path)
+    for ds, path in ((train, train_path), (meta, meta_path)):
+        save_dataset(ds, path)
+        save_twin(ds, path)
     return train_path, meta_path
 
 

@@ -169,8 +169,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     e = exp(-|z|), so neither exp overflows. min(z, -z) is -|z| that keeps
     a NaN's sign, as exp(z) did on the negative branch."""
     e = np.exp(np.minimum(z, -z))
-    den = 1.0 + e
-    return np.where(z >= 0, 1.0 / den, e / den)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
 def clamp_sigmoid(s: np.ndarray) -> np.ndarray:
@@ -180,10 +179,9 @@ def clamp_sigmoid(s: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - SIG_CLAMP, out=out)
 
 
-def _cache_layers(layers, x):
-    """Run a slice of layers, keeping per layer its input and the derivative
-    of its activation at the pre-activation (None for identity)."""
-    h = np.ascontiguousarray(x, dtype=np.float64)
+def _cache_layers(layers, h):
+    """Run a slice of layers over the float64 batch h, keeping per layer its
+    input and its activation's derivative at the pre-activation (None for identity)."""
     steps = []
     for layer in layers:
         z = h @ layer.wt

@@ -17,6 +17,7 @@ from ltlab.data import (
     exp_profile,
     load_dataset,
     save_dataset,
+    save_twin,
     split_meta,
     synth_gaussian,
 )
@@ -337,6 +338,96 @@ def test_one_pass_reads_the_file_once_and_hands_only_the_bad_chunk_on(tmp_path, 
     assert opened == [path]
     full = 3 * data._CHUNK_LINES
     assert [(len(lines), first) for lines, first, *_ in parsed] == [(2000 - full, 2 + full)]
+
+
+# ------------------------------------------------------------ the binary twin
+
+def _twinned(tmp_path):
+    """A file of more than one chunk, with signed zero and extreme values,
+    saved with its twin as gen-data saves it."""
+    rng = np.random.default_rng(3)
+    feats = rng.standard_normal((data._CHUNK_LINES + 4, 4))
+    feats[0] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    d = Dataset(feats, np.arange(feats.shape[0]) % 3, 3)
+    path = tmp_path / "d.ltds"
+    save_dataset(d, path)
+    save_twin(d, path)
+    return d, path
+
+
+def _text_load(path):
+    """load_dataset of a copy of path's text with no twin beside it."""
+    copy = path.parent / "text" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(path.read_bytes())
+    return load_dataset(copy)
+
+
+def _same(a, b):
+    return (a.features.tobytes(), a.labels.tobytes(), a.class_count) == (
+        b.features.tobytes(), b.labels.tobytes(), b.class_count)
+
+
+def _other_rows(path, d):
+    save_dataset(Dataset(d.features[:-5] + 1.0, d.labels[:-5], d.class_count), path)
+
+
+def _one_digit(path, d):
+    # the first decimal of the last feature of the second data row, at the
+    # same file length
+    lines = path.read_text(encoding="ascii").split("\n")
+    at = lines[2].index(".", lines[2].rindex(",")) + 1
+    digit = "8" if lines[2][at] == "9" else str(int(lines[2][at]) + 1)
+    lines[2] = lines[2][:at] + digit + lines[2][at + 1:]
+    path.write_text("\n".join(lines), encoding="ascii")
+
+
+@pytest.mark.parametrize("rewrite", [_other_rows, _one_digit], ids=["other_rows", "one_digit"])
+def test_a_text_rewritten_after_its_twin_loads_its_own_rows(rewrite, tmp_path):
+    d, path = _twinned(tmp_path)
+    size = path.stat().st_size
+    rewrite(path, d)
+    assert rewrite is _other_rows or path.stat().st_size == size
+    back = load_dataset(path)
+    assert _same(back, _text_load(path))
+    assert not _same(back, d)
+
+
+def _header(raw, **fields):
+    names = ("magic", "digest", "class_count", "size", "dim")
+    values = dict(zip(names, data._TWIN.unpack_from(raw)), **fields)
+    return data._TWIN.pack(*(values[n] for n in names)) + raw[data._TWIN.size:]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda raw: raw[:-8],
+    lambda raw: raw[:20],
+    lambda raw: b"LTDSBIN0" + raw[8:],
+    lambda raw: _header(raw, size=data._CHUNK_LINES + 5),
+    # the same length: (516 rows) x (1 + 4) = (258 rows) x (1 + 9)
+    lambda raw: _header(raw, size=(data._CHUNK_LINES + 4) // 2, dim=9),
+    lambda raw: _header(raw, class_count=4),
+    lambda raw: raw + b"\0" * 8,
+], ids=["cut_short", "cut_in_header", "wrong_magic", "other_rows", "other_shape",
+        "other_class_count", "trailing_bytes"])
+def test_a_broken_twin_falls_back_to_the_text(spoil, tmp_path):
+    d, path = _twinned(tmp_path)
+    twin = tmp_path / "d.ltds.bin"
+    twin.write_bytes(spoil(twin.read_bytes()))
+    back = load_dataset(path)
+    assert _same(back, d)
+    assert _same(back, _text_load(path))
+
+
+def test_a_twin_loads_bit_exact_without_parsing_the_text(tmp_path, monkeypatch):
+    d, path = _twinned(tmp_path)
+
+    def parse(*args, **kwargs):
+        raise AssertionError("the text was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", parse)
+    monkeypatch.setattr(data, "_line_rows", parse)
+    assert _same(load_dataset(path), d)
 
 
 # --------------------------------------------- load_dataset against an oracle

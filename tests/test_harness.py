@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import ltlab
-from ltlab import harness, metatrain
+from ltlab import data, harness, metatrain
 from ltlab.cli import main
-from ltlab.data import Dataset, load_dataset, save_dataset
+from ltlab.data import Dataset, load_dataset, save_dataset, save_twin
 from ltlab.harness import (
     METHODS,
     ConfigError,
@@ -192,6 +192,39 @@ def test_gen_data_then_train_from_files(tmp_path):
     assert np.all(m_file.per_class_counts == cfg.m_per_class)
 
 
+def _no_text_parse(monkeypatch):
+    def parse(*args, **kwargs):
+        raise AssertionError("an LTDS text was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", parse)
+    monkeypatch.setattr(data, "_line_rows", parse)
+
+
+def test_gen_data_files_load_from_their_twins_bit_exact(tmp_path, monkeypatch):
+    # gen-data leaves a twin <file>.bin beside each file, and a load takes
+    # the arrays from it, parsing no text, byte for byte what the text gives
+    train_path, meta_path = gen_data(base_cfg(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["meta.ltds", "meta.ltds.bin", "train.ltds",
+                                             "train.ltds.bin"]
+    for path in (train_path, meta_path):
+        with monkeypatch.context() as m:
+            _no_text_parse(m)
+            twin = load_dataset(path)
+        os.remove(f"{path}.bin")
+        text = load_dataset(path)
+        assert twin.features.tobytes() == text.features.tobytes()
+        assert twin.labels.tobytes() == text.labels.tobytes()
+        assert twin.class_count == text.class_count
+
+
+def test_gen_data_writes_the_same_twins_every_time(tmp_path):
+    first = gen_data(base_cfg(tmp_path / "a"))
+    second = gen_data(base_cfg(tmp_path / "b"))
+    for a, b in zip(first, second):
+        with open(f"{a}.bin", "rb") as fa, open(f"{b}.bin", "rb") as fb:
+            assert fa.read() == fb.read()
+
+
 def test_files_must_agree_on_class_count(tmp_path):
     a = tmp_path / "a.ltds"
     b = tmp_path / "b.ltds"
@@ -229,6 +262,27 @@ def test_cli_a_file_without_rows_of_a_class_exits_2(which, sets, tmp_path, capsy
         args += ["--set", item]
     capsys.readouterr()
     assert main(["train", *args]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: no rows of classes [1]\n"
+    assert not out.exists()
+
+
+def test_cli_a_twin_loaded_file_without_rows_of_a_class_exits_2(tmp_path, capsys, monkeypatch):
+    # a twin is taken only for a file the text parser accepts, and the class
+    # check after either load rejects the file by name
+    data_args = ["--set", "classes=3", "--set", "n_max=60", "--set", "imbalance=10",
+                 "--set", "dim=4", "--set", "m_per_class=4"]
+    assert main(["gen-data", *data_args, "--set", f"out_dir={tmp_path}"]) == 0
+    path = tmp_path / "train.ltds"
+    ds = load_dataset(str(path))
+    keep = ds.labels != 1
+    trimmed = Dataset(ds.features[keep], ds.labels[keep], ds.class_count)
+    save_dataset(trimmed, str(path))
+    save_twin(trimmed, str(path))
+    _no_text_parse(monkeypatch)
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert main(["train", "--set", "method=ce", "--set", "seeds=0", "--set", f"out_dir={out}",
+                 "--set", f"train_file={path}", "--set", f"meta_file={tmp_path / 'meta.ltds'}"]) == 2
     assert capsys.readouterr().err == f"config error: {path}: no rows of classes [1]\n"
     assert not out.exists()
 

@@ -21,9 +21,13 @@ of a freshly built classifier with crt_steps, crt_batch_size and crt_lr, in
 profile, `data.save_dataset` and `data.load_dataset` of the train file that
 `gen-data` writes for C=100 (the data of perfbench's c100-wide workload,
 21,285 rows of 16 features for seed 0), and checks that both sides write
-the same bytes. With them it times, as ltds-bad, one `data.load_dataset` of
-a copy of that file whose last line is corrupted, which the line parser
-must name, and checks that both sides raise the same message. The entry eval times, in µs per call and without a
+the same bytes. On a side whose `gen_data` writes binary twins, ltds-load
+reads the file's twin, not its text. With them it times, as ltds-bad, one
+`data.load_dataset` of a copy of that file whose last line is corrupted,
+which has no twin, so it times the text parser, which must name the line;
+it checks that both sides raise the same message. And it times, as
+ltds-gen, one `harness.gen_data` of that data config, which writes the
+train and meta files and, where the side has them, their twins. The entry eval times, in µs per call and without a
 profile, one `nnet.per_class_accuracy(model, meta_set)` of a freshly
 built lone classifier on the meta set: at C=10 (the default config, 200
 meta rows) and at C=100 (the c100-wide data, 500 rows). It checks that
@@ -92,7 +96,7 @@ class Side:
         method "crt" is the stage-2 retraining alone, "ltds-save" and
         "ltds-load" one save and one load of the C=100 gen-data train file,
         "ltds-bad" one load of a copy whose last line is corrupted, the call
-        returning the FormatError's message,
+        returning the FormatError's message, "ltds-gen" one gen_data of it,
         "eval-c10" and "eval-c100" EVAL_CALLS meta-set evaluations, the
         call returning the last one's accuracies."""
         if method.startswith("eval"):
@@ -111,10 +115,12 @@ class Side:
 
             return evaluate, EVAL_CALLS
         if method.startswith("ltds"):
+            out = os.path.join(self.root, f"{self.name}_data")
+            cfg = self.harness.parse_config(None, LTDS_DATA + (f"data_seed={seed}",
+                                                               f"out_dir={out}"))
+            if method == "ltds-gen":
+                return (lambda: self.harness.gen_data(cfg)), 1
             if "ltds" not in self.data:
-                out = os.path.join(self.root, f"{self.name}_data")
-                cfg = self.harness.parse_config(None, LTDS_DATA + (f"data_seed={seed}",
-                                                                   f"out_dir={out}"))
                 path, _ = self.harness.gen_data(cfg)
                 self.data["ltds"] = path, self.ltds.load_dataset(path)
             path, ds = self.data["ltds"]
@@ -185,7 +191,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
-    entries = {"ltds": ("ltds-save", "ltds-load", "ltds-bad"), "eval": ("eval-c10", "eval-c100")}
+    entries = {"ltds": ("ltds-save", "ltds-load", "ltds-bad", "ltds-gen"),
+               "eval": ("eval-c10", "eval-c100")}
     methods = [e for m in args.methods.split(",") if m for e in entries.get(m, (m,))]
 
     root = tempfile.mkdtemp(prefix="step_ab_")
