@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import math
 import os
 import struct
-import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -171,20 +169,19 @@ def atomic_write(path: str, mode: str, **open_kwargs):
             os.unlink(tmp)
 
 
-# LTDS rows per chunk, in each np.loadtxt call and each block save_dataset
-# formats. The chunk's lines and the reader's working copy are what a load
-# holds above the arrays: one load of a 6000x16 file peaked at 1.51x the
-# arrays with 512 lines, 1.98x with 1024, 2.91x with 2048.
+# LTDS rows save_dataset formats at a time: Python floats for every row at
+# once would raise the peak by about 30 bytes per value.
 _CHUNK_LINES = 512
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write the LTDS text form: header line, then one label,f1,...,fD row each."""
     row = "%d" + ",%r" * ds.dim + "\n"  # %r of a float is its repr: round-trips exactly
+    # the old text's twin: left, it would cost each later load a read and a hash
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(f"{path}.bin")
     with atomic_write(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"#LTDS C={ds.class_count} DIM={ds.dim}\n")
-        # a chunk at a time: Python floats for every row at once would raise
-        # the peak by about 30 bytes per value
         for start in range(0, ds.size, _CHUNK_LINES):
             chunk = slice(start, start + _CHUNK_LINES)
             for label, values in zip(ds.labels[chunk].tolist(), ds.features[chunk].tolist()):
@@ -214,18 +211,12 @@ def _digest(fh, head: bytes = b"") -> bytes:
     return h.digest()
 
 
-# Whitespace that np.loadtxt skips around a field but int() and float() refuse.
-_C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-
-
 def load_dataset(path: str) -> Dataset:
     """Parse an LTDS file back into a Dataset, bit-exact with what was saved.
 
     The arrays come from the binary twin <path>.bin when it matches the
-    text's bytes, so an edited text parses again. Otherwise the file is read
-    once, a chunk of lines at a time. numpy's C text reader keeps every
-    chunk it carries; the line parser takes any other chunk, naming its first
-    defect or parsing spellings the C reader refuses, such as 1_000.5."""
+    text's bytes, so an edited text parses again. Otherwise the text is read
+    once, a line at a time, and its first defect is named with its line."""
     class_count, labels, features = _twin_rows(path) or _text_rows(path)
     # what the text parser rejects beyond single rows, checked on either path
     if not labels.size:
@@ -259,17 +250,41 @@ def _twin_rows(path) -> tuple[int, np.ndarray, np.ndarray] | None:
 
 
 def _text_rows(path) -> tuple[int, np.ndarray, np.ndarray]:
-    """The header's class count and the labels and features of the LTDS text at path."""
+    """The header's class count and the labels and features of the LTDS text
+    at path, parsed one line at a time with int() and float(); the first
+    defect raises a FormatError with its line number."""
     # no per-row lists: the arrays returned are views of these buffers
     labels, values = array("q"), array("d")
+    isfinite = math.isfinite
     try:
         with open(path, "r", encoding="ascii") as fh:
             class_count, dim = _read_header(fh)
-            first_line = 2
-            while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-                if not _c_rows(lines, class_count, dim, labels, values):
-                    _line_rows(lines, first_line, class_count, dim, labels, values)
-                first_line += len(lines)
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    raise FormatError("blank line inside data section", line=lineno)
+                fields = line.split(",")
+                if len(fields) != dim + 1:
+                    raise FormatError(
+                        f"expected {dim + 1} comma-separated fields, got {len(fields)}",
+                        line=lineno,
+                    )
+                try:
+                    label = int(fields[0])
+                    row = list(map(float, fields[1:]))
+                except ValueError:
+                    raise FormatError("non-numeric field", line=lineno) from None
+                if not (0 <= label < class_count):
+                    raise FormatError(
+                        f"label {label} outside [0, {class_count})", line=lineno
+                    )
+                if not all(map(isfinite, row)):
+                    raise FormatError("non-finite feature value", line=lineno)
+                try:
+                    labels.append(label)
+                except OverflowError:  # only a header C beyond int64 lets one through
+                    raise FormatError(f"label {label} does not fit int64", line=lineno) from None
+                values.extend(row)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not an ASCII text file") from None
     features = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
@@ -297,67 +312,3 @@ def _read_header(fh) -> tuple[int, int]:
     if class_count < 1 or dim < 1:
         raise FormatError("header C and DIM must be positive", line=1)
     return class_count, dim
-
-
-def _c_rows(lines: list[str], class_count: int, dim: int, labels: array,
-            values: array) -> bool:
-    """Append a chunk's rows, as np.loadtxt reads them, to the label and
-    feature buffers; False, appending nothing, for a chunk it does not
-    carry: one that raised or warned, skipped a line (it drops empty ones),
-    or holds a label outside [0, class_count) or a non-finite value."""
-    text = "".join(lines)  # one scan of the chunk per character beats one per line
-    if any(c in text for c in _C_ONLY_SPACE):
-        return False
-    del text  # before np.loadtxt runs, keeping the peak low
-    dtype = np.dtype([("label", np.int64), ("x", np.float64, (dim,))])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return False
-    label, x = rows["label"], rows["x"]
-    if (
-        rows.size != len(lines)
-        or label.min() < 0
-        or label.max() >= class_count
-        or not np.isfinite(x).all()
-    ):
-        return False
-    labels.frombytes(label.tobytes())
-    values.frombytes(x.tobytes())
-    return True
-
-
-def _line_rows(lines: list[str], first_line: int, class_count: int, dim: int,
-               labels: array, values: array) -> None:
-    """Append a chunk's rows, the first on line first_line of the file, to
-    the label and feature buffers, parsed one line at a time with int() and
-    float(); the first defect raises a FormatError with its line number."""
-    isfinite = math.isfinite
-    for lineno, line in enumerate(lines, start=first_line):
-        line = line.strip()
-        if not line:
-            raise FormatError("blank line inside data section", line=lineno)
-        fields = line.split(",")
-        if len(fields) != dim + 1:
-            raise FormatError(
-                f"expected {dim + 1} comma-separated fields, got {len(fields)}",
-                line=lineno,
-            )
-        try:
-            label = int(fields[0])
-            row = list(map(float, fields[1:]))
-        except ValueError:
-            raise FormatError("non-numeric field", line=lineno) from None
-        if not (0 <= label < class_count):
-            raise FormatError(
-                f"label {label} outside [0, {class_count})", line=lineno
-            )
-        if not all(map(isfinite, row)):
-            raise FormatError("non-finite feature value", line=lineno)
-        try:
-            labels.append(label)
-        except OverflowError:  # only a header C beyond int64 lets one through
-            raise FormatError(f"label {label} does not fit int64", line=lineno) from None
-        values.extend(row)

@@ -195,6 +195,22 @@ def test_round_trip_bit_exact(tmp_path):
     assert back.class_count == d.class_count
 
 
+def test_c_reader_carries_valid_files_bit_exact(tmp_path):
+    # more than one chunk, with signed zero, subnormal, smallest normal and
+    # largest finite values, through the one text reader
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((data._CHUNK_LINES + 3, 5))
+    feats[1] = [-0.0, 5e-324, 2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+    d = Dataset(feats, np.arange(feats.shape[0]) % 4, 4)
+    path = tmp_path / "d.ltds"
+    save_dataset(d, path)
+    back = load_dataset(path)
+    assert back.features.tobytes() == d.features.tobytes()
+    assert back.labels.tobytes() == d.labels.tobytes()
+    assert back.class_count == 4
+
+
 def test_header_format(tmp_path):
     d = Dataset(np.array([[1.5, -2.0], [0.25, 0.75]]), np.array([0, 1]), 2)
     path = tmp_path / "d.ltds"
@@ -270,42 +286,17 @@ def test_load_peak_memory_is_near_the_arrays(tmp_path):
     assert peak < 2 * (back.features.nbytes + back.labels.nbytes)
 
 
-# ------------------------------------- the C reader and the line parser
-
-def test_c_reader_carries_valid_files_bit_exact(tmp_path, monkeypatch):
-    # more than one chunk, with signed zero, subnormal, smallest normal and
-    # largest finite values; the line parser must not run
-    rng = np.random.default_rng(5)
-    feats = rng.standard_normal((data._CHUNK_LINES + 3, 5))
-    feats[1] = [-0.0, 5e-324, 2.2250738585072009e-308,
-                1.7976931348623157e308, -1.7976931348623157e308]
-    d = Dataset(feats, np.arange(feats.shape[0]) % 4, 4)
-    path = tmp_path / "d.ltds"
-    save_dataset(d, path)
-
-    def no_line_parser(*args):
-        raise AssertionError("the line parser ran")
-
-    monkeypatch.setattr(data, "_line_rows", no_line_parser)
-    back = load_dataset(path)
-    assert back.features.tobytes() == d.features.tobytes()
-    assert back.labels.tobytes() == d.labels.tobytes()
-    assert back.class_count == 4
-
+# ------------------------------------------------------ defects past a chunk
 
 @pytest.mark.parametrize("row, error", [
     ("\n1,2.0", "blank line"),
     ("1,inf", "non-finite"),
     ("2,2.0", "label 2 outside"),
-    ("1\x1c,2.0", "non-numeric"),  # np.loadtxt skips \x1c around a field, int() does not
+    ("1\x1c,2.0", "non-numeric"),  # int() refuses the ASCII file separator around a field
     ("1,1_0", None),
-], ids=["blank", "non_finite", "label_range", "c_only_space", "underscore"])
-def test_line_parser_takes_what_the_c_reader_does_not(row, error, tmp_path, monkeypatch):
-    # the row follows a full chunk the C reader accepts, so the line
-    # parser takes the row's chunk alone
-    calls = []
-    line_rows = data._line_rows
-    monkeypatch.setattr(data, "_line_rows", lambda *a: calls.append(a) or line_rows(*a))
+], ids=["blank", "non_finite", "label_range", "file_separator", "underscore"])
+def test_a_defect_after_a_full_chunk_names_its_line(row, error, tmp_path):
+    # the row follows a full chunk of valid rows, each counted in its line number
     path = tmp_path / "d.ltds"
     path.write_text("#LTDS C=2 DIM=1\n" + "0,1.0\n" * data._CHUNK_LINES + row + "\n",
                     encoding="ascii")
@@ -315,29 +306,23 @@ def test_line_parser_takes_what_the_c_reader_does_not(row, error, tmp_path, monk
     else:
         with pytest.raises(FormatError, match=f"line {data._CHUNK_LINES + 2}: {error}"):
             load_dataset(path)
-    assert len(calls) == 1
 
 
 def test_one_pass_reads_the_file_once_and_hands_only_the_bad_chunk_on(tmp_path, monkeypatch):
     # 2,000 rows whose only defect is on the last line: the file is opened
-    # once, the three full chunks before it go through np.loadtxt alone, and
-    # the line parser gets the last chunk and names the defect's line
+    # once and the defect's line is named
     rng = np.random.default_rng(7)
     path = tmp_path / "d.ltds"
     save_dataset(Dataset(rng.standard_normal((2000, 3)), np.arange(2000) % 5, 5), path)
     text = path.read_text(encoding="ascii")
     path.write_text(text[: text.rindex(",")] + ",zap\n", encoding="ascii")
 
-    opened, parsed = [], []
+    opened = []
     monkeypatch.setattr(data, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
                         raising=False)
-    line_rows = data._line_rows
-    monkeypatch.setattr(data, "_line_rows", lambda *a: parsed.append(a) or line_rows(*a))
     with pytest.raises(FormatError, match="^line 2001: non-numeric field$"):
         load_dataset(path)
     assert opened == [path]
-    full = 3 * data._CHUNK_LINES
-    assert [(len(lines), first) for lines, first, *_ in parsed] == [(2000 - full, 2 + full)]
 
 
 # ------------------------------------------------------------ the binary twin
@@ -369,7 +354,10 @@ def _same(a, b):
 
 
 def _other_rows(path, d):
-    save_dataset(Dataset(d.features[:-5] + 1.0, d.labels[:-5], d.class_count), path)
+    # saved beside it and moved in, since save_dataset at path removes the twin
+    other = path.parent / "other.ltds"
+    save_dataset(Dataset(d.features[:-5] + 1.0, d.labels[:-5], d.class_count), other)
+    os.replace(other, path)
 
 
 def _one_digit(path, d):
@@ -425,8 +413,7 @@ def test_a_twin_loads_bit_exact_without_parsing_the_text(tmp_path, monkeypatch):
     def parse(*args, **kwargs):
         raise AssertionError("the text was parsed")
 
-    monkeypatch.setattr(np, "loadtxt", parse)
-    monkeypatch.setattr(data, "_line_rows", parse)
+    monkeypatch.setattr(data, "_text_rows", parse)
     assert _same(load_dataset(path), d)
 
 

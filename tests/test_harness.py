@@ -196,8 +196,7 @@ def _no_text_parse(monkeypatch):
     def parse(*args, **kwargs):
         raise AssertionError("an LTDS text was parsed")
 
-    monkeypatch.setattr(np, "loadtxt", parse)
-    monkeypatch.setattr(data, "_line_rows", parse)
+    monkeypatch.setattr(data, "_text_rows", parse)
 
 
 def test_gen_data_files_load_from_their_twins_bit_exact(tmp_path, monkeypatch):
@@ -223,6 +222,15 @@ def test_gen_data_writes_the_same_twins_every_time(tmp_path):
     for a, b in zip(first, second):
         with open(f"{a}.bin", "rb") as fa, open(f"{b}.bin", "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_save_dataset_over_a_gen_data_file_leaves_no_twin(tmp_path):
+    # the rewritten text loads without first reading and hashing a stale twin
+    train_path, _ = gen_data(base_cfg(tmp_path))
+    ds = load_dataset(train_path)
+    save_dataset(Dataset(ds.features[1:], ds.labels[1:], ds.class_count), train_path)
+    assert sorted(os.listdir(tmp_path)) == ["meta.ltds", "meta.ltds.bin", "train.ltds"]
+    assert load_dataset(train_path).size == ds.size - 1
 
 
 def test_files_must_agree_on_class_count(tmp_path):

@@ -18,11 +18,12 @@ every Python call, so read its times as shares, not as speeds. The entry
 crt does the same for the default config's stage 2: `baselines.crt_retrain`
 of a freshly built classifier with crt_steps, crt_batch_size and crt_lr, in
 µs per stage-2 step. The entry ltds times, in µs per call and without a
-profile, `data.save_dataset` and `data.load_dataset` of the train file that
-`gen-data` writes for C=100 (the data of perfbench's c100-wide workload,
-21,285 rows of 16 features for seed 0), and checks that both sides write
-the same bytes. On a side whose `gen_data` writes binary twins, ltds-load
-reads the file's twin, not its text. With them it times, as ltds-bad, one
+profile, `data.load_dataset` of the train file that `gen-data` writes for
+C=100 (the data of perfbench's c100-wide workload, 21,285 rows of 16
+features for seed 0) and `data.save_dataset` of its rows to a file beside
+it, and checks that both sides write the same bytes. On a side whose
+`gen_data` writes binary twins, ltds-load reads the file's twin, not its
+text. With them it times, as ltds-bad, one
 `data.load_dataset` of a copy of that file whose last line is corrupted,
 which has no twin, so it times the text parser, which must name the line;
 it checks that both sides raise the same message. And it times, as
@@ -125,7 +126,8 @@ class Side:
                 self.data["ltds"] = path, self.ltds.load_dataset(path)
             path, ds = self.data["ltds"]
             if method == "ltds-save":
-                return (lambda: self.ltds.save_dataset(ds, path)), 1
+                # beside the file: a save over it would remove its twin
+                return (lambda: self.ltds.save_dataset(ds, f"{path}.saved")), 1
             if method == "ltds-bad":
                 bad = f"{path}.bad"
                 if not os.path.exists(bad):
@@ -218,7 +220,7 @@ def main() -> None:
             if method == "ltds-save":
                 written = []
                 for side in (a, b):
-                    with open(side.data["ltds"][0], "rb") as fh:
+                    with open(f"{side.data['ltds'][0]}.saved", "rb") as fh:
                         written.append(fh.read())
                 print(f"  both sides write the same bytes: {written[0] == written[1]}")
             if method == "ltds-bad":
