@@ -11,12 +11,12 @@ import numpy as np
 from .nnet import (
     Classifier,
     ConfigError,
-    Layer,
     MLP,
     accuracy_array,
     check_finite,
     classifier_logits,
     forward_tape,
+    init_mlp,
     optimizer_step,
     softmax,
 )
@@ -91,9 +91,7 @@ def crt_retrain(model: Classifier, train_set, steps: int, batch_size: int, opt_s
         raise ConfigError(f"the classifier has {model.classes} logits for data of "
                           f"{train_set.class_count} classes")
     old = model.net.layers[-1]
-    rng = consumer_rng(seed, "init", "crt")
-    bound = 1.0 / np.sqrt(old.w.shape[1])
-    fresh = Layer(rng.uniform(-bound, bound, size=old.w.shape), np.zeros_like(old.b), old.act)
+    fresh = init_mlp(old.w.shape[::-1], old.act, consumer_rng(seed, "init", "crt")).layers[0]
     # the features copied bit for bit; the frozen layers and the final one
     # that the optimizer steps are nets over the two parts of one vector
     net = MLP(model.net.layers[:-1] + [fresh])

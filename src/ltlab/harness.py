@@ -417,29 +417,33 @@ def _run_dir(cfg: ExperimentConfig, seed: int) -> str:
     return os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
 
 
-def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> ReportRow:
-    """Stage 2 of one trained run: load its stage-1 checkpoint, head and
-    data (datasets maps _data_config of its run_config.txt to the train and
-    meta sets) as the run recorded them, retrain the final layer with the
-    run's weight decay, save it, and rewrite metrics.csv as the stage-1 rows
-    plus one stage-2 row, so running this again gives the same files;
-    failure.csv records a failure."""
-    with _recording_failure(run_dir):
-        rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
-        head = _difficulty_head(rcfg, train_set, seed, run_dir)
-        metrics_path = os.path.join(run_dir, "metrics.csv")
-        with _malformed(metrics_path):
-            header, stage1 = _read_csv(metrics_path)
-        stage1 = stage1[: rcfg.epochs]  # one row per epoch
-        model = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size,
-                            OptSpec("momentum", cfg.crt_lr, 0.9, rcfg.classifier_weight_decay), seed)
-        acc = per_class_accuracy(model, meta_set)
-        check_finite(acc, "evaluation", max(cfg.crt_steps - 1, 0), "meta-set logits")
-        (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
-                                (rcfg.many_min, rcfg.few_max))[1]
-        save_checkpoint(model.net, os.path.join(run_dir, "classifier_crt.ltnn"))
-        _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
-        return _report_row(rcfg.method, seed, vars(rec))
+def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callable[[], ReportRow]:
+    """Stage 2 of one trained run: read its stage-1 checkpoint, head, rows
+    and data as it recorded them (datasets maps _data_config of its config
+    to the train and meta sets), then hand back the step that writes. That
+    retrains the final layer with the run's weight decay, saves it, and
+    rewrites metrics.csv as the stage-1 rows plus one stage-2 row, so
+    running it again gives the same files; failure.csv records a failure."""
+    rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
+    head = _difficulty_head(rcfg, train_set, seed, run_dir)
+    metrics_path = os.path.join(run_dir, "metrics.csv")
+    with _malformed(metrics_path):
+        header, stage1 = _read_csv(metrics_path)
+    stage1 = stage1[: rcfg.epochs]  # one row per epoch
+
+    def retrain() -> ReportRow:
+        with _recording_failure(run_dir):
+            opt = OptSpec("momentum", cfg.crt_lr, 0.9, rcfg.classifier_weight_decay)
+            trained = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size, opt, seed)
+            acc = per_class_accuracy(trained, meta_set)
+            check_finite(acc, "evaluation", max(cfg.crt_steps - 1, 0), "meta-set logits")
+            (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
+                                    (rcfg.many_min, rcfg.few_max))[1]
+            save_checkpoint(trained.net, os.path.join(run_dir, "classifier_crt.ltnn"))
+            _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
+            return _report_row(rcfg.method, seed, vars(rec))
+
+    return retrain
 
 
 @contextlib.contextmanager
@@ -496,7 +500,7 @@ def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, see
                 save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
             _flush_run(run_dir, metrics, train_set.class_count)
         if cfg.stage2 == "crt":
-            row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))
+            row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))()
         else:
             final = vars(metrics.epochs[-1]) if metrics.epochs else None
             row = _report_row(cfg.method, seed, final)
@@ -546,31 +550,39 @@ def _write_manifest(run_dir: str, started: float) -> None:
 
 def run(cfg: ExperimentConfig) -> list[ReportRow]:
     """Train cfg.method for every seed in one stacked call on this thread,
-    then write each seed's run directory. A seed that fails stops alone:
-    the others train on and write their files, and the first failure is
-    raised once every seed's directory is written. A run directory or parent
-    that exists and is no directory is a ConfigError before training."""
+    then write each seed's run directory; a seed that fails stops alone
+    (_each_seed). A run directory or parent that exists and is no directory
+    is a ConfigError before training."""
     for path in (cfg.out_dir, os.path.join(cfg.out_dir, cfg.method),
                  *(_run_dir(cfg, seed) for seed in cfg.seeds)):
         if os.path.exists(path) and not os.path.isdir(path):
             raise ConfigError(f"{path!r} is not a directory")
     train_set, meta_set = build_datasets(cfg)
     started = time.time()
+    trained = train_all(cfg, train_set, meta_set)
+    return _each_seed(functools.partial(_write_run, cfg, train_set, meta_set, seed, out, started)
+                      for seed, out in zip(cfg.seeds, trained))
+
+
+def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
+    """Second stage over already-trained runs: _crt_run reads every seed's
+    run before any is retrained, and a seed that fails stops alone."""
+    datasets = functools.lru_cache(build_datasets)  # runs on the same data share it
+    return _each_seed([_crt_run(cfg, _run_dir(cfg, seed), seed, datasets) for seed in cfg.seeds])
+
+
+def _each_seed(steps) -> list[ReportRow]:
+    """Each seed's step in turn, and their rows: a NumericError stops its
+    seed alone, and the first is raised once every step has run."""
     rows, failure = [], None
-    for seed, trained in zip(cfg.seeds, train_all(cfg, train_set, meta_set)):
+    for step in steps:
         try:
-            rows.append(_write_run(cfg, train_set, meta_set, seed, trained, started))
+            rows.append(step())
         except NumericError as e:
             failure = failure or e
     if failure is not None:
         raise failure
     return rows
-
-
-def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Second stage over already-trained runs: _crt_run for each seed's run."""
-    datasets = functools.lru_cache(build_datasets)  # runs on the same data share it
-    return [_crt_run(cfg, _run_dir(cfg, seed), seed, datasets) for seed in cfg.seeds]
 
 
 def ensemble_existing(cfg: ExperimentConfig) -> tuple[list[tuple[str, SplitAccuracy]], str]:
@@ -621,9 +633,9 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
     paths, each counted once however many paths reach it. A run counts by
     its run_config.txt (method and seed) and the last row of its
     metrics.csv: the rows of such runs, and one `left out` line for each
-    other directory, with its failure.csv's failure, no run_config.txt or
-    no epochs in metrics.csv as the reason. A path that is no directory is
-    a ConfigError."""
+    other directory, with its failure.csv's failure, no run_config.txt, an
+    unfinished stage 2 or no epochs in metrics.csv as the reason. A path
+    that is no directory is a ConfigError."""
     rows, left_out = [], []
     metric_files = {}  # real path of a run directory -> its metrics.csv, as first reached
     for p in paths:
@@ -643,10 +655,10 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
             rcfg = parse_config(rc)
             with _malformed(mf):
                 header, body = _read_csv(mf)
-                if body:
+                if len(body) > (rcfg.epochs if rcfg.stage2 == "crt" else 0):
                     rows.append(_report_row(rcfg.method, rcfg.seeds[0], dict(zip(header, body[-1]))))
                     continue
-            reason = "no epochs in metrics.csv"
+            reason = "stage 2 did not finish" if rcfg.stage2 == "crt" else "no epochs in metrics.csv"
         left_out.append(f"left out {run_dir}: {reason or 'no run_config.txt'}")
     return rows, left_out
 

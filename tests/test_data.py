@@ -195,7 +195,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert back.class_count == d.class_count
 
 
-def test_c_reader_carries_valid_files_bit_exact(tmp_path):
+def test_extreme_values_round_trip_bit_exact_over_chunks(tmp_path):
     # more than one chunk, with signed zero, subnormal, smallest normal and
     # largest finite values, through the one text reader
     rng = np.random.default_rng(5)
@@ -308,7 +308,7 @@ def test_a_defect_after_a_full_chunk_names_its_line(row, error, tmp_path):
             load_dataset(path)
 
 
-def test_one_pass_reads_the_file_once_and_hands_only_the_bad_chunk_on(tmp_path, monkeypatch):
+def test_a_last_line_defect_is_named_after_one_open(tmp_path, monkeypatch):
     # 2,000 rows whose only defect is on the last line: the file is opened
     # once and the defect's line is named
     rng = np.random.default_rng(7)

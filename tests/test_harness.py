@@ -722,6 +722,60 @@ def test_stage2_divergence_exits_3_and_keeps_stage1_files(tmp_path):
     assert (got / "metrics.csv").read_bytes() == (want / "metrics.csv").read_bytes()
 
 
+CRT_PAIR = ["--set", "method=ce", "--set", "classes=3", "--set", "n_max=60",
+            "--set", "imbalance=2", "--set", "m_per_class=5", "--set", "epochs=1",
+            "--set", "batch_size=16", "--set", "meta_batch_size=8", "--set", "crt_steps=8",
+            "--set", "seeds=0,1"]
+
+
+def test_a_seed_whose_crt_fails_stops_alone(tmp_path, monkeypatch):
+    # `ltlab crt` keeps `ltlab train`'s rule: seed 0's stage 2 fails, seed 1
+    # is still retrained, and the command exits 3 after both; each seed
+    # leaves the files that `train --set stage2=crt` leaves under the same
+    # failure, but for the stage2 line of run_config.txt
+    real = harness.crt_retrain
+
+    def retrain(model, train_set, steps, batch_size, opt_spec, seed):
+        if seed == 0:
+            raise NumericError("stage2", 3, "classifier gradient")
+        return real(model, train_set, steps, batch_size, opt_spec, seed)
+
+    later, ref = tmp_path / "later", tmp_path / "ref"
+    assert main(["train", *CRT_PAIR, "--set", f"out_dir={later}"]) == 0
+    monkeypatch.setattr(harness, "crt_retrain", retrain)
+    assert main(["crt", *CRT_PAIR, "--set", f"out_dir={later}"]) == 3
+    assert main(["train", *CRT_PAIR, "--set", "stage2=crt", "--set", f"out_dir={ref}"]) == 3
+    for seed in (0, 1):
+        got, want = (run_files(root / "ce" / f"seed{seed}") for root in (later, ref))
+        assert got.pop("run_config.txt") != want.pop("run_config.txt")
+        assert got == want, seed
+    seed0, seed1 = (run_files(later / "ce" / f"seed{seed}") for seed in (0, 1))
+    assert "failure.csv" in seed0 and "classifier_crt.ltnn" not in seed0
+    assert "classifier_crt.ltnn" in seed1 and "failure.csv" not in seed1
+    assert len(seed1["metrics.csv"].decode("ascii").splitlines()) == 3  # header, epoch 0, crt
+
+
+def _tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("seed1", ["no-run", "malformed-metrics"])
+def test_crt_that_cannot_read_a_seeds_run_writes_nothing(seed1, tmp_path, capsys):
+    # every seed's run is read before any is retrained: seed 0's run stays
+    # as it was when seed 1's cannot be read
+    out = ["--set", f"out_dir={tmp_path}"]
+    seeds = "0" if seed1 == "no-run" else "0,1"
+    assert main(["train", *CRT_PAIR, "--set", f"seeds={seeds}", *out]) == 0
+    if seed1 == "malformed-metrics":
+        _non_ascii(tmp_path / "ce" / "seed1" / "metrics.csv")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(["crt", *CRT_PAIR, *out]) == 2
+    assert str(tmp_path / "ce" / "seed1") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failing_stage2_does_not_stop_the_next_seed(tmp_path):
     # both seeds' stage 2 diverge: each leaves its stage-1 files and its
@@ -1053,6 +1107,31 @@ def test_report_leaves_out_a_run_without_run_config_or_epochs(runs_dir, tmp_path
         f"left out {tmp_path / 'ce' / 'seed0'}: no run_config.txt",
         f"left out {tmp_path / 'dnet' / 'seed0'}: no epochs in metrics.csv",
         f"left out {tmp_path / 'focal' / 'latest'}: no run_config.txt"]
+
+
+def test_report_leaves_out_a_run_whose_stage2_did_not_finish(tmp_path, monkeypatch, capsys):
+    # train with stage2 = crt stopped as stage 2 starts: the run's
+    # metrics.csv holds stage 1 alone, no result of the config it records.
+    # A stage2 = none run retrained by crt and a stage-2 run of no epochs
+    # still count.
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "crt_retrain", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(base_cfg(tmp_path / "cut", method="ce", epochs=1, stage2="crt"))
+    monkeypatch.undo()
+    cut = tmp_path / "cut" / "ce" / "seed0"
+    assert sorted(os.listdir(cut)) == [
+        "classifier.ltnn", "manifest.json", "metrics.csv", "run_config.txt"]
+    run(base_cfg(tmp_path / "later", method="ce", epochs=1))
+    crt_existing(base_cfg(tmp_path / "later", method="ce"))
+    run(base_cfg(tmp_path / "zero", method="ce", epochs=0, stage2="crt"))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].split()[:2] == ["ce", "2"]
+    assert out[3:] == [f"left out {cut}: stage 2 did not finish"]
 
 
 @pytest.mark.parametrize("manifest", [b"[1,2]\n", b"{not json\xff"], ids=["list", "not-json"])
