@@ -376,21 +376,19 @@ def _load_net(path: str, like: MLP) -> MLP:
     return net
 
 
-def _load_run(run_dir: str, datasets, *checkpoints: str
+def _load_run(run_dir: str, datasets, checkpoint: str
               ) -> tuple[ExperimentConfig, Classifier, Dataset, Dataset]:
     """A run's recorded config, its train and meta sets (datasets maps
-    _data_config of the config to them) and its classifier, loaded from the
-    first of checkpoints present and rebuilt with the head that run trained
-    with. The checkpoint must have the shape that config and data give."""
-    rc_path = os.path.join(run_dir, "run_config.txt")
-    found = [p for p in (os.path.join(run_dir, n) for n in checkpoints) if os.path.exists(p)]
-    if not found or not os.path.exists(rc_path):
-        raise ConfigError(f"{run_dir} needs run_config.txt and a checkpoint "
-                          f"({' or '.join(checkpoints)})")
+    _data_config of the config to them) and its classifier, loaded from
+    checkpoint and rebuilt with the head that run trained with. The
+    checkpoint must have the shape that config and data give."""
+    rc_path, path = (os.path.join(run_dir, n) for n in ("run_config.txt", checkpoint))
+    if not (os.path.exists(path) and os.path.exists(rc_path)):
+        raise ConfigError(f"{run_dir} needs run_config.txt and a checkpoint ({checkpoint})")
     rcfg = parse_config(rc_path)
     train_set, meta_set = datasets(_data_config(rcfg))
     like = _build_model(rcfg, train_set.dim, train_set.class_count, 0)
-    return rcfg, replace(like, net=_load_net(found[0], like.net)), train_set, meta_set
+    return rcfg, replace(like, net=_load_net(path, like.net)), train_set, meta_set
 
 
 def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int):
@@ -458,16 +456,6 @@ def _recording_failure(run_dir: str):
         raise
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(run_dir, "failure.csv"))
-
-
-def _recorded_failure(run_dir: str) -> NumericError | None:
-    """The failure that run_dir's failure.csv records, or None without one."""
-    path = os.path.join(run_dir, "failure.csv")
-    if not os.path.exists(path):
-        return None
-    with _malformed(path):
-        _, [(phase, step, quantity)] = _read_csv(path)
-        return NumericError(phase, int(step), quantity)
 
 
 def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int,
@@ -587,22 +575,24 @@ def _each_seed(steps) -> list[ReportRow]:
 
 def ensemble_existing(cfg: ExperimentConfig) -> tuple[list[tuple[str, SplitAccuracy]], str]:
     """Mean-probability ensemble of the runs named in ensemble_members,
-    evaluated on the meta set their run_config.txt files describe; members
-    trained on different data, or that recorded a failure, are rejected.
+    evaluated on the meta set their run_config.txt files describe. Members
+    are runs that report counts, each with its counted row's checkpoint
+    (_result); any other, or one trained on other data, is rejected.
     Returns (rows, csv_path): the (name, splits) rows written to csv_path,
     each member's, then the ensemble's."""
     if len(cfg.ensemble_members) < 2:
         raise ConfigError("ensemble_members must list at least two run directories")
-    seen = {}  # real path -> member
+    seen = {}  # real path -> (member, its counted row's checkpoint)
     for d in cfg.ensemble_members:
         if (real := os.path.realpath(d)) in seen:
-            raise ConfigError(f"ensemble members {seen[real]} and {d} are the same run directory")
-        seen[real] = d
-        if (failure := _recorded_failure(d)) is not None:
-            raise ConfigError(f"ensemble member {d} failed: {failure}")
+            raise ConfigError(f"ensemble members {seen[real][0]} and {d} are the same run directory")
+        row, found = _result(d)  # found: the row's checkpoint, or why d is left out
+        if row is None:
+            said = "failed" if isinstance(found, NumericError) else "is left out"
+            raise ConfigError(f"ensemble member {d} {said}: {found}")
+        seen[real] = d, found
     datasets = functools.lru_cache(build_datasets)
-    runs = [_load_run(d, datasets, "classifier_crt.ltnn", "classifier.ltnn")
-            for d in cfg.ensemble_members]
+    runs = [_load_run(d, datasets, checkpoint) for d, checkpoint in seen.values()]
     if len({_data_config(rcfg) for rcfg, *_ in runs}) > 1:
         raise ConfigError("ensemble members were trained on different data")
     _, _, train_set, meta_set = runs[0]
@@ -630,12 +620,9 @@ def ensemble_existing(cfg: ExperimentConfig) -> tuple[list[tuple[str, SplitAccur
 
 def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
     """Find every run directory (one metrics.csv each) under the given
-    paths, each counted once however many paths reach it. A run counts by
-    its run_config.txt (method and seed) and the last row of its
-    metrics.csv: the rows of such runs, and one `left out` line for each
-    other directory, with its failure.csv's failure, no run_config.txt, an
-    unfinished stage 2 or no epochs in metrics.csv as the reason. A path
-    that is no directory is a ConfigError."""
+    paths, each counted once however many paths reach it: the rows of the
+    runs that count (_result), and one `left out` line with the reason for
+    each other directory. A path that is no directory is a ConfigError."""
     rows, left_out = [], []
     metric_files = {}  # real path of a run directory -> its metrics.csv, as first reached
     for p in paths:
@@ -648,19 +635,38 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
         for mf in found:
             metric_files.setdefault(os.path.realpath(os.path.dirname(mf)), mf)
     for mf in sorted(metric_files.values()):
-        run_dir = os.path.dirname(mf)
-        rc = os.path.join(run_dir, "run_config.txt")
-        reason = _recorded_failure(run_dir)
-        if reason is None and os.path.exists(rc):
-            rcfg = parse_config(rc)
-            with _malformed(mf):
-                header, body = _read_csv(mf)
-                if len(body) > (rcfg.epochs if rcfg.stage2 == "crt" else 0):
-                    rows.append(_report_row(rcfg.method, rcfg.seeds[0], dict(zip(header, body[-1]))))
-                    continue
-            reason = "stage 2 did not finish" if rcfg.stage2 == "crt" else "no epochs in metrics.csv"
-        left_out.append(f"left out {run_dir}: {reason or 'no run_config.txt'}")
+        row, reason = _result(os.path.dirname(mf))
+        if row is None:
+            left_out.append(f"left out {os.path.dirname(mf)}: {reason}")
+        else:
+            rows.append(row)
     return rows, left_out
+
+
+def _result(run_dir: str) -> tuple[ReportRow | None, object]:
+    """A run's result, for report and ensemble alike: (the last row of its
+    metrics.csv, the checkpoint that row scores: classifier_crt.ltnn for a
+    row past epochs, else classifier.ltnn), or (None, why it is left out: a
+    failure.csv's failure, no run_config.txt, or no row, under stage2 = crt
+    none past epochs). A row whose cell count is not the header's is a
+    FormatError."""
+    failure, rc, mf = (os.path.join(run_dir, n)
+                       for n in ("failure.csv", "run_config.txt", "metrics.csv"))
+    if os.path.exists(failure):
+        with _malformed(failure):
+            _, [(phase, step, quantity)] = _read_csv(failure)
+            return None, NumericError(phase, int(step), quantity)
+    if not os.path.exists(rc):
+        return None, "no run_config.txt"
+    rcfg = parse_config(rc)
+    with _malformed(mf):
+        header, body = _read_csv(mf)
+        if any(len(cells) != len(header) for cells in body):
+            raise ValueError(f"a row's cell count is not the header's {len(header)}")
+        if len(body) > (rcfg.epochs if rcfg.stage2 == "crt" else 0):
+            checkpoint = "classifier_crt.ltnn" if len(body) > rcfg.epochs else "classifier.ltnn"
+            return _report_row(rcfg.method, rcfg.seeds[0], dict(zip(header, body[-1]))), checkpoint
+    return None, "stage 2 did not finish" if rcfg.stage2 == "crt" else "no epochs in metrics.csv"
 
 
 @contextlib.contextmanager

@@ -9,7 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -790,8 +790,9 @@ def test_a_failing_stage2_does_not_stop_the_next_seed(tmp_path):
 
 
 def test_rerun_without_stage2_leaves_no_stage2_checkpoint(tmp_path):
-    # ensemble prefers classifier_crt.ltnn: one left by an earlier stage2=crt
-    # run would score a model that this run's metrics.csv does not describe
+    # ensemble scores classifier_crt.ltnn only for a metrics.csv row past
+    # epochs, yet one left by an earlier stage2=crt run would still be a
+    # model that this run's metrics.csv does not describe
     old, ref = tmp_path / "old", tmp_path / "ref"
     run(base_cfg(old, method="ce", stage2="crt"))
     assert (old / "ce" / "seed0" / "classifier_crt.ltnn").exists()
@@ -818,10 +819,11 @@ def test_failed_rerun_leaves_no_checkpoint_of_the_earlier_run(tmp_path):
         crt_existing(base_cfg(tmp_path, method="dnet"))
 
 
-def test_an_interrupted_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
+def test_an_interrupted_rerun_leaves_no_file_of_the_earlier_run(runs_dir, tmp_path, monkeypatch):
     # a rerun stopped after its first write: the earlier run's metrics,
     # config and models would pass for the new classifier's, and crt would
-    # retrain that classifier into the earlier run's metrics.csv
+    # retrain that classifier into the earlier run's metrics.csv; without a
+    # metrics.csv the run has no result for ensemble to score
     run(base_cfg(tmp_path, method="dnet", stage2="crt"))
     real = harness.save_checkpoint
 
@@ -837,6 +839,9 @@ def test_an_interrupted_rerun_leaves_no_file_of_the_earlier_run(tmp_path, monkey
         "classifier.ltnn", "manifest.json", "run_config.txt"]
     with pytest.raises(ConfigError, match="dnet.ltnn"):
         crt_existing(base_cfg(tmp_path, method="dnet"))
+    members = (str(runs_dir / "ce" / "seed0"), str(tmp_path / "dnet" / "seed0"))
+    with pytest.raises(FileNotFoundError, match="metrics.csv"):
+        ensemble_existing(base_cfg(tmp_path / "ens", ensemble_members=members))
 
 
 @pytest.mark.parametrize("name", ["run_config.txt", "classifier.ltnn", "dnet.ltnn", "metrics.csv",
@@ -1134,6 +1139,69 @@ def test_report_leaves_out_a_run_whose_stage2_did_not_finish(tmp_path, monkeypat
     assert out[3:] == [f"left out {cut}: stage 2 did not finish"]
 
 
+def _cut(monkeypatch, name, after):
+    """Make harness.<name> raise KeyboardInterrupt, in place of its work or
+    after it."""
+    real = getattr(harness, name)
+
+    def hooked(*args, **kwargs):
+        if after:
+            real(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, name, hooked)
+
+
+COUNTED = ("stage2-none", "stage2-crt", "none-then-crt", "crt-cut-before-metrics")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("state", [*COUNTED, "crt-cut-at-retrain", "no-epochs", "stage2-diverged"])
+def test_ensemble_takes_exactly_the_runs_report_counts(state, runs_dir, tmp_path, monkeypatch):
+    # one rule decides a run's result: ensemble accepts a member exactly
+    # when report counts its run, rejects it with report's reason
+    # otherwise, and scores the checkpoint of the metrics.csv row that
+    # report counts
+    cfg = base_cfg(tmp_path / "runs", method="ce", epochs=0 if state == "no-epochs" else 2)
+    crt_cfg = replace(cfg, stage2="crt")
+    if state in ("stage2-none", "no-epochs"):
+        run(cfg)
+    elif state == "stage2-crt":
+        run(crt_cfg)
+    elif state == "crt-cut-at-retrain":
+        _cut(monkeypatch, "crt_retrain", after=False)
+        with pytest.raises(KeyboardInterrupt):
+            run(crt_cfg)
+    elif state == "stage2-diverged":
+        with pytest.raises(NumericError):
+            run(replace(crt_cfg, crt_lr=1e300))
+    else:
+        run(cfg)
+        if state == "none-then-crt":
+            crt_existing(cfg)
+        else:  # classifier_crt.ltnn written, metrics.csv not yet
+            _cut(monkeypatch, "save_checkpoint", after=True)
+            with pytest.raises(KeyboardInterrupt):
+                crt_existing(cfg)
+    monkeypatch.undo()
+    run_dir = tmp_path / "runs" / "ce" / "seed0"
+    rows, left_out = collect_rows([str(run_dir)])
+    assert len(rows) == (state in COUNTED)
+    ens = base_cfg(tmp_path / "ens", ensemble_members=(str(runs_dir / "dnet" / "seed0"),
+                                                       str(run_dir)))
+    if not rows:
+        (line,) = left_out
+        with pytest.raises(ConfigError) as info:
+            ensemble_existing(ens)
+        assert str(info.value).startswith(f"ensemble member {run_dir} ")
+        assert str(info.value).endswith(line.removeprefix(f"left out {run_dir}"))
+        return
+    ensemble_existing(ens)
+    member = (tmp_path / "ens" / "ensemble_metrics.csv").read_text("ascii").splitlines()[2]
+    counted = (run_dir / "metrics.csv").read_text("ascii").splitlines()[-1]
+    assert member.split(",")[1:] == counted.split(",")[1:5]
+
+
 @pytest.mark.parametrize("manifest", [b"[1,2]\n", b"{not json\xff"], ids=["list", "not-json"])
 def test_report_reads_no_manifest(manifest, runs_dir, tmp_path, capsys):
     # manifest.json holds wall-clock times that report never prints: a bad
@@ -1164,17 +1232,31 @@ def _non_ascii(path):
     path.write_bytes(path.read_bytes() + b"\xff\n")
 
 
+def _short_row(path):
+    """The last row keeps its epoch and overall cells alone, under the full
+    header: its other splits would read as empty."""
+    header, *rows = path.read_text("ascii").splitlines()
+    short = ",".join(rows[-1].split(",")[:2])
+    path.write_text("\n".join([header, *rows[:-1], short]) + "\n", encoding="ascii")
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("report", _bad_float),
     ("report", _non_ascii),
     ("crt", _non_ascii),
-], ids=["report-bad-float", "report-non-ascii", "crt-non-ascii"])
+    ("report", _short_row),
+    ("ensemble", _short_row),
+], ids=["report-bad-float", "report-non-ascii", "crt-non-ascii", "report-short-row",
+        "ensemble-short-row"])
 def test_cli_malformed_run_file_exits_2(command, corrupt, runs_dir, tmp_path, capsys):
     shutil.copytree(runs_dir / "ce", tmp_path / "ce")
     path = tmp_path / "ce" / "seed0" / "metrics.csv"
     corrupt(path)
     if command == "crt":
         args = ["--set", "method=ce", "--set", "seeds=0", "--set", f"out_dir={tmp_path}"]
+    elif command == "ensemble":
+        members = f"{runs_dir / 'dnet' / 'seed0'},{tmp_path / 'ce' / 'seed0'}"
+        args = ["--set", f"ensemble_members={members}", "--set", f"out_dir={tmp_path / 'ens'}"]
     else:
         args = [str(tmp_path)]
     assert main([command, *args]) == 2

@@ -35,11 +35,10 @@ meta rows) and at C=100 (the c100-wide data, 500 rows). It checks that
 both sides give the same bytes.
 
 Set OPENBLAS_NUM_THREADS=1 (or the BLAS build's equivalent) for steadier
-numbers. At C=10 the thread count made no difference beyond noise, but at
-C=100, as in the eval entry's second shape, the products are large enough
-for OpenBLAS to thread, and one thread trained stage-1 dnet faster (see
-README, Determinism). The tool cannot A/B a BLAS setting: both sides run
-in one process, under one setting.
+numbers. At C=100, as in the eval entry's second shape, the products are
+large enough for OpenBLAS to thread, but whether one thread trains faster
+there is unresolved (see README, Determinism). The tool cannot A/B a BLAS
+setting: both sides run in one process, under one setting.
 
 Comparing checkouts with perfbench instead: where PYTHONDONTWRITEBYTECODE=1
 is set, a checkout whose sources were edited has no valid __pycache__ and
