@@ -327,10 +327,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """A CSV file as _write_csv wrote it: (header, rows), blank lines skipped."""
+    """A CSV file as _write_csv wrote it: (header, rows), blank lines
+    skipped. A row whose cell count is not the header's is a ValueError."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        return header, [line.strip().split(",") for line in fh if line.strip()]
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if any(len(cells) != len(header) for cells in rows):
+        raise ValueError(f"a row's cell count is not the header's {len(header)}")
+    return header, rows
 
 
 def _metrics_row(rec: EpochRecord) -> list[str]:
@@ -359,10 +363,7 @@ def _difficulty_head(cfg: ExperimentConfig, train_set: Dataset, seed: int,
     head = head_init(method.kind, width, seed, rule)
     if run_dir is None or head.net is None:
         return head
-    path = os.path.join(run_dir, "dnet.ltnn")
-    if not os.path.exists(path):
-        raise ConfigError(f"no dnet.ltnn in {run_dir}")
-    return replace(head, net=_load_net(path, head.net))
+    return replace(head, net=_load_net(os.path.join(run_dir, "dnet.ltnn"), head.net))
 
 
 def _load_net(path: str, like: MLP) -> MLP:
@@ -382,13 +383,11 @@ def _load_run(run_dir: str, datasets, checkpoint: str
     _data_config of the config to them) and its classifier, loaded from
     checkpoint and rebuilt with the head that run trained with. The
     checkpoint must have the shape that config and data give."""
-    rc_path, path = (os.path.join(run_dir, n) for n in ("run_config.txt", checkpoint))
-    if not (os.path.exists(path) and os.path.exists(rc_path)):
-        raise ConfigError(f"{run_dir} needs run_config.txt and a checkpoint ({checkpoint})")
-    rcfg = parse_config(rc_path)
+    rcfg = parse_config(os.path.join(run_dir, "run_config.txt"))
     train_set, meta_set = datasets(_data_config(rcfg))
     like = _build_model(rcfg, train_set.dim, train_set.class_count, 0)
-    return rcfg, replace(like, net=_load_net(path, like.net)), train_set, meta_set
+    net = _load_net(os.path.join(run_dir, checkpoint), like.net)
+    return rcfg, replace(like, net=net), train_set, meta_set
 
 
 def train_one(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int):
@@ -421,13 +420,15 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callab
     to the train and meta sets), then hand back the step that writes. That
     retrains the final layer with the run's weight decay, saves it, and
     rewrites metrics.csv as the stage-1 rows plus one stage-2 row, so
-    running it again gives the same files; failure.csv records a failure."""
+    running it again gives the same files; failure.csv records a failure.
+    An earlier stage-2 row goes before its checkpoint is replaced, so no
+    interrupted retrain leaves a stage-2 row beside a model it did not score."""
     rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
     head = _difficulty_head(rcfg, train_set, seed, run_dir)
     metrics_path = os.path.join(run_dir, "metrics.csv")
     with _malformed(metrics_path):
-        header, stage1 = _read_csv(metrics_path)
-    stage1 = stage1[: rcfg.epochs]  # one row per epoch
+        header, rows = _read_csv(metrics_path)
+    stage1 = rows[: rcfg.epochs]  # one row per epoch
 
     def retrain() -> ReportRow:
         with _recording_failure(run_dir):
@@ -437,6 +438,8 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callab
             check_finite(acc, "evaluation", max(cfg.crt_steps - 1, 0), "meta-set logits")
             (rec,) = evaluate_epoch(len(stage1), acc, [0], head, train_set,
                                     (rcfg.many_min, rcfg.few_max))[1]
+            if len(rows) > len(stage1):
+                _write_csv(metrics_path, header, stage1)
             save_checkpoint(trained.net, os.path.join(run_dir, "classifier_crt.ltnn"))
             _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
             return _report_row(rcfg.method, seed, vars(rec))
@@ -648,8 +651,7 @@ def _result(run_dir: str) -> tuple[ReportRow | None, object]:
     metrics.csv, the checkpoint that row scores: classifier_crt.ltnn for a
     row past epochs, else classifier.ltnn), or (None, why it is left out: a
     failure.csv's failure, no run_config.txt, or no row, under stage2 = crt
-    none past epochs). A row whose cell count is not the header's is a
-    FormatError."""
+    none past epochs)."""
     failure, rc, mf = (os.path.join(run_dir, n)
                        for n in ("failure.csv", "run_config.txt", "metrics.csv"))
     if os.path.exists(failure):
@@ -661,8 +663,6 @@ def _result(run_dir: str) -> tuple[ReportRow | None, object]:
     rcfg = parse_config(rc)
     with _malformed(mf):
         header, body = _read_csv(mf)
-        if any(len(cells) != len(header) for cells in body):
-            raise ValueError(f"a row's cell count is not the header's {len(header)}")
         if len(body) > (rcfg.epochs if rcfg.stage2 == "crt" else 0):
             checkpoint = "classifier_crt.ltnn" if len(body) > rcfg.epochs else "classifier.ltnn"
             return _report_row(rcfg.method, rcfg.seeds[0], dict(zip(header, body[-1]))), checkpoint

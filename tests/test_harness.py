@@ -683,7 +683,7 @@ def test_a_retired_key_in_run_config_exits_2_in_report_and_crt(runs_dir, tmp_pat
 
 
 def test_crt_existing_requires_stage1_checkpoint(tmp_path):
-    with pytest.raises(ConfigError, match="checkpoint"):
+    with pytest.raises(FileNotFoundError, match="run_config.txt"):
         crt_existing(base_cfg(tmp_path, method="ce"))
 
 
@@ -760,7 +760,7 @@ def _tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("seed1", ["no-run", "malformed-metrics"])
+@pytest.mark.parametrize("seed1", ["no-run", "malformed-metrics", "short-row"])
 def test_crt_that_cannot_read_a_seeds_run_writes_nothing(seed1, tmp_path, capsys):
     # every seed's run is read before any is retrained: seed 0's run stays
     # as it was when seed 1's cannot be read
@@ -769,6 +769,8 @@ def test_crt_that_cannot_read_a_seeds_run_writes_nothing(seed1, tmp_path, capsys
     assert main(["train", *CRT_PAIR, "--set", f"seeds={seeds}", *out]) == 0
     if seed1 == "malformed-metrics":
         _non_ascii(tmp_path / "ce" / "seed1" / "metrics.csv")
+    elif seed1 == "short-row":
+        _short_row(tmp_path / "ce" / "seed1" / "metrics.csv")
     before = _tree(tmp_path)
     capsys.readouterr()
     assert main(["crt", *CRT_PAIR, *out]) == 2
@@ -815,7 +817,7 @@ def test_failed_rerun_leaves_no_checkpoint_of_the_earlier_run(tmp_path):
         run(base_cfg(tmp_path, method="dnet", alpha=1e200, classifier_optimizer="adam"))
     assert not models & set(os.listdir(d))
     assert (d / "metrics.csv").exists()
-    with pytest.raises(ConfigError, match="checkpoint"):
+    with pytest.raises(FileNotFoundError, match="classifier.ltnn"):
         crt_existing(base_cfg(tmp_path, method="dnet"))
 
 
@@ -837,7 +839,7 @@ def test_an_interrupted_rerun_leaves_no_file_of_the_earlier_run(runs_dir, tmp_pa
     monkeypatch.undo()
     assert sorted(os.listdir(tmp_path / "dnet" / "seed0")) == [
         "classifier.ltnn", "manifest.json", "run_config.txt"]
-    with pytest.raises(ConfigError, match="dnet.ltnn"):
+    with pytest.raises(FileNotFoundError, match="dnet.ltnn"):
         crt_existing(base_cfg(tmp_path, method="dnet"))
     members = (str(runs_dir / "ce" / "seed0"), str(tmp_path / "dnet" / "seed0"))
     with pytest.raises(FileNotFoundError, match="metrics.csv"):
@@ -1152,11 +1154,13 @@ def _cut(monkeypatch, name, after):
     monkeypatch.setattr(harness, name, hooked)
 
 
-COUNTED = ("stage2-none", "stage2-crt", "none-then-crt", "crt-cut-before-metrics")
+COUNTED = ("stage2-none", "stage2-crt", "none-then-crt", "crt-cut-before-metrics",
+           "crt-again-cut-before-metrics")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("state", [*COUNTED, "crt-cut-at-retrain", "no-epochs", "stage2-diverged"])
+@pytest.mark.parametrize("state", [*COUNTED, "crt-cut-at-retrain", "no-epochs", "stage2-diverged",
+                                   "stage2-crt-again-cut-before-metrics"])
 def test_ensemble_takes_exactly_the_runs_report_counts(state, runs_dir, tmp_path, monkeypatch):
     # one rule decides a run's result: ensemble accepts a member exactly
     # when report counts its run, rejects it with report's reason
@@ -1168,6 +1172,17 @@ def test_ensemble_takes_exactly_the_runs_report_counts(state, runs_dir, tmp_path
         run(cfg)
     elif state == "stage2-crt":
         run(crt_cfg)
+    elif state.endswith("crt-again-cut-before-metrics"):
+        # a second crt with other settings, cut as it saves its checkpoint:
+        # the earlier stage-2 row must not describe the new checkpoint
+        if state.startswith("stage2-crt"):
+            run(crt_cfg)
+        else:
+            run(cfg)
+            crt_existing(cfg)
+        _cut(monkeypatch, "save_checkpoint", after=True)
+        with pytest.raises(KeyboardInterrupt):
+            crt_existing(replace(cfg, crt_steps=3))
     elif state == "crt-cut-at-retrain":
         _cut(monkeypatch, "crt_retrain", after=False)
         with pytest.raises(KeyboardInterrupt):
@@ -1246,8 +1261,9 @@ def _short_row(path):
     ("crt", _non_ascii),
     ("report", _short_row),
     ("ensemble", _short_row),
+    ("crt", _short_row),
 ], ids=["report-bad-float", "report-non-ascii", "crt-non-ascii", "report-short-row",
-        "ensemble-short-row"])
+        "ensemble-short-row", "crt-short-row"])
 def test_cli_malformed_run_file_exits_2(command, corrupt, runs_dir, tmp_path, capsys):
     shutil.copytree(runs_dir / "ce", tmp_path / "ce")
     path = tmp_path / "ce" / "seed0" / "metrics.csv"
