@@ -91,13 +91,14 @@ def main(argv=None) -> int:
             print(f"wrote {train_path} and {meta_path}")
         elif args.command == "train":
             started = time.perf_counter()
-            rows = run(cfg)
+            rows, left_out = run(cfg)
             seconds = time.perf_counter() - started  # the whole command's, on every row
-            for r in rows:
-                print(f"{r.method} seed={r.seed} {_splits(r)} ({seconds:.1f}s)")
+            print("\n".join([*(f"{r.method} seed={r.seed} {_splits(r)} ({seconds:.1f}s)"
+                                for r in rows), *left_out]))
         elif args.command == "crt":
-            for r in crt_existing(cfg):
-                print(f"{r.method}+crt seed={r.seed} {_splits(r)}")
+            rows, left_out = crt_existing(cfg)
+            print("\n".join([*(f"{r.method}+crt seed={r.seed} {_splits(r)}" for r in rows),
+                             *left_out]))
         elif args.command == "ensemble":
             rows, csv_path = ensemble_existing(cfg)
             for name, splits in rows[:-1]:

@@ -77,8 +77,8 @@ def exp_profile(class_count: int, n_max: int, imbalance: float) -> np.ndarray:
         raise ValueError("need at least two classes for a decay profile")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if imbalance < 1:
-        raise ValueError("imbalance must be >= 1")
+    if not (np.isfinite(imbalance) and imbalance >= 1):
+        raise ValueError("imbalance must be finite and >= 1")
     c = np.arange(class_count, dtype=np.float64)
     raw = n_max * imbalance ** (-c / (class_count - 1))
     counts = np.maximum(1, np.floor(raw + 0.5).astype(np.int64))

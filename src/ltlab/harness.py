@@ -209,6 +209,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.batch_size >= 1 and cfg.meta_batch_size >= 1, "batch sizes must be positive")
     need(cfg.alpha > 0 and cfg.beta > 0, "alpha and beta must be positive")
     need(cfg.lam >= 0, "lambda must be non-negative")
+    for name in ("classifier_weight_decay", "dnet_weight_decay"):
+        need(getattr(cfg, name) >= 0, f"{name} must be non-negative")
+    need(0 <= cfg.classifier_momentum < 1, "classifier_momentum must lie in [0, 1)")
     need(cfg.hidden >= 1, "hidden must be positive")
     need(cfg.many_min > cfg.few_max, "many_min must exceed few_max")
     need(bool(cfg.train_file) == bool(cfg.meta_file),
@@ -414,15 +417,15 @@ def _run_dir(cfg: ExperimentConfig, seed: int) -> str:
     return os.path.join(cfg.out_dir, cfg.method, f"seed{seed}")
 
 
-def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callable[[], ReportRow]:
+def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callable[[], str]:
     """Stage 2 of one trained run: read its stage-1 checkpoint, head, rows
     and data as it recorded them (datasets maps _data_config of its config
-    to the train and meta sets), then hand back the step that writes. That
-    retrains the final layer with the run's weight decay, saves it, and
-    rewrites metrics.csv as the stage-1 rows plus one stage-2 row, so
-    running it again gives the same files; failure.csv records a failure.
-    An earlier stage-2 row goes before its checkpoint is replaced, so no
-    interrupted retrain leaves a stage-2 row beside a model it did not score."""
+    to the train and meta sets), then hand back the step that writes and
+    returns run_dir. That retrains the final layer with the run's weight
+    decay, saves it, and rewrites metrics.csv as the stage-1 rows plus one
+    stage-2 row, so a rerun gives the same files; failure.csv records a
+    failure. An earlier stage-2 row goes before its checkpoint is replaced,
+    so no interrupted retrain leaves a stage-2 row beside a model it did not score."""
     rcfg, model, train_set, meta_set = _load_run(run_dir, datasets, "classifier.ltnn")
     head = _difficulty_head(rcfg, train_set, seed, run_dir)
     metrics_path = os.path.join(run_dir, "metrics.csv")
@@ -430,7 +433,7 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callab
         header, rows = _read_csv(metrics_path)
     stage1 = rows[: rcfg.epochs]  # one row per epoch
 
-    def retrain() -> ReportRow:
+    def retrain() -> str:
         with _recording_failure(run_dir):
             opt = OptSpec("momentum", cfg.crt_lr, 0.9, rcfg.classifier_weight_decay)
             trained = crt_retrain(model, train_set, cfg.crt_steps, cfg.crt_batch_size, opt, seed)
@@ -442,7 +445,7 @@ def _crt_run(cfg: ExperimentConfig, run_dir: str, seed: int, datasets) -> Callab
                 _write_csv(metrics_path, header, stage1)
             save_checkpoint(trained.net, os.path.join(run_dir, "classifier_crt.ltnn"))
             _write_csv(metrics_path, header, stage1 + [_metrics_row(rec)])
-            return _report_row(rcfg.method, seed, vars(rec))
+        return run_dir
 
     return retrain
 
@@ -462,12 +465,12 @@ def _recording_failure(run_dir: str):
 
 
 def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, seed: int,
-               trained, started: float) -> ReportRow:
+               trained, started: float) -> str:
     """One seed's run directory, written from empty, from what train_all
-    returned for it, with stage 2 when configured. A seed that failed in
-    stage 1 leaves its flushed metrics, and one that failed in either stage
-    a failure.csv; then its NumericError is raised. started is when the
-    command's training started."""
+    returned for it, with stage 2 when configured; returns its path. A seed
+    that failed in stage 1 leaves its flushed metrics, and one that failed
+    in either stage a failure.csv; then its NumericError is raised. started
+    is when the command's training started."""
     run_dir = _run_dir(cfg, seed)
     # emptied only after training, so that a rejected config leaves no
     # directory, and before the first write, so that no file of an earlier
@@ -491,28 +494,11 @@ def _write_run(cfg: ExperimentConfig, train_set: Dataset, meta_set: Dataset, see
                 save_checkpoint(head.net, os.path.join(run_dir, "dnet.ltnn"))
             _flush_run(run_dir, metrics, train_set.class_count)
         if cfg.stage2 == "crt":
-            row = _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))()
-        else:
-            final = vars(metrics.epochs[-1]) if metrics.epochs else None
-            row = _report_row(cfg.method, seed, final)
+            _crt_run(cfg, run_dir, seed, lambda _: (train_set, meta_set))()
     finally:
         # last, so that its times cover stage 2 too, also when a stage fails
         _write_manifest(run_dir, started)
-    return row
-
-
-def _report_row(method: str, seed: int, final: dict | None) -> ReportRow:
-    """A run's result row from the fields of its final record: vars() of an
-    EpochRecord, or a metrics.csv row by column name, where an empty cell
-    is an empty split. Without a record, overall reads as nan."""
-    final = final or {}
-
-    def value(name, missing=None):
-        v = final.get(name)
-        return missing if v is None or v == "" else float(v)
-
-    return ReportRow(value("overall", float("nan")), *(value(name) for name in SPLITS[1:]),
-                     method=method, seed=seed)
+    return run_dir
 
 
 def _flush_run(run_dir, metrics: RunMetrics, class_count) -> None:
@@ -539,11 +525,12 @@ def _write_manifest(run_dir: str, started: float) -> None:
         fh.write("\n")
 
 
-def run(cfg: ExperimentConfig) -> list[ReportRow]:
+def run(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
     """Train cfg.method for every seed in one stacked call on this thread,
-    then write each seed's run directory; a seed that fails stops alone
-    (_each_seed). A run directory or parent that exists and is no directory
-    is a ConfigError before training."""
+    then write each seed's run directory and return report's reading of
+    them (_each_seed). An invalid cfg, or a run directory or parent that
+    exists and is no directory, is a ConfigError before training."""
+    _validate(cfg)
     for path in (cfg.out_dir, os.path.join(cfg.out_dir, cfg.method),
                  *(_run_dir(cfg, seed) for seed in cfg.seeds)):
         if os.path.exists(path) and not os.path.isdir(path):
@@ -555,25 +542,26 @@ def run(cfg: ExperimentConfig) -> list[ReportRow]:
                       for seed, out in zip(cfg.seeds, trained))
 
 
-def crt_existing(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Second stage over already-trained runs: _crt_run reads every seed's
-    run before any is retrained, and a seed that fails stops alone."""
+def crt_existing(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
+    """Second stage over already-trained runs, returning what run does:
+    _crt_run reads every seed's run before any is retrained."""
     datasets = functools.lru_cache(build_datasets)  # runs on the same data share it
     return _each_seed([_crt_run(cfg, _run_dir(cfg, seed), seed, datasets) for seed in cfg.seeds])
 
 
-def _each_seed(steps) -> list[ReportRow]:
-    """Each seed's step in turn, and their rows: a NumericError stops its
-    seed alone, and the first is raised once every step has run."""
-    rows, failure = [], None
+def _each_seed(steps) -> tuple[list[ReportRow], list[str]]:
+    """Each seed's step in turn, then _results of the run directories they
+    return, in seed order: a NumericError stops its seed alone, and the
+    first is raised once every step has run."""
+    run_dirs, failure = [], None
     for step in steps:
         try:
-            rows.append(step())
+            run_dirs.append(step())
         except NumericError as e:
             failure = failure or e
     if failure is not None:
         raise failure
-    return rows
+    return _results(run_dirs)
 
 
 def ensemble_existing(cfg: ExperimentConfig) -> tuple[list[tuple[str, SplitAccuracy]], str]:
@@ -626,7 +614,6 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
     paths, each counted once however many paths reach it: the rows of the
     runs that count (_result), and one `left out` line with the reason for
     each other directory. A path that is no directory is a ConfigError."""
-    rows, left_out = [], []
     metric_files = {}  # real path of a run directory -> its metrics.csv, as first reached
     for p in paths:
         if not os.path.isdir(p):
@@ -637,21 +624,28 @@ def collect_rows(paths: list[str]) -> tuple[list[ReportRow], list[str]]:
             if "metrics.csv" in names]
         for mf in found:
             metric_files.setdefault(os.path.realpath(os.path.dirname(mf)), mf)
-    for mf in sorted(metric_files.values()):
-        row, reason = _result(os.path.dirname(mf))
+    return _results(os.path.dirname(mf) for mf in sorted(metric_files.values()))
+
+
+def _results(run_dirs) -> tuple[list[ReportRow], list[str]]:
+    """The rows of the given runs that count (_result), and one `left out`
+    line with the reason for each other, both in the order given."""
+    rows, left_out = [], []
+    for d in run_dirs:
+        row, reason = _result(d)
         if row is None:
-            left_out.append(f"left out {os.path.dirname(mf)}: {reason}")
+            left_out.append(f"left out {d}: {reason}")
         else:
             rows.append(row)
     return rows, left_out
 
 
 def _result(run_dir: str) -> tuple[ReportRow | None, object]:
-    """A run's result, for report and ensemble alike: (the last row of its
-    metrics.csv, the checkpoint that row scores: classifier_crt.ltnn for a
-    row past epochs, else classifier.ltnn), or (None, why it is left out: a
-    failure.csv's failure, no run_config.txt, or no row, under stage2 = crt
-    none past epochs)."""
+    """The one ReportRow builder, a run's result for every command: (its
+    metrics.csv's last row, an empty or missing cell an empty split, and
+    the checkpoint it scores: classifier_crt.ltnn past epochs, else
+    classifier.ltnn), or (None, why it is left out: a failure.csv's
+    failure, no run_config.txt, or no row, under stage2 = crt none past epochs)."""
     failure, rc, mf = (os.path.join(run_dir, n)
                        for n in ("failure.csv", "run_config.txt", "metrics.csv"))
     if os.path.exists(failure):
@@ -665,7 +659,9 @@ def _result(run_dir: str) -> tuple[ReportRow | None, object]:
         header, body = _read_csv(mf)
         if len(body) > (rcfg.epochs if rcfg.stage2 == "crt" else 0):
             checkpoint = "classifier_crt.ltnn" if len(body) > rcfg.epochs else "classifier.ltnn"
-            return _report_row(rcfg.method, rcfg.seeds[0], dict(zip(header, body[-1]))), checkpoint
+            cells = dict(zip(header, body[-1]))
+            return ReportRow(*(float(cells[n]) if cells.get(n) else None for n in SPLITS),
+                             method=rcfg.method, seed=rcfg.seeds[0]), checkpoint
     return None, "stage 2 did not finish" if rcfg.stage2 == "crt" else "no epochs in metrics.csv"
 
 

@@ -57,6 +57,13 @@ def test_exp_profile_rejects_bad_args():
         exp_profile(5, 0, 10.0)
 
 
+@pytest.mark.parametrize("imbalance", [float("nan"), float("inf")])
+def test_exp_profile_rejects_a_ratio_that_is_not_finite(imbalance):
+    # nan turned into tail counts of 1, blamed later on the meta split
+    with pytest.raises(ValueError, match="imbalance must be finite"):
+        exp_profile(3, 60, imbalance)
+
+
 @given(
     c=st.integers(2, 40),
     n_max=st.integers(1, 5000),

@@ -5,6 +5,7 @@ import builtins
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import ltlab
-from ltlab import data, harness, metatrain
+from ltlab import cli, data, harness, metatrain
 from ltlab.cli import main
 from ltlab.data import Dataset, load_dataset, save_dataset, save_twin
 from ltlab.harness import (
@@ -51,6 +52,16 @@ def base_cfg(out_dir, **kw):
     kw.setdefault("seeds", (0,))
     kw.setdefault("crt_steps", 8)
     return ExperimentConfig(out_dir=str(out_dir), **kw)
+
+
+# a small config of the CLI cases, as --set items
+C3 = ("method=dnet", "classes=3", "n_max=60", "imbalance=2", "m_per_class=5", "batch_size=16",
+      "meta_batch_size=8", "seeds=0", "epochs=1")
+
+
+def sets(*items):
+    """The --set arguments of the given key=value items."""
+    return [arg for item in items for arg in ("--set", item)]
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +152,10 @@ def test_missing_config_file_rejected(tmp_path):
         "focal_gamma=-1",
         "cdb_tau=-1",
         "effnum_beta=1.5",
+        "classifier_weight_decay=nan",
+        "dnet_weight_decay=-1",
+        "classifier_momentum=1",
+        "classifier_momentum=nan",
     ],
 )
 def test_validation_rejects(override):
@@ -357,7 +372,7 @@ def test_ce_run_uses_base_schema(runs_dir):
 
 
 def test_run_returns_final_epoch_rows(runs_dir):
-    rows = run(base_cfg(runs_dir, method="dnet"))  # same dirs, same bytes
+    rows, _ = run(base_cfg(runs_dir, method="dnet"))  # same dirs, same bytes
     assert len(rows) == 1
     r = rows[0]
     assert r.method == "dnet" and r.seed == 0
@@ -426,7 +441,7 @@ def test_seeds_of_a_command_train_in_one_stacked_call(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "train_seeds", spy)
     monkeypatch.setattr(harness, "train", no_train, raising=False)
     monkeypatch.setenv("LTLAB_THREADS", "3")  # the old seed-pool cap is not read
-    rows = run(base_cfg(tmp_path, method="ce", epochs=1, seeds=(0, 1, 2)))
+    rows, _ = run(base_cfg(tmp_path, method="ce", epochs=1, seeds=(0, 1, 2)))
     assert calls == [(threading.get_ident(), (0, 1, 2))]
     assert [r.seed for r in rows] == [0, 1, 2]
 
@@ -525,7 +540,7 @@ def test_crt_existing_appends_row_and_checkpoint(runs_dir, tmp_path):
     shutil.copytree(runs_dir / "ce", work / "ce")
     cfg = base_cfg(work, method="ce", crt_steps=8)
     before = (work / "ce" / "seed0" / "metrics.csv").read_text("ascii").splitlines()
-    rows = crt_existing(cfg)
+    rows, _ = crt_existing(cfg)
     after = (work / "ce" / "seed0" / "metrics.csv").read_text("ascii").splitlines()
     assert len(after) == len(before) + 1
     assert after[-1].split(",")[0] == str(int(before[-1].split(",")[0]) + 1)
@@ -689,7 +704,7 @@ def test_crt_existing_requires_stage1_checkpoint(tmp_path):
 
 def test_stage2_in_run_adds_crt_record(tmp_path):
     cfg = base_cfg(tmp_path, method="ce", epochs=1, stage2="crt", crt_steps=8)
-    rows = run(cfg)
+    rows, _ = run(cfg)
     d = tmp_path / "ce" / "seed0"
     lines = (d / "metrics.csv").read_text("ascii").splitlines()
     assert len(lines) == 3  # header, epoch 0, crt row
@@ -1046,7 +1061,7 @@ def test_run_rows_equal_collected_rows(stage2, tmp_path):
     # run's rows and report's rows come from one builder, through the CSV
     # for report: every value survives the round trip, empty splits included
     out = tmp_path / stage2
-    returned = run(base_cfg(out, method="dnet", seeds=(0, 1), stage2=stage2))
+    returned, _ = run(base_cfg(out, method="dnet", seeds=(0, 1), stage2=stage2))
     collected, _ = collect_rows([str(out)])
     names = ("method", "seed", "overall", "many", "medium", "few")
 
@@ -1055,6 +1070,32 @@ def test_run_rows_equal_collected_rows(stage2, tmp_path):
 
     assert sorted(map(key, collected)) == sorted(map(key, returned))
     assert all(r.many is None for r in returned)
+
+
+@pytest.mark.parametrize("command, items", [
+    ("train", ()), ("train", ("stage2=crt",)), ("crt", ()), ("train", ("method=ce", "epochs=0"))],
+    ids=["train", "train-stage2-crt", "crt", "train-no-epochs"])
+def test_train_and_crt_report_what_report_reads(command, items, tmp_path, capsys):
+    # the rows train and crt return and print, and the runs they leave
+    # out, are report's, over the same directories
+    out = tmp_path / "runs"
+    items = (*C3, "seeds=0,1", f"out_dir={out}", *items)
+    cfg = parse_config(None, items)
+    if command == "crt":
+        run(cfg)
+    returned = (run if command == "train" else crt_existing)(cfg)
+    assert returned == collect_rows([str(out)])
+    assert main([command, *sets(*items)]) == 0
+    # less train's time suffix
+    printed = [re.sub(r" \(\d+\.\ds\)$", "", line)
+               for line in capsys.readouterr().out.splitlines()]
+    rows, left_out = returned
+    suffix = "+crt" if command == "crt" else ""
+    assert printed == [f"{r.method}{suffix} seed={r.seed} {cli._splits(r)}" for r in rows] + left_out
+    assert main(["report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("left out ")] == left_out
+    assert bool(left_out) == ("epochs=0" in items)
 
 
 @pytest.mark.parametrize("second", ["ce/seed0", "."])
@@ -1100,14 +1141,14 @@ def test_collect_rows_direct_run_dir(runs_dir):
 def test_report_leaves_out_a_run_without_run_config_or_epochs(runs_dir, tmp_path, capsys):
     # a run counts by its run_config.txt and the last row of its
     # metrics.csv: a metrics.csv without the config, wherever it lies, and
-    # an epochs = 0 run, which train prints as overall=nan, give one line
-    # each after the table and no row
+    # an epochs = 0 run, which train leaves out as report does, give one
+    # line each after the table and no row
     shutil.copytree(runs_dir / "ce", tmp_path / "ce")
     (tmp_path / "ce" / "seed0" / "run_config.txt").unlink()
     (tmp_path / "focal" / "latest").mkdir(parents=True)
     shutil.copy(runs_dir / "ce" / "seed0" / "metrics.csv", tmp_path / "focal" / "latest")
-    (row,) = run(base_cfg(tmp_path, method="dnet", epochs=0))
-    assert np.isnan(row.overall)
+    assert run(base_cfg(tmp_path, method="dnet", epochs=0)) == (
+        [], [f"left out {tmp_path / 'dnet' / 'seed0'}: no epochs in metrics.csv"])
     assert collect_rows([str(tmp_path)])[0] == []
     assert main(["report", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[2:] == [
@@ -1435,6 +1476,18 @@ def test_cli_non_positive_cosine_scale_exits_2(tmp_path, capsys):
                  "--set", "seeds=0", "--set", f"out_dir={out}"])
     assert code == 2
     assert "cosine_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["classifier_weight_decay=nan", "classifier_momentum=nan",
+                                      "dnet_weight_decay=-1", "imbalance=nan", "imbalance=inf"])
+def test_cli_value_that_cannot_train_exits_2_naming_its_key(override, tmp_path, capsys):
+    # each would train: into a meta-phase failure (a nan decay or
+    # momentum), under a decay that grows the difficulty net's weights, or
+    # on tail classes of one row each that the meta split then blames
+    out = tmp_path / "x"
+    assert main(["train", *sets(*C3, f"out_dir={out}", override)]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -43,6 +43,21 @@ def split_fields_outside_split_accuracy(package: pathlib.Path) -> list[tuple[str
     return found
 
 
+def report_rows_built_outside_result(package: pathlib.Path) -> list[tuple[str, int]]:
+    """(module, line) of each call of ReportRow in the package other than
+    those inside harness._result."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for fn in ast.walk(tree) if path.stem == "harness"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "_result"
+                  for node in ast.walk(fn)}
+        found += [(path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ReportRow"]
+    return found
+
+
 def errstate_uses_outside_cli(package: pathlib.Path) -> list[tuple[str, int]]:
     """(module, line) of each name errstate that a module in the package
     other than cli.py reads or imports."""
@@ -85,6 +100,23 @@ def test_the_split_scan_reads_dataclasses(tmp_path):
         "@dataclasses.dataclass(frozen=True)\nclass Row:\n    few: float\n    name: str\n\n\n"
         "class Plain:\n    many: float\n", encoding="utf-8")
     assert split_fields_outside_split_accuracy(tmp_path) == [("m", "Row", "few")]
+
+
+def test_only_result_builds_a_report_row():
+    # every command's row is the one report reads back from the run's files
+    assert report_rows_built_outside_result(pathlib.Path(ltlab.__file__).parent) == []
+
+
+def test_the_report_row_scan_reads_calls(tmp_path):
+    (tmp_path / "harness.py").write_text(
+        '"""ReportRow(...) is named here."""\n\n\n'
+        "def _result(cells):\n    return ReportRow(*cells)\n\n\n"
+        "def _report_row(rec):\n    # ReportRow(rec)\n    return ReportRow(rec.overall)\n",
+        encoding="utf-8")
+    (tmp_path / "m.py").write_text(
+        "from . import harness\n\n\ndef _result(r):\n    return harness.ReportRow(r)\n",
+        encoding="utf-8")
+    assert report_rows_built_outside_result(tmp_path) == [("harness", 10), ("m", 5)]
 
 
 def test_every_definition_in_src_is_used_or_exported():
