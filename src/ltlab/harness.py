@@ -92,6 +92,8 @@ def _parse_trace(raw: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when built or replaced: a bad value is a ConfigError."""
+
     # dataset: explicit files, or synthetic parameters
     train_file: str = ""
     meta_file: str = ""
@@ -139,6 +141,40 @@ class ExperimentConfig:
     few_max: int = 20
     ensemble_members: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        def need(cond, msg):
+            if not cond:
+                raise ConfigError(msg)
+
+        need(self.method in METHODS, f"method must be one of {tuple(METHODS)}, got {self.method!r}")
+        need(self.stage2 in ("none", "crt"), "stage2 must be 'none' or 'crt'")
+        need(self.head in HEADS, f"head must be one of {HEADS}")
+        need(self.head != "cosine" or self.cosine_scale > 0, "cosine_scale must be positive")
+        need(self.classifier_optimizer in OPTIMIZERS, f"classifier_optimizer must be one of {OPTIMIZERS}")
+        need(self.dnet_optimizer in OPTIMIZERS, f"dnet_optimizer must be one of {OPTIMIZERS}")
+        need(bool(self.seeds), "seeds must list at least one seed")
+        need(min(self.seeds) >= 0, "seeds must be non-negative")
+        need(self.data_seed >= 0, "data_seed must be non-negative")
+        for name in ("seeds", "trace_classes"):
+            items = getattr(self, name)
+            need(isinstance(items, str) or len(set(items)) == len(items),
+                 f"{name} must not list an item twice")
+        need(self.epochs >= 0, "epochs must be non-negative")
+        need(self.batch_size >= 1 and self.meta_batch_size >= 1, "batch sizes must be positive")
+        need(self.alpha > 0 and self.beta > 0, "alpha and beta must be positive")
+        need(self.lam >= 0, "lambda must be non-negative")
+        for name in ("classifier_weight_decay", "dnet_weight_decay"):
+            need(getattr(self, name) >= 0, f"{name} must be non-negative")
+        need(0 <= self.classifier_momentum < 1, "classifier_momentum must lie in [0, 1)")
+        need(self.hidden >= 1, "hidden must be positive")
+        need(self.many_min > self.few_max, "many_min must exceed few_max")
+        need(bool(self.train_file) == bool(self.meta_file),
+             "train_file and meta_file must be given together")
+        need(self.crt_steps >= 0 and self.crt_batch_size >= 1 and self.crt_lr > 0, "bad crt settings")
+        need(self.focal_gamma >= 0, "focal_gamma must be non-negative")
+        need(self.cdb_tau >= 0, "cdb_tau must be non-negative")
+        need(0 <= self.effnum_beta < 1, "effnum_beta must lie in [0, 1)")
+
 
 # fields whose parser is not their default's type
 _PARSERS = {"seeds": functools.partial(_parse_list, cast=int), "ensemble_members": _parse_list,
@@ -182,44 +218,7 @@ def parse_config(path: str | None = None, overrides: tuple[str, ...] = ()) -> Ex
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, raw = item.partition("=")
         _apply_kv(values, key.strip(), raw.strip(), "--set")
-    cfg = ExperimentConfig(**values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    def need(cond, msg):
-        if not cond:
-            raise ConfigError(msg)
-
-    need(cfg.method in METHODS, f"method must be one of {tuple(METHODS)}, got {cfg.method!r}")
-    need(cfg.stage2 in ("none", "crt"), "stage2 must be 'none' or 'crt'")
-    need(cfg.head in HEADS, f"head must be one of {HEADS}")
-    need(cfg.head != "cosine" or cfg.cosine_scale > 0, "cosine_scale must be positive")
-    need(cfg.classifier_optimizer in OPTIMIZERS, f"classifier_optimizer must be one of {OPTIMIZERS}")
-    need(cfg.dnet_optimizer in OPTIMIZERS, f"dnet_optimizer must be one of {OPTIMIZERS}")
-    need(bool(cfg.seeds), "seeds must list at least one seed")
-    need(min(cfg.seeds) >= 0, "seeds must be non-negative")
-    need(cfg.data_seed >= 0, "data_seed must be non-negative")
-    for name in ("seeds", "trace_classes"):
-        items = getattr(cfg, name)
-        need(isinstance(items, str) or len(set(items)) == len(items),
-             f"{name} must not list an item twice")
-    need(cfg.epochs >= 0, "epochs must be non-negative")
-    need(cfg.batch_size >= 1 and cfg.meta_batch_size >= 1, "batch sizes must be positive")
-    need(cfg.alpha > 0 and cfg.beta > 0, "alpha and beta must be positive")
-    need(cfg.lam >= 0, "lambda must be non-negative")
-    for name in ("classifier_weight_decay", "dnet_weight_decay"):
-        need(getattr(cfg, name) >= 0, f"{name} must be non-negative")
-    need(0 <= cfg.classifier_momentum < 1, "classifier_momentum must lie in [0, 1)")
-    need(cfg.hidden >= 1, "hidden must be positive")
-    need(cfg.many_min > cfg.few_max, "many_min must exceed few_max")
-    need(bool(cfg.train_file) == bool(cfg.meta_file),
-         "train_file and meta_file must be given together")
-    need(cfg.crt_steps >= 0 and cfg.crt_batch_size >= 1 and cfg.crt_lr > 0, "bad crt settings")
-    need(cfg.focal_gamma >= 0, "focal_gamma must be non-negative")
-    need(cfg.cdb_tau >= 0, "cdb_tau must be non-negative")
-    need(0 <= cfg.effnum_beta < 1, "effnum_beta must lie in [0, 1)")
+    return ExperimentConfig(**values)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -528,9 +527,9 @@ def _write_manifest(run_dir: str, started: float) -> None:
 def run(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[str]]:
     """Train cfg.method for every seed in one stacked call on this thread,
     then write each seed's run directory and return report's reading of
-    them (_each_seed). An invalid cfg, or a run directory or parent that
-    exists and is no directory, is a ConfigError before training."""
-    _validate(cfg)
+    them (_each_seed). cfg checked its values when it was built; a run
+    directory or parent that exists and is no directory is a ConfigError
+    before training."""
     for path in (cfg.out_dir, os.path.join(cfg.out_dir, cfg.method),
                  *(_run_dir(cfg, seed) for seed in cfg.seeds)):
         if os.path.exists(path) and not os.path.isdir(path):

@@ -163,6 +163,22 @@ def test_validation_rejects(override):
         parse_config(None, overrides=(override,))
 
 
+@pytest.mark.parametrize("case, message", [
+    ({"lam": -1.0}, "lambda must be non-negative"),
+    ({"epochs": -1}, "epochs must be non-negative"),
+    ({"focal_gamma": -1.0}, "focal_gamma must be non-negative"),
+    ({"classifier_momentum": 1.5}, "classifier_momentum must lie in [0, 1)"),
+    ({"crt_lr": -1.0}, "bad crt settings"),
+], ids=["lam", "epochs", "focal_gamma", "classifier_momentum", "crt_lr"])
+def test_a_config_checks_itself_when_built_or_replaced(case, message):
+    # every library entry gets parse_config's ConfigError, however the
+    # config was made
+    for build in (lambda: ExperimentConfig(**case), lambda: replace(ExperimentConfig(), **case)):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_trace_spellings():
     assert parse_config(None, overrides=("trace_classes=auto",)).trace_classes == "auto"
     assert parse_config(None, overrides=("trace_classes=none",)).trace_classes == "none"
@@ -790,6 +806,15 @@ def test_crt_that_cannot_read_a_seeds_run_writes_nothing(seed1, tmp_path, capsys
     capsys.readouterr()
     assert main(["crt", *CRT_PAIR, *out]) == 2
     assert str(tmp_path / "ce" / "seed1") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_crt_existing_rejects_a_bad_crt_setting_before_any_write(tmp_path):
+    cfg = base_cfg(tmp_path, method="ce")
+    run(cfg)
+    before = _tree(tmp_path)
+    with pytest.raises(ConfigError, match="bad crt settings"):
+        crt_existing(replace(cfg, crt_lr=-1.0))
     assert _tree(tmp_path) == before
 
 

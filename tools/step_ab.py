@@ -4,6 +4,9 @@
                              [--methods dnet,dnet-abs,dnet-sample,ce,cdb,crt,ltds,eval]
 
 SRC_A and SRC_B are checkouts (each with src/ltlab) or src directories.
+Before its tables the tool prints one environment line: the Python and
+numpy versions, the BLAS name and version that np.show_config reports, and
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as set (unset when not).
 Each side's ltlab is copied into a temporary directory under its own
 package name, ltlab_a and ltlab_b, so both import side by side. For every
 method the tool trains `harness.train_one` on the default config once per
@@ -55,6 +58,7 @@ import cProfile
 import gc
 import importlib
 import os
+import platform
 import pstats
 import shutil
 import sys
@@ -68,6 +72,16 @@ LTDS_DATA = ("classes=100", "n_max=1000", "m_per_class=5")
 EVAL_CALLS = 200  # per_class_accuracy calls per timed run of an eval entry
 PROFILED = (("nnet.py", "forward_tape"), ("nnet.py", "with_labels"), ("nnet.py", "grads"),
             ("nnet.py", "dots"), ("nnet.py", "optimizer_step"), ("metatrain.py", "_meta_gradient"))
+
+
+def environment() -> str:
+    """The environment line: Python, numpy, the BLAS build and the BLAS
+    thread settings, so that every table carries the record it was taken in."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = "  ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"environment: Python {platform.python_version()}  numpy {np.__version__}  "
+            f"BLAS {blas.get('name')} {blas.get('version')}  {threads}")
 
 
 def package_dir(src: str) -> str:
@@ -196,6 +210,7 @@ def main() -> None:
                "eval": ("eval-c10", "eval-c100")}
     methods = [e for m in args.methods.split(",") if m for e in entries.get(m, (m,))]
 
+    print(environment())
     root = tempfile.mkdtemp(prefix="step_ab_")
     sys.path.insert(0, root)
     try:
